@@ -12,8 +12,9 @@ with the same flags; numeric fields carry 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -163,18 +164,19 @@ def _require(cond: bool, flag: str, msg: str) -> None:
         raise ConfigError(f"{flag}: {msg}")
 
 
+def _require_tol(cfg: RunConfig) -> None:
+    _require(
+        math.isfinite(cfg.tol) and cfg.tol > 0.0,
+        "--tol",
+        f"must be finite and > 0, got {cfg.tol!r}",
+    )
+
+
 def _cmd_verify(cfg: RunConfig) -> int:
     _require(0.0 < cfg.t <= 1.0, "--t", f"must lie in (0, 1], got {cfg.t!r}")
     _require(cfg.power >= 1, "--power", "must be >= 1")
-    m = tent_power(cfg.t, cfg.power)
-    certs = [
-        certify(m, conv)
-        for conv in (
-            NormConvention.SPECTRAL,
-            NormConvention.MAX_ENTRY,
-            NormConvention.PAPER_FORMULA,
-        )
-    ]
+    cert = certify(tent_power(cfg.t, cfg.power))
+    certs = [replace(cert, norm_convention=conv) for conv in NormConvention]
     text = "[\n" + ",\n".join(c.to_json() for c in certs) + "\n]\n"
     atomic_write_text(cfg.out_path, text)
     verdicts = " ".join(
@@ -188,6 +190,7 @@ def _cmd_density(cfg: RunConfig) -> int:
     _require(0.0 < cfg.t <= 1.0, "--t", f"must lie in (0, 1], got {cfg.t!r}")
     _require(cfg.resolution >= 2, "--resolution", "must be >= 2")
     _require(cfg.format in ("csv", "svg"), "--format", "must be csv or svg")
+    _require_tol(cfg)
     op = build_ulam(tent_power(cfg.t, cfg.power), cfg.resolution)
     vec = ulam_fixed(op, cfg.tol)
     dens = density_from_vector(op.grid, vec)
@@ -219,6 +222,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         f"must satisfy {TENT_T_MIN:.6f} <= tmin <= tmax <= 1",
     )
     _require(lo <= cfg.t0 <= 1.0, "--t0", f"must lie in [{TENT_T_MIN:.6f}, 1]")
+    _require_tol(cfg)
     if cfg.steps == 1:
         ts = [cfg.tmin]
     else:
@@ -286,6 +290,7 @@ def _cmd_oracle1d(cfg: RunConfig) -> int:
     _require(
         cfg.cells >= 2 and cfg.cells % 2 == 0, "--cells", "must be even and >= 2"
     )
+    _require_tol(cfg)
     result = tent1d_ulam(cfg.a, cfg.cells, cfg.tol)
     lines = ["cell_id,left,right,value"]
     for i in range(cfg.cells):
@@ -330,11 +335,15 @@ _DEFAULT_OUT = {
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one command; 0 = success, 1 = invalid input, 2 = unconverged."""
+    """Execute one command; 0 = success, 1 = invalid input or unwritable
+    output, 2 = unconverged."""
     try:
         return _COMMANDS[cfg.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
     except Error as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -41,23 +41,5 @@ class CellExplosion(Error):
     """Exact pushforward arrangement exceeded the cell budget."""
 
 
-class OrbitHitsCriticalSet(Error):
-    """Orbit repeatedly landed on a branch boundary despite reseeding."""
-
-
-class NoConvergence(Error):
-    """Iteration hit its step budget.
-
-    Iterative routines normally return their last iterate tagged with the
-    achieved residual instead of raising; this class exists for callers
-    that want to escalate an unconverged result.
-    """
-
-    def __init__(self, message, result=None, residual=None):
-        super().__init__(message)
-        self.result = result
-        self.residual = residual
-
-
 class ConfigError(Error):
     """Invalid command-line configuration; message names the flag."""

@@ -24,9 +24,15 @@ from .density import (
     ulam_fixed,
     variation,
 )
-from .errors import OrbitHitsCriticalSet, OutsideRegion, ParameterOutOfRange
-from .geom2d import EPS_GEOM, SNAP, Point2, monomial_integral
-from .maps import TENT_T_MIN, ConditionCertificate, PiecewiseMap, make_tent2d, tent_power
+from .errors import ParameterOutOfRange
+from .geom2d import Point2, monomial_integral
+from .maps import (
+    TENT_T_MIN,
+    ConditionCertificate,
+    check_tent_parameter,
+    make_tent2d,
+    tent_power,
+)
 
 # Monomial test functions used for weak-star gaps and Birkhoff averages.
 TEST_FUNCTIONS: dict[str, tuple[int, int]] = {
@@ -148,107 +154,10 @@ def ly_check(
     return rows
 
 
-def _internal_segments(m: PiecewiseMap):
-    """Branch-domain edges not supported on the region boundary."""
-
-    def line_key(a, b):
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        length = math.hypot(dx, dy)
-        ux, uy = dx / length, dy / length
-        if ux < -1e-12 or (abs(ux) <= 1e-12 and uy < 0.0):
-            ux, uy = -ux, -uy
-        nx, ny = -uy, ux
-        off = nx * a[0] + ny * a[1]
-        return (round(nx / SNAP), round(ny / SNAP), round(off / SNAP))
-
-    region_lines = {line_key(a, b) for a, b in m.region.edges()}
-    segs = []
-    seen = set()
-    for branch in m.branches:
-        for a, b in branch.domain.edges():
-            key = line_key(a, b)
-            if key in region_lines:
-                continue
-            seg_id = (key, tuple(sorted((a, b))))
-            if seg_id not in seen:
-                seen.add(seg_id)
-                segs.append((a, b))
-    return segs
-
-
-def _dist_to_segment(p, a, b) -> float:
-    px, py = p
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    den = dx * dx + dy * dy
-    t = ((px - ax) * dx + (py - ay) * dy) / den
-    t = max(0.0, min(1.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
-# Radius below which an orbit point counts as sitting on a branch boundary.
-# Double orbits of the t = 1 map land *exactly* on the critical line (the
-# integer branch matrices collapse iterates onto coarse dyadic lattices),
-# so the detection radius must sit below the 1e-12 escape perturbation.
-HIT_RADIUS = 1e-13
-PERTURB = 1e-12
-
-
 def lyapunov_exponent(t: float, x0, n: int, seed: int) -> float:
-    """Per-step log expansion along the orbit of x0 in a random direction.
-
-    The derivative cocycle is accumulated with renormalization.  A point
-    within HIT_RADIUS of a branch boundary is nudged by a seeded 1e-12
-    perturbation before its derivative is read off (at most 5 attempts per
-    hit); the expansion factor is branch-independent for this conformal
-    family, so the nudge never changes the value.
-    """
-    if n < 1:
-        raise ParameterOutOfRange(f"orbit length must be >= 1, got {n}")
-    m = make_tent2d(t)
-    segments = _internal_segments(m)
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    vx, vy = math.cos(theta), math.sin(theta)
-    x = Point2(float(x0[0]), float(x0[1]))
-    total = 0.0
-    for _step in range(n):
-        if any(_dist_to_segment(x, a, b) < HIT_RADIUS for a, b in segments):
-            for attempt in range(6):
-                if attempt == 5:
-                    raise OrbitHitsCriticalSet(
-                        f"orbit point {tuple(x)!r} could not be nudged off a "
-                        "branch boundary in 5 attempts"
-                    )
-                angle = rng.uniform(0.0, 2.0 * math.pi)
-                cand = Point2(
-                    x.x + PERTURB * math.cos(angle), x.y + PERTURB * math.sin(angle)
-                )
-                if not m.region.contains(cand, 0.0):
-                    continue
-                if all(_dist_to_segment(cand, a, b) >= HIT_RADIUS for a, b in segments):
-                    x = cand
-                    break
-        branch = _branch_at(m, x)
-        wx, wy = branch.map.linear.apply(vx, vy)
-        norm = math.hypot(wx, wy)
-        total += math.log(norm)
-        vx, vy = wx / norm, wy / norm
-        x = branch.map.apply(x)
-        if _captured(x.x, x.y):
-            x = Point2(*_reseed_point(rng))
-    return total / n
-
-
-def _branch_at(m: PiecewiseMap, p):
-    for branch in m.branches:
-        if branch.domain.contains(p, EPS_GEOM):
-            return branch
-    for branch in m.branches:
-        if branch.domain.contains(p, 1e-7):
-            return branch
-    raise OutsideRegion(f"orbit point {tuple(p)!r} left the region")
+    """Per-step log expansion along the orbit of x0 in a random direction;
+    the Lyapunov field of ``orbit_stats``."""
+    return orbit_stats(t, x0, n, seed).lyapunov
 
 
 def _captured(x: float, y: float) -> bool:
@@ -299,6 +208,7 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
     equivalence with the generic single-step apply is covered by tests.
     Boundary-captured orbits restart from seeded interior points.
     """
+    check_tent_parameter(t)
     if n < 1:
         raise ParameterOutOfRange(f"orbit length must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
@@ -337,17 +247,11 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
 
 
 def seeded_start(t: float, seed: int) -> Point2:
-    """Uniformly random interior point of the tent region, reproducible."""
-    rng = np.random.default_rng(seed)
-    while True:
-        u, v = rng.random(2)
-        if u + v > 1.0:
-            u, v = 1.0 - u, 1.0 - v
-        # barycentric inside (0,0), (2,0), (1,1)
-        x = 2.0 * u + v
-        y = v
-        if 1e-6 < y < x - 1e-6 and x < 2.0 - y - 1e-6:
-            return Point2(x, y)
+    """Uniformly random interior point of the tent region, reproducible.
+
+    The region does not depend on t; the argument keeps call sites uniform.
+    """
+    return Point2(*_reseed_point(np.random.default_rng(seed)))
 
 
 class Tent1DResult(NamedTuple):

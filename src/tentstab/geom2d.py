@@ -14,10 +14,8 @@ consistent; tolerances enter only when merging near-coincident vertices
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DegeneratePolygon, InvalidPolygon, SingularMatrix
 
@@ -363,30 +361,37 @@ def min_interior_angle(p: ConvexPolygon) -> float:
 
 
 def inradius(p: ConvexPolygon) -> float:
-    """Radius of the largest inscribed disk, via a 3-variable LP.
+    """Radius of the largest inscribed disk.
 
-    Maximizes r subject to n_i . x + r <= offset_i over the unit outward
-    edge normals n_i.
+    The optimum of the LP "maximize r subject to n_i . z + r <= offset_i"
+    over the unit outward edge normals n_i lies at a centre equidistant
+    from three edge lines, so every edge triple proposes one centre z and
+    each centre scores its distance min_i (offset_i - n_i . z) to the
+    nearest edge line.  A score is the radius of a disk that fits, so the
+    best score is the inradius without any feasibility tolerance.
     """
     verts = p.vertices
     if len(verts) < 3 or p.area < EPS_AREA:
         raise DegeneratePolygon("inradius needs a non-degenerate polygon")
-    rows = []
-    rhs = []
+    lines = []
     for nx, ny, off in p.edge_halfplanes():
         nrm = math.hypot(nx, ny)
-        rows.append([nx / nrm, ny / nrm, 1.0])
-        rhs.append(off / nrm)
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
-        bounds=[(None, None), (None, None), (0.0, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise DegeneratePolygon(f"inradius LP failed: {res.message}")
-    return float(res.x[2])
+        lines.append((nx / nrm, ny / nrm, off / nrm))
+    best = 0.0
+    for (ax, ay, ao), (bx, by, bo), (cx, cy, co) in combinations(lines, 3):
+        # The centre z is equally far from lines a, b and c:
+        # (n_a - n_b) . z = o_a - o_b and (n_a - n_c) . z = o_a - o_c.
+        m11, m12, r1 = ax - bx, ay - by, ao - bo
+        m21, m22, r2 = ax - cx, ay - cy, ao - co
+        det = m11 * m22 - m12 * m21
+        if det == 0.0:
+            continue
+        zx = (r1 * m22 - m12 * r2) / det
+        zy = (m11 * r2 - r1 * m21) / det
+        score = min(o - (nx * zx + ny * zy) for nx, ny, o in lines)
+        if score > best:
+            best = score
+    return best
 
 
 def monomial_integral(p: ConvexPolygon, ax: int, ay: int) -> float:

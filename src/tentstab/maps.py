@@ -63,6 +63,14 @@ class NormConvention(enum.Enum):
     PAPER_FORMULA = "PaperFormula"
 
 
+# The ConditionCertificate field holding each convention's sigma.
+_SIGMA_FIELD = {
+    NormConvention.SPECTRAL: "sigma_spectral",
+    NormConvention.MAX_ENTRY: "sigma_max_entry",
+    NormConvention.PAPER_FORMULA: "sigma_paper",
+}
+
+
 class ExpansionReport(NamedTuple):
     sigma_spectral: float
     sigma_max_entry: float
@@ -93,7 +101,9 @@ class ConditionCertificate:
     sigma_* report the contraction of inverse branch derivatives under
     three conventions: the largest singular value, the largest matrix
     entry, and the family's closed-form per-step value (1/(2t))^power.
-    The selected convention determines lambda, K1 and the verdict.
+    The selected convention picks the sigma behind lambda, K1 and the
+    verdict; ``dataclasses.replace(cert, norm_convention=c)`` reads the
+    same measurements under another convention.
     """
 
     t: float
@@ -104,21 +114,30 @@ class ConditionCertificate:
     D: float
     beta: float
     rho: float
-    lambda_spectral: float
-    lambda_paper: float
     K: float
-    K1: float
     norm_convention: NormConvention
-    satisfied: bool
 
     @property
     def lam(self) -> float:
-        """Contraction factor under the selected convention."""
-        if self.norm_convention is NormConvention.SPECTRAL:
-            return self.lambda_spectral
-        if self.norm_convention is NormConvention.MAX_ENTRY:
-            return self.sigma_max_entry * (1.0 + 1.0 / self.beta)
-        return self.lambda_paper
+        """Contraction factor sigma * (1 + 1/beta) under the selected convention."""
+        sigma = getattr(self, _SIGMA_FIELD[self.norm_convention])
+        return sigma * (1.0 + 1.0 / self.beta)
+
+    @property
+    def K1(self) -> float:
+        """K / (1 - lambda); infinite when lambda >= 1."""
+        lam = self.lam
+        return self.K / (1.0 - lam) if lam < 1.0 else math.inf
+
+    @property
+    def satisfied(self) -> bool:
+        """lambda < 1 with finite positive beta, rho and spectral sigma."""
+        return (
+            self.lam < 1.0
+            and 0.0 < self.beta < math.inf
+            and 0.0 < self.rho < math.inf
+            and 0.0 < self.sigma_spectral < math.inf
+        )
 
     def to_json(self) -> str:
         pairs = [
@@ -140,6 +159,12 @@ class ConditionCertificate:
         return "{\n" + body + "\n}"
 
 
+def check_tent_parameter(t: float) -> None:
+    """Reject a tent parameter outside (0, 1], NaN included."""
+    if not (0.0 < t <= 1.0) or not math.isfinite(t):
+        raise ParameterOutOfRange(f"tent parameter t={t!r} outside (0, 1]")
+
+
 def make_tent2d(t: float) -> PiecewiseMap:
     """Two-branch tent map (x,y) -> t*(x+y, x-y) / t*(2-x+y, 2-x-y).
 
@@ -147,8 +172,7 @@ def make_tent2d(t: float) -> PiecewiseMap:
     along the segment x = 1 and each branch contracts inverse derivatives
     by 1/(2t) in the max-entry sense.
     """
-    if not (0.0 < t <= 1.0) or not math.isfinite(t):
-        raise ParameterOutOfRange(f"tent parameter t={t!r} outside (0, 1]")
+    check_tent_parameter(t)
     region = ConvexPolygon(((0.0, 0.0), (2.0, 0.0), (1.0, 1.0)))
     left = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
     right = ConvexPolygon(((1.0, 0.0), (2.0, 0.0), (1.0, 1.0)))
@@ -253,8 +277,6 @@ def estimate_long_branches(m: PiecewiseMap) -> LongBranchReport:
 def certify(
     m: PiecewiseMap,
     convention: NormConvention = NormConvention.PAPER_FORMULA,
-    t: float | None = None,
-    power_order: int | None = None,
 ) -> ConditionCertificate:
     """Assemble the contraction certificate lambda = sigma*(1 + 1/beta),
     K = D + 1/(beta*rho) + D/beta, K1 = K/(1 - lambda).
@@ -262,50 +284,26 @@ def certify(
     The verdict applies to the selected norm convention; all three sigma
     values are reported so conventions can be compared side by side.
     """
-    t_val = m.param_t if t is None else t
-    pw = m.power if power_order is None else power_order
-    if t_val is None:
+    if m.param_t is None:
         raise ParameterOutOfRange(
-            "certificate needs the family parameter t (map has none; pass t=...)"
+            "certificate needs the tent-family parameter t (the map has none)"
         )
     expansion = verify_expansion(m)
     distortion = verify_distortion(m)
     long_branches = estimate_long_branches(m)
     beta = long_branches.beta
     rho = long_branches.rho
-    sigma_paper = (1.0 / (2.0 * t_val)) ** pw
-    factor = 1.0 + 1.0 / beta
-    lambda_spectral = expansion.sigma_spectral * factor
-    lambda_paper = sigma_paper * factor
-    if convention is NormConvention.SPECTRAL:
-        lam = lambda_spectral
-    elif convention is NormConvention.MAX_ENTRY:
-        lam = expansion.sigma_max_entry * factor
-    else:
-        lam = lambda_paper
-    k_val = distortion + 1.0 / (beta * rho) + distortion / beta
-    k1 = k_val / (1.0 - lam) if lam < 1.0 else math.inf
-    satisfied = (
-        lam < 1.0
-        and 0.0 < beta < math.inf
-        and 0.0 < rho < math.inf
-        and 0.0 < expansion.sigma_spectral < math.inf
-    )
     return ConditionCertificate(
-        t=t_val,
-        power=pw,
+        t=m.param_t,
+        power=m.power,
         sigma_spectral=expansion.sigma_spectral,
         sigma_max_entry=expansion.sigma_max_entry,
-        sigma_paper=sigma_paper,
+        sigma_paper=(1.0 / (2.0 * m.param_t)) ** m.power,
         D=distortion,
         beta=beta,
         rho=rho,
-        lambda_spectral=lambda_spectral,
-        lambda_paper=lambda_paper,
-        K=k_val,
-        K1=k1,
+        K=distortion + 1.0 / (beta * rho) + distortion / beta,
         norm_convention=convention,
-        satisfied=satisfied,
     )
 
 

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tentstab
 from tentstab import cli
 from tentstab.cli import SvgHeatmap, emit_svg, heatmap_from_cells, main, render_svg
 from tentstab.errors import ConfigError
@@ -223,3 +227,38 @@ class TestDeterminism:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestInputContracts:
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["density", "--t", "0.95", "--resolution", "16"],
+            ["sweep", "--tmin", "0.95", "--tmax", "0.99", "--resolution", "16"],
+            ["oracle1d", "--a", "1.7", "--cells", "16"],
+        ],
+    )
+    def test_bad_tol_exits_1(self, tmp_path, capsys, args, tol):
+        out = tmp_path / "x.csv"
+        assert main(args + ["--tol", tol, "--out", str(out)]) == 1
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["orbit", "--n", "10", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.parent.exists()
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tentstab.__file__)))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import tentstab.cli; "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"

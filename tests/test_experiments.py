@@ -113,10 +113,18 @@ class TestLyapunov:
         assert abs(a - b) <= 1e-12
 
     def test_long_t1_orbit_survives_exact_hits(self):
-        # double-precision orbits at t=1 land exactly on the critical line;
-        # the seeded nudges must keep the run alive without changing the value
+        # double-precision orbits at t=1 land exactly on the critical line and
+        # are captured by the region boundary; neither may change the value
         val = E.lyapunov_exponent(1.0, E.seeded_start(1.0, 2), 20000, 2)
         assert abs(val - HALF_LOG2) <= 1e-9
+
+
+@pytest.mark.parametrize("t", [0.0, 1.5, math.nan])
+def test_orbit_functions_reject_bad_t(t):
+    with pytest.raises(ParameterOutOfRange):
+        E.lyapunov_exponent(t, (0.37, 0.11), 10, 1)
+    with pytest.raises(ParameterOutOfRange):
+        E.orbit_stats(t, (0.37, 0.11), 10, 1)
 
 
 class TestBirkhoff:

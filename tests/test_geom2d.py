@@ -25,6 +25,7 @@ from tentstab.geom2d import (
     perimeter,
     snap_key,
 )
+from tentstab.maps import TENT_T_MIN, tent_power
 
 from conftest import LEFT_HALF, RIGHT_HALF, TRIANGLE_T, convex_hull, random_convex_polygon
 
@@ -150,6 +151,34 @@ class TestInradius:
     def test_degenerate_raises(self):
         with pytest.raises(DegeneratePolygon):
             inradius(ConvexPolygon(()))
+
+    @pytest.mark.parametrize("t", [TENT_T_MIN, 0.9, 1.0])
+    def test_matches_lp_on_tent_branches(self, t):
+        # linprog is the test-only oracle: maximize r subject to
+        # n_i . z + r <= offset_i over the unit outward edge normals.
+        from scipy.optimize import linprog
+
+        def lp_inradius(poly):
+            rows, rhs = [], []
+            for nx, ny, off in poly.edge_halfplanes():
+                nrm = math.hypot(nx, ny)
+                rows.append([nx / nrm, ny / nrm, 1.0])
+                rhs.append(off / nrm)
+            res = linprog(
+                c=[0.0, 0.0, -1.0],
+                A_ub=np.array(rows),
+                b_ub=np.array(rhs),
+                bounds=[(None, None), (None, None), (0.0, None)],
+                method="highs",
+            )
+            assert res.success
+            return float(res.x[2])
+
+        for k in range(1, 7):
+            for b in tent_power(t, k).branches:
+                for poly in (b.domain, affine_image(b.map, b.domain)):
+                    expected = lp_inradius(poly)
+                    assert abs(inradius(poly) - expected) <= 1e-11 * expected
 
 
 def test_non_convex_input_rejected():
