@@ -42,38 +42,12 @@ from .geom2d import ConvexPolygon
 from .ioutil import atomic_write_text, fmt
 from .maps import TENT_T_MIN, NormConvention, certify, tent_power
 
-DEFAULT_SEED = 20240101
-DEFAULT_RESOLUTION = 64
-DEFAULT_TOL = 1e-8
 CANVAS_W = 1024
 CANVAS_H = 640
 
 # Monotone-lightness color ramp endpoints (dark to light, RGB in [0,1]).
 RAMP_LO = (0.13, 0.15, 0.38)
 RAMP_HI = (0.99, 0.97, 0.80)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    t: float = 1.0
-    t0: float = 1.0
-    tmin: float = TENT_T_MIN
-    tmax: float = 1.0
-    steps: int = 5
-    power: int = 1
-    resolution: int = DEFAULT_RESOLUTION
-    n: int = 1000
-    seed: int = DEFAULT_SEED
-    jmax: int = 4
-    tol: float = DEFAULT_TOL
-    out_path: str = ""
-    format: str = "csv"
-    convention: str = "PaperFormula"
-    f0: str = "uniform"
-    a: float = 2.0
-    cells: int = 64
-    matrix_out: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -159,95 +133,61 @@ def emit_svg(h: SvgHeatmap, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _require(cond: bool, flag: str, msg: str) -> None:
-    if not cond:
-        raise ConfigError(f"{flag}: {msg}")
-
-
-def _require_tol(cfg: RunConfig) -> None:
-    _require(
-        math.isfinite(cfg.tol) and cfg.tol > 0.0,
-        "--tol",
-        f"must be finite and > 0, got {cfg.tol!r}",
-    )
-
-
-def _cmd_verify(cfg: RunConfig) -> int:
-    _require(0.0 < cfg.t <= 1.0, "--t", f"must lie in (0, 1], got {cfg.t!r}")
-    _require(cfg.power >= 1, "--power", "must be >= 1")
-    cert = certify(tent_power(cfg.t, cfg.power))
+def _cmd_verify(args: argparse.Namespace) -> int:
+    cert = certify(tent_power(args.t, args.power))
     certs = [replace(cert, norm_convention=conv) for conv in NormConvention]
     text = "[\n" + ",\n".join(c.to_json() for c in certs) + "\n]\n"
-    atomic_write_text(cfg.out_path, text)
+    atomic_write_text(args.out, text)
     verdicts = " ".join(
         f"{c.norm_convention.value}={'ok' if c.satisfied else 'FAIL'}" for c in certs
     )
-    print(f"verify t={fmt(cfg.t)} power={cfg.power}: {verdicts} -> {cfg.out_path}")
+    print(f"verify t={fmt(args.t)} power={args.power}: {verdicts} -> {args.out}")
     return 0
 
 
-def _cmd_density(cfg: RunConfig) -> int:
-    _require(0.0 < cfg.t <= 1.0, "--t", f"must lie in (0, 1], got {cfg.t!r}")
-    _require(cfg.resolution >= 2, "--resolution", "must be >= 2")
-    _require(cfg.format in ("csv", "svg"), "--format", "must be csv or svg")
-    _require_tol(cfg)
-    op = build_ulam(tent_power(cfg.t, cfg.power), cfg.resolution)
-    vec = ulam_fixed(op, cfg.tol)
+def _cmd_density(args: argparse.Namespace) -> int:
+    op = build_ulam(tent_power(args.t, args.power), args.resolution)
+    vec = ulam_fixed(op, args.tol)
     dens = density_from_vector(op.grid, vec)
-    if cfg.format == "svg":
-        emit_svg(heatmap_from_cells(dens.cells), cfg.out_path)
+    if args.format == "svg":
+        emit_svg(heatmap_from_cells(dens.cells), args.out)
     else:
-        atomic_write_text(cfg.out_path, density_csv(dens))
-    if cfg.matrix_out:
+        atomic_write_text(args.out, density_csv(dens))
+    if args.matrix_out:
         from .density import ulam_matrix_csv
 
-        atomic_write_text(cfg.matrix_out, ulam_matrix_csv(op))
+        atomic_write_text(args.matrix_out, ulam_matrix_csv(op))
     lo = float(np.min(vec.values))
     hi = float(np.max(vec.values))
     print(
-        f"density t={fmt(cfg.t)} power={cfg.power} resolution={cfg.resolution}: "
+        f"density t={fmt(args.t)} power={args.power} resolution={args.resolution}: "
         f"range [{fmt(lo)}, {fmt(hi)}], residual {fmt(vec.residual)} "
-        f"after {vec.iterations} iterations -> {cfg.out_path}"
+        f"after {vec.iterations} iterations -> {args.out}"
     )
     return 0 if vec.converged else 2
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    lo = TENT_T_MIN - 1e-12
-    _require(cfg.steps >= 1, "--steps", "must be >= 1")
-    _require(cfg.resolution >= 16, "--resolution", "must be >= 16 for sweeps")
-    _require(
-        lo <= cfg.tmin <= cfg.tmax <= 1.0,
-        "--tmin/--tmax",
-        f"must satisfy {TENT_T_MIN:.6f} <= tmin <= tmax <= 1",
-    )
-    _require(lo <= cfg.t0 <= 1.0, "--t0", f"must lie in [{TENT_T_MIN:.6f}, 1]")
-    _require_tol(cfg)
-    if cfg.steps == 1:
-        ts = [cfg.tmin]
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.tmin > args.tmax:
+        raise ConfigError("--tmin/--tmax: must satisfy tmin <= tmax")
+    if args.steps == 1:
+        ts = [args.tmin]
     else:
-        step = (cfg.tmax - cfg.tmin) / (cfg.steps - 1)
-        ts = [cfg.tmin + k * step for k in range(cfg.steps)]
-    rows = stability_sweep(cfg.t0, ts, cfg.resolution, cfg.power, cfg.tol)
-    atomic_write_text(cfg.out_path, sweep_csv(rows))
+        step = (args.tmax - args.tmin) / (args.steps - 1)
+        ts = [args.tmin + k * step for k in range(args.steps)]
+    rows = stability_sweep(args.t0, ts, args.resolution, args.power, args.tol)
+    atomic_write_text(args.out, sweep_csv(rows))
     worst = max(r.residual for r in rows)
     print(
-        f"sweep t0={fmt(cfg.t0)} resolution={cfg.resolution} power={cfg.power}: "
-        f"{len(rows)} rows, max residual {fmt(worst)} -> {cfg.out_path}"
+        f"sweep t0={fmt(args.t0)} resolution={args.resolution} power={args.power}: "
+        f"{len(rows)} rows, max residual {fmt(worst)} -> {args.out}"
     )
-    return 0 if worst < cfg.tol else 2
+    return 0 if worst < args.tol else 2
 
 
-def _cmd_lycheck(cfg: RunConfig) -> int:
-    _require(0.0 < cfg.t <= 1.0, "--t", f"must lie in (0, 1], got {cfg.t!r}")
-    _require(0 <= cfg.jmax <= 5, "--jmax", "must be in 0..5")
-    try:
-        conv = NormConvention(cfg.convention)
-    except ValueError:
-        raise ConfigError(
-            f"--convention: must be one of Spectral, MaxEntry, PaperFormula"
-        ) from None
-    m = tent_power(cfg.t, cfg.power)
+def _cmd_lycheck(args: argparse.Namespace) -> int:
+    conv = NormConvention(args.convention)
+    m = tent_power(args.t, args.power)
     cert = certify(m, conv)
     if not cert.satisfied:
         raise ConfigError(
@@ -255,90 +195,217 @@ def _cmd_lycheck(cfg: RunConfig) -> int:
             f"(lambda={fmt(cert.lam)} >= 1); try --power 3 with PaperFormula"
         )
     region = m.region
-    if cfg.f0 == "uniform":
+    if args.f0 == "uniform":
         f0 = uniform_density(region)
-    elif cfg.f0 == "lefthalf":
+    else:
         left = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
         f0 = indicator_density(region, left, 2.0)
-    else:
-        raise ConfigError("--f0: must be uniform or lefthalf")
-    rows = ly_check(cfg.t, f0, cfg.jmax, cert)
-    atomic_write_text(cfg.out_path, ly_csv(cfg.t, conv.value, rows))
+    rows = ly_check(args.t, f0, args.jmax, cert)
+    atomic_write_text(args.out, ly_csv(args.t, conv.value, rows))
     worst = max(r.ratio for r in rows)
     print(
-        f"lycheck t={fmt(cfg.t)} power={cfg.power} f0={cfg.f0}: "
-        f"max variation/bound {fmt(worst)} -> {cfg.out_path}"
+        f"lycheck t={fmt(args.t)} power={args.power} f0={args.f0}: "
+        f"max variation/bound {fmt(worst)} -> {args.out}"
     )
     return 0
 
 
-def _cmd_orbit(cfg: RunConfig) -> int:
-    _require(0.0 < cfg.t <= 1.0, "--t", f"must lie in (0, 1], got {cfg.t!r}")
-    _require(cfg.n >= 1, "--n", "must be >= 1")
-    x0 = seeded_start(cfg.t, cfg.seed)
-    stats = orbit_stats(cfg.t, x0, cfg.n, cfg.seed)
-    atomic_write_text(cfg.out_path, orbit_csv([stats]))
+def _cmd_orbit(args: argparse.Namespace) -> int:
+    x0 = seeded_start(args.t, args.seed)
+    stats = orbit_stats(args.t, x0, args.n, args.seed)
+    atomic_write_text(args.out, orbit_csv([stats]))
     print(
-        f"orbit t={fmt(cfg.t)} n={cfg.n} seed={cfg.seed}: "
-        f"lyapunov {fmt(stats.lyapunov)} -> {cfg.out_path}"
+        f"orbit t={fmt(args.t)} n={args.n} seed={args.seed}: "
+        f"lyapunov {fmt(stats.lyapunov)} -> {args.out}"
     )
     return 0
 
 
-def _cmd_oracle1d(cfg: RunConfig) -> int:
-    _require(1.0 < cfg.a <= 2.0, "--a", f"must lie in (1, 2], got {cfg.a!r}")
-    _require(
-        cfg.cells >= 2 and cfg.cells % 2 == 0, "--cells", "must be even and >= 2"
-    )
-    _require_tol(cfg)
-    result = tent1d_ulam(cfg.a, cfg.cells, cfg.tol)
+def _cmd_oracle1d(args: argparse.Namespace) -> int:
+    result = tent1d_ulam(args.a, args.cells, args.tol)
     lines = ["cell_id,left,right,value"]
-    for i in range(cfg.cells):
+    for i in range(args.cells):
         lines.append(
             f"{i},{fmt(result.cell_edges[i])},{fmt(result.cell_edges[i + 1])},"
             f"{fmt(result.fixed_density[i])}"
         )
-    atomic_write_text(cfg.out_path, "\n".join(lines) + "\n")
-    if cfg.matrix_out:
+    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    if args.matrix_out:
         mat_lines = ["i,j,weight"]
-        for i in range(cfg.cells):
-            for j in range(cfg.cells):
+        for i in range(args.cells):
+            for j in range(args.cells):
                 w = result.matrix[i, j]
                 if w != 0.0:
                     mat_lines.append(f"{i},{j},{fmt(w)}")
-        atomic_write_text(cfg.matrix_out, "\n".join(mat_lines) + "\n")
+        atomic_write_text(args.matrix_out, "\n".join(mat_lines) + "\n")
     print(
-        f"oracle1d a={fmt(cfg.a)} cells={cfg.cells}: residual "
+        f"oracle1d a={fmt(args.a)} cells={args.cells}: residual "
         f"{fmt(result.residual)} after {result.iterations} iterations "
-        f"-> {cfg.out_path}"
+        f"-> {args.out}"
     )
     return 0 if result.converged else 2
 
 
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "density": _cmd_density,
-    "sweep": _cmd_sweep,
-    "lycheck": _cmd_lycheck,
-    "orbit": _cmd_orbit,
-    "oracle1d": _cmd_oracle1d,
-}
-
-_DEFAULT_OUT = {
-    "verify": "certificate.json",
-    "density": "density.csv",
-    "sweep": "sweep.csv",
-    "lycheck": "lycheck.csv",
-    "orbit": "orbit.csv",
-    "oracle1d": "oracle1d.csv",
-}
+# ---------------------------------------------------------------------------
+# Command line: the parser is the one table of flags, defaults and ranges
+# ---------------------------------------------------------------------------
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one command; 0 = success, 1 = invalid input or unwritable
-    output, 2 = unconverged."""
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ConfigError, so that ``run`` reports it in one
+    line and exits 1 (argparse itself prints the usage and exits 2)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _flag(kind, default, text, rule, ok, **kwargs) -> dict:
+    """add_argument keywords for a flag parsed by kind; values failing ok
+    are rejected with the message 'must be <rule>'."""
+
+    def parse(value_text):
+        value = kind(value_text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value_text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return dict(type=parse, default=default, help=f"{text}; must be {rule}", **kwargs)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="tentstab",
+        description=(
+            "Transfer-operator toolkit for the planar tent family: "
+            "certification, invariant densities, stability sweeps, "
+            "variation diagnostics, and orbit statistics."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, handler, out, text, **flags):
+        """Subcommand name running handler; each keyword is one flag
+        (matrix_out -> --matrix-out) with its add_argument keywords."""
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler, out=out)
+        for flag, spec in flags.items():
+            p.add_argument("--" + flag.replace("_", "-"), **spec)
+        p.add_argument("--out", help="output file path")
+
+    def resolution(low):
+        return _flag(
+            int, 64, "grid subdivisions per unit length", f">= {low}", lambda v: v >= low
+        )
+
+    def sweep_parameter(text, default=None, **kwargs):
+        # Same slack below TENT_T_MIN as stability_sweep's own check.
+        return _flag(
+            float,
+            default,
+            text,
+            f"in [{TENT_T_MIN:.6f}, 1]",
+            lambda v: TENT_T_MIN - 1e-12 <= v <= 1.0,
+            **kwargs,
+        )
+
+    t = _flag(float, 1.0, "tent parameter", "in (0, 1]", lambda v: 0.0 < v <= 1.0)
+    power = _flag(int, 1, "iterate the map this many times", ">= 1", lambda v: v >= 1)
+    tol = _flag(
+        float,
+        1e-8,
+        "iteration stopping tolerance",
+        "finite and > 0",
+        lambda v: math.isfinite(v) and v > 0.0,
+    )
+    matrix_out = dict(help="also export the transition matrix CSV")
+
+    command(
+        "verify",
+        _cmd_verify,
+        "certificate.json",
+        "write contraction certificates (all three norm conventions) as JSON",
+        t=t,
+        power=power,
+    )
+    command(
+        "density",
+        _cmd_density,
+        "density.csv",
+        "invariant density on a square grid, as cell CSV or an SVG heatmap",
+        t=t,
+        power=power,
+        resolution=resolution(2),
+        tol=tol,
+        format=dict(choices=("csv", "svg"), default="csv"),
+        matrix_out=matrix_out,
+    )
+    command(
+        "sweep",
+        _cmd_sweep,
+        "sweep.csv",
+        "L1 and observable gaps between invariant densities across parameters",
+        power=power,
+        resolution=resolution(16),
+        tol=tol,
+        t0=sweep_parameter("reference parameter", 1.0),
+        tmin=sweep_parameter("lowest parameter", required=True),
+        tmax=sweep_parameter("highest parameter", required=True),
+        steps=_flag(int, 5, "number of parameters", ">= 1", lambda v: v >= 1),
+    )
+    command(
+        "lycheck",
+        _cmd_lycheck,
+        "lycheck.csv",
+        "variation of exact pushforward iterates vs the certified bound",
+        t=t,
+        power=power,
+        jmax=_flag(int, 4, "number of operator steps", "in 0..5", lambda v: 0 <= v <= 5),
+        convention=dict(
+            choices=[c.value for c in NormConvention],
+            default="PaperFormula",
+            help="norm convention for the certificate constants",
+        ),
+        f0=dict(
+            choices=("uniform", "lefthalf"),
+            default="uniform",
+            help="initial density: constant 1, or 2 on the left branch domain",
+        ),
+    )
+    command(
+        "orbit",
+        _cmd_orbit,
+        "orbit.csv",
+        "Lyapunov exponent and Birkhoff averages along a seeded orbit",
+        t=t,
+        n=_flag(int, 100000, "orbit length", ">= 1", lambda v: v >= 1),
+        seed=_flag(int, 20240101, "random seed", ">= 0", lambda v: v >= 0),
+    )
+    command(
+        "oracle1d",
+        _cmd_oracle1d,
+        "oracle1d.csv",
+        "interval tent-map transition matrix and fixed density",
+        tol=tol,
+        a=_flag(float, 2.0, "slope parameter", "in (1, 2]", lambda v: 1.0 < v <= 2.0),
+        cells=_flag(
+            int,
+            64,
+            "number of equal cells",
+            "even and >= 2",
+            lambda v: v >= 2 and v % 2 == 0,
+        ),
+        matrix_out=matrix_out,
+    )
+    return parser
+
+
+def run(argv: Optional[Sequence[str]] = None) -> int:
+    """Parse and execute one command line; 0 = success, 1 = usage error,
+    invalid input or unwritable output, 2 = unconverged."""
     try:
-        return _COMMANDS[cfg.command](cfg)
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -350,133 +417,6 @@ def run(cfg: RunConfig) -> int:
         return 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tentstab",
-        description=(
-            "Transfer-operator toolkit for the planar tent family: "
-            "certification, invariant densities, stability sweeps, "
-            "variation diagnostics, and orbit statistics."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, t=False, power=False, resolution=False, tol=False):
-        if t:
-            p.add_argument("--t", type=float, default=1.0, help="tent parameter in (0, 1]")
-        if power:
-            p.add_argument(
-                "--power", type=int, default=1, help="iterate the map this many times"
-            )
-        if resolution:
-            p.add_argument(
-                "--resolution",
-                type=int,
-                default=DEFAULT_RESOLUTION,
-                help="grid subdivisions per unit length",
-            )
-        if tol:
-            p.add_argument(
-                "--tol", type=float, default=DEFAULT_TOL, help="iteration stopping tolerance"
-            )
-        p.add_argument("--out", dest="out", default=None, help="output file path")
-
-    p = sub.add_parser(
-        "verify",
-        help="write contraction certificates (all three norm conventions) as JSON",
-    )
-    add_common(p, t=True, power=True)
-
-    p = sub.add_parser(
-        "density",
-        help="invariant density on a square grid, as cell CSV or an SVG heatmap",
-    )
-    add_common(p, t=True, power=True, resolution=True, tol=True)
-    p.add_argument("--format", choices=("csv", "svg"), default="csv")
-    p.add_argument(
-        "--matrix-out", default=None, help="also export the transition matrix CSV"
-    )
-
-    p = sub.add_parser(
-        "sweep",
-        help="L1 and observable gaps between invariant densities across parameters",
-    )
-    add_common(p, power=True, resolution=True, tol=True)
-    p.add_argument("--t0", type=float, default=1.0, help="reference parameter")
-    p.add_argument("--tmin", type=float, required=True)
-    p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--steps", type=int, default=5)
-
-    p = sub.add_parser(
-        "lycheck",
-        help="variation of exact pushforward iterates vs the certified bound",
-    )
-    add_common(p, t=True, power=True)
-    p.add_argument("--jmax", type=int, default=4, help="number of operator steps (<= 5)")
-    p.add_argument(
-        "--convention",
-        default="PaperFormula",
-        help="norm convention for the certificate constants",
-    )
-    p.add_argument(
-        "--f0",
-        choices=("uniform", "lefthalf"),
-        default="uniform",
-        help="initial density: constant 1, or 2 on the left branch domain",
-    )
-
-    p = sub.add_parser(
-        "orbit", help="Lyapunov exponent and Birkhoff averages along a seeded orbit"
-    )
-    add_common(p, t=True)
-    p.add_argument("--n", type=int, default=100000, help="orbit length")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    p = sub.add_parser(
-        "oracle1d", help="interval tent-map transition matrix and fixed density"
-    )
-    add_common(p, tol=True)
-    p.add_argument("--a", type=float, default=2.0, help="slope parameter in (1, 2]")
-    p.add_argument("--cells", type=int, default=64, help="even number of equal cells")
-    p.add_argument(
-        "--matrix-out", default=None, help="also export the transition matrix CSV"
-    )
-
-    return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {}
-    for name in (
-        "t",
-        "t0",
-        "tmin",
-        "tmax",
-        "steps",
-        "power",
-        "resolution",
-        "n",
-        "seed",
-        "jmax",
-        "tol",
-        "convention",
-        "f0",
-        "a",
-        "cells",
-        "matrix_out",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            fields[name] = getattr(args, name)
-    fmt_val = getattr(args, "format", None)
-    if fmt_val:
-        fields["format"] = fmt_val
-    out = getattr(args, "out", None) or _DEFAULT_OUT[args.command]
-    return RunConfig(command=args.command, out_path=out, **fields)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    code = run(config_from_args(args))
-    if argv is None:
-        sys.exit(code)
-    return code
+    """Console entry point; ``argv`` defaults to ``sys.argv[1:]``."""
+    return run(argv)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -368,9 +368,11 @@ class UlamGrid:
     def areas(self) -> np.ndarray:
         return np.array([c.area for c in self.cells])
 
-    def candidates(self, bbox) -> list[int]:
+    def overlaps(self, poly: ConvexPolygon) -> Iterator[tuple[int, float]]:
+        """(j, area of poly ∩ cell j) for each cell that poly meets with
+        positive area, in row-major order of the grid squares."""
         n = self.resolution
-        out = []
+        bbox = poly.bbox()
         ix_lo = math.floor(bbox[0] * n - SNAP)
         ix_hi = math.floor(bbox[2] * n + SNAP)
         iy_lo = math.floor(bbox[1] * n - SNAP)
@@ -379,8 +381,9 @@ class UlamGrid:
             for ix in range(ix_lo, ix_hi + 1):
                 j = self.index.get((ix, iy))
                 if j is not None:
-                    out.append(j)
-        return out
+                    w = intersect(poly, self.cells[j]).area
+                    if w > 0.0:
+                        yield j, w
 
 
 @dataclass(frozen=True)
@@ -422,13 +425,11 @@ def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
             if image.is_empty:
                 continue
             captured = 0.0
-            for j in grid.candidates(image.bbox()):
-                w = intersect(image, grid.cells[j]).area
-                if w > 0.0:
-                    rows.append(i)
-                    cols.append(j)
-                    data.append(w / (branch.jacobian_abs * ai))
-                    captured += w
+            for j, w in grid.overlaps(image):
+                rows.append(i)
+                cols.append(j)
+                data.append(w / (branch.jacobian_abs * ai))
+                captured += w
             if image.area - captured > 1e-9:
                 raise ResolutionTooLow(
                     f"cell {i} maps outside the gridded region "
@@ -513,10 +514,8 @@ def project_to_grid(f: PiecewisePolyDensity, resolution: int) -> PiecewisePolyDe
     for poly, v in f.cells:
         if v == 0.0:
             continue
-        for j in grid.candidates(poly.bbox()):
-            w = intersect(poly, grid.cells[j]).area
-            if w > 0.0:
-                acc[j] += v * w
+        for j, w in grid.overlaps(poly):
+            acc[j] += v * w
     areas = grid.areas()
     cells = tuple(
         (poly, float(val / area))

@@ -216,13 +216,15 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
     vx, vy = math.cos(theta), math.sin(theta)
     x = float(x0[0])
     y = float(x0[1])
-    xs = np.empty(n)
-    ys = np.empty(n)
+    sx = sy = sxx = sxy = syy = 0.0
     log_total = 0.0
     reseeds = 0
-    for k in range(n):
-        xs[k] = x
-        ys[k] = y
+    for _ in range(n):
+        sx += x
+        sy += y
+        sxx += x * x
+        sxy += x * y
+        syy += y * y
         if x <= 1.0:
             wx = t * (vx + vy)
             wy = t * (vx - vy)
@@ -237,10 +239,8 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
         if _captured(x, y):
             x, y = _reseed_point(rng)
             reseeds += 1
-    birkhoff = {
-        name: float(np.mean(xs**axx * ys**ayy)) if (axx, ayy) != (0, 0) else 1.0
-        for name, (axx, ayy) in TEST_FUNCTIONS.items()
-    }
+    sums = {"1": float(n), "x": sx, "y": sy, "x2": sxx, "xy": sxy, "y2": syy}
+    birkhoff = {name: sums[name] / n for name in TEST_FUNCTIONS}
     return OrbitStats(
         t, seed, n, (float(x0[0]), float(x0[1])), log_total / n, birkhoff, reseeds
     )
@@ -278,23 +278,18 @@ def tent1d_ulam(
         raise ParameterOutOfRange(f"n_cells must be even and >= 2, got {n_cells}")
     edges = np.array([-1.0 + 2.0 * k / n_cells for k in range(n_cells + 1)])
     width = 2.0 / n_cells
-    matrix = np.zeros((n_cells, n_cells))
-
-    def overlap(lo1, hi1, lo2, hi2):
-        return max(0.0, min(hi1, hi2) - max(lo1, lo2))
-
-    for i in range(n_cells):
-        ci_lo, ci_hi = edges[i], edges[i + 1]
-        for j in range(n_cells):
-            c, d = edges[j], edges[j + 1]
-            # rising piece 1 + a x on [-1, 0]
-            pre_lo, pre_hi = (c - 1.0) / a, (d - 1.0) / a
-            ln = overlap(max(pre_lo, -1.0), min(pre_hi, 0.0), ci_lo, ci_hi)
-            # falling piece 1 - a x on [0, 1]
-            pre_lo, pre_hi = (1.0 - d) / a, (1.0 - c) / a
-            ln += overlap(max(pre_lo, 0.0), min(pre_hi, 1.0), ci_lo, ci_hi)
-            if ln > 0.0:
-                matrix[i, j] = ln / width
+    # Row i is source cell [lo, hi]; column j is target cell [c, d].
+    lo, hi = edges[:-1, None], edges[1:, None]
+    c, d = edges[:-1], edges[1:]
+    # rising piece 1 + a x on [-1, 0]
+    pre_lo = np.maximum((c - 1.0) / a, -1.0)
+    pre_hi = np.minimum((d - 1.0) / a, 0.0)
+    ln = np.maximum(0.0, np.minimum(pre_hi, hi) - np.maximum(pre_lo, lo))
+    # falling piece 1 - a x on [0, 1]
+    pre_lo = np.maximum((1.0 - d) / a, 0.0)
+    pre_hi = np.minimum((1.0 - c) / a, 1.0)
+    ln = ln + np.maximum(0.0, np.minimum(pre_hi, hi) - np.maximum(pre_lo, lo))
+    matrix = np.where(ln > 0.0, ln / width, 0.0)
     lengths = np.full(n_cells, width)
     p, iters, residual, converged = stationary_masses(matrix, lengths, tol, max_iter)
     return Tent1DResult(matrix, edges, p / lengths, iters, residual, converged)

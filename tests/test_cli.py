@@ -245,6 +245,36 @@ class TestInputContracts:
         assert "--tol" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["verify", "--t", "abc"], "--t"),
+            (["density", "--format", "pdf"], "--format"),
+            (["lycheck", "--f0", "x"], "--f0"),
+            (["lycheck", "--convention", "Foo"], "--convention"),
+            (["sweep", "--tmax", "0.99"], "--tmin"),
+            (["verify", "--power", "0"], "--power"),
+            (["density", "--power", "0"], "--power"),
+            (["sweep", "--tmin", "0.95", "--tmax", "0.99", "--power", "0"], "--power"),
+            (["lycheck", "--power", "0"], "--power"),
+            (["orbit", "--n", "0"], "--n"),
+            (["orbit", "--seed", "-1"], "--seed"),
+        ],
+    )
+    def test_usage_error_exits_1(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "x.out"
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "oracle1d" in capsys.readouterr().out
+
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         assert main(["orbit", "--n", "10", "--out", str(out)]) == 1

@@ -1,6 +1,7 @@
 """Sweeps, variation diagnostics, orbit statistics, and the 1D oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,12 +150,51 @@ class TestBirkhoff:
                 passes += 1
         assert passes >= 9
 
+    def test_orbit_stats_memory_does_not_grow_with_n(self):
+        tracemalloc.start()
+        try:
+            E.orbit_stats(0.95, E.seeded_start(0.95, 3), 10**5, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # an array of the orbit would take 800 kB
+
     def test_reseeds_absent_at_small_t(self):
         st = E.orbit_stats(0.95, E.seeded_start(0.95, 3), 10**5, 3)
         assert st.reseeds == 0
 
 
+def _tent1d_matrix_loop(a, n_cells):
+    """Reference: the Ulam matrix of x -> 1 - a|x| entry by entry."""
+    edges = np.array([-1.0 + 2.0 * k / n_cells for k in range(n_cells + 1)])
+    width = 2.0 / n_cells
+    matrix = np.zeros((n_cells, n_cells))
+
+    def overlap(lo1, hi1, lo2, hi2):
+        return max(0.0, min(hi1, hi2) - max(lo1, lo2))
+
+    for i in range(n_cells):
+        ci_lo, ci_hi = edges[i], edges[i + 1]
+        for j in range(n_cells):
+            c, d = edges[j], edges[j + 1]
+            pre_lo, pre_hi = (c - 1.0) / a, (d - 1.0) / a
+            ln = overlap(max(pre_lo, -1.0), min(pre_hi, 0.0), ci_lo, ci_hi)
+            pre_lo, pre_hi = (1.0 - d) / a, (1.0 - c) / a
+            ln += overlap(max(pre_lo, 0.0), min(pre_hi, 1.0), ci_lo, ci_hi)
+            if ln > 0.0:
+                matrix[i, j] = ln / width
+    return matrix
+
+
 class TestTent1D:
+    @pytest.mark.parametrize("cells", [4, 32, 64])
+    @pytest.mark.parametrize("a", [2.0, 1.6, 1.5, 1.7320508, 1.9999, 1.5000001])
+    def test_matrix_matches_entrywise_loop(self, a, cells):
+        got = E.tent1d_ulam(a, cells).matrix
+        want = _tent1d_matrix_loop(a, cells)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_full_tent_four_cells_exact(self):
         res = E.tent1d_ulam(2.0, 4)
         expected = np.array(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tentstab import geom2d
 from tentstab.errors import DegeneratePolygon, InvalidPolygon, SingularMatrix
@@ -218,10 +218,13 @@ def halfplanes(draw):
 
 
 @given(convex_polygons(), halfplanes())
+@example(ConvexPolygon(((-1e-12, 0.0), (1.0, 0.0), (0.0, 2.0))), HalfPlane.make(1.0, 0.0, 0.0))
 @settings(max_examples=150, deadline=None)
 def test_area_additivity_under_clipping(poly, h):
+    # A piece below EPS_AREA is dropped; the sum of the kept areas adds its
+    # own rounding on top of that.
     total = area(clip(poly, h)) + area(clip(poly, -h))
-    assert abs(total - area(poly)) <= EPS_AREA
+    assert abs(total - area(poly)) <= EPS_AREA + 4 * math.ulp(area(poly))
 
 
 @given(
