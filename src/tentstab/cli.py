@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .density import (
+    MAX_CELLS,
     build_ulam,
     density_csv,
     density_from_vector,
@@ -231,12 +232,10 @@ def _cmd_oracle1d(args: argparse.Namespace) -> int:
         )
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     if args.matrix_out:
+        rows, cols = np.nonzero(result.matrix)
         mat_lines = ["i,j,weight"]
-        for i in range(args.cells):
-            for j in range(args.cells):
-                w = result.matrix[i, j]
-                if w != 0.0:
-                    mat_lines.append(f"{i},{j},{fmt(w)}")
+        for i, j, w in zip(rows.tolist(), cols.tolist(), result.matrix[rows, cols].tolist()):
+            mat_lines.append(f"{i},{j},{fmt(w)}")
         atomic_write_text(args.matrix_out, "\n".join(mat_lines) + "\n")
     print(
         f"oracle1d a={fmt(args.a)} cells={args.cells}: residual "
@@ -392,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
             int,
             64,
             "number of equal cells",
-            "even and >= 2",
-            lambda v: v >= 2 and v % 2 == 0,
+            f"even and in [2, {math.isqrt(MAX_CELLS)}]",
+            lambda v: 2 <= v and v % 2 == 0 and v * v <= MAX_CELLS,
         ),
         matrix_out=matrix_out,
     )

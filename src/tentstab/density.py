@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,10 +23,12 @@ from .errors import (
     ParameterOutOfRange,
     RegionMismatch,
     ResolutionTooLow,
+    SingularMatrix,
     ZeroVariation,
 )
 from .geom2d import (
     EPS_AREA,
+    EPS_GEOM,
     SNAP,
     ConvexPolygon,
     affine_image,
@@ -35,7 +37,7 @@ from .geom2d import (
 )
 from .maps import PiecewiseMap
 
-MAX_CELLS = 10**6  # hard budget for exact-pushforward arrangements
+MAX_CELLS = 10**6  # hard budget for grid squares and exact-pushforward arrangements
 
 
 @dataclass(frozen=True)
@@ -331,18 +333,219 @@ def sobolev_ratio(f: PiecewisePolyDensity) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Batched grid overlay
+# ---------------------------------------------------------------------------
+#
+# The Ulam matrix, the grid itself and grid projections all overlay convex
+# polygons on the square grid.  The kernel below does that for whole
+# batches of polygons with numpy, repeating geom2d's scalar operations in
+# the same order (the same edge half-planes, the same crossing parameter,
+# the same cyclic vertex merge, sliver rule and sequential shoelace sum),
+# so every area and vertex is bit-identical to ConvexPolygon, intersect and
+# affine_image.
+
+OVERLAY_CHUNK = 2048  # (polygon, half-plane set) pairs clipped per numpy batch
+
+
+class _Polys(NamedTuple):
+    """Convex polygons as a padded vertex batch: row k holds n[k] vertices
+    in x[k, :n[k]] and y[k, :n[k]], and what follows is padding; n[k] = 0
+    is Empty."""
+
+    x: np.ndarray
+    y: np.ndarray
+    n: np.ndarray
+
+    def take(self, rows) -> "_Polys":
+        return _Polys(self.x[rows], self.y[rows], self.n[rows])
+
+
+def _pack(polys) -> _Polys:
+    n = np.array([len(p.vertices) for p in polys], dtype=np.intp)
+    slots = np.arange(n.max(initial=0)) < n[:, None]
+    x = np.zeros(slots.shape)
+    y = np.zeros(slots.shape)
+    if slots.any():
+        xy = np.array([v for p in polys for v in p.vertices])
+        x[slots] = xy[:, 0]
+        y[slots] = xy[:, 1]
+    return _Polys(x, y, n)
+
+
+def _compact(keep: np.ndarray, x: np.ndarray, y: np.ndarray) -> _Polys:
+    """The kept entries of each row, moved to the front in order."""
+    n = keep.sum(axis=1)
+    slots = np.arange(n.max(initial=0)) < n[:, None]
+    out_x = np.zeros(slots.shape)
+    out_y = np.zeros(slots.shape)
+    out_x[slots] = x[keep]
+    out_y[slots] = y[keep]
+    return _Polys(out_x, out_y, n)
+
+
+def _widen(p: _Polys, width: int) -> _Polys:
+    pad = ((0, 0), (0, width - p.x.shape[1]))
+    return _Polys(np.pad(p.x, pad), np.pad(p.y, pad), p.n)
+
+
+def _cyclic(a: np.ndarray, n: np.ndarray, step: int) -> np.ndarray:
+    """Each row's predecessor (step -1) or successor (step 1) entries,
+    wrapping around at the row's count n."""
+    out = np.zeros_like(a)
+    if a.shape[1]:
+        rows = np.arange(len(n))
+        last = np.maximum(n - 1, 0)
+        if step < 0:
+            out[:, 1:] = a[:, :-1]
+            out[:, 0] = a[rows, last]
+        else:
+            out[:, :-1] = a[:, 1:]
+            out[rows, last] = a[:, 0]
+    return out
+
+
+def _halfplanes(p: _Polys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ConvexPolygon.edge_halfplanes of every row as (nx, ny, off) arrays,
+    padded with the half-plane 0 <= 1, which clips nothing."""
+    valid = np.arange(p.x.shape[1]) < p.n[:, None]
+    dx = _cyclic(p.x, p.n, 1) - p.x
+    dy = _cyclic(p.y, p.n, 1) - p.y
+    return (
+        np.where(valid, dy, 0.0),
+        np.where(valid, -dx, 0.0),
+        np.where(valid, dy * p.x - dx * p.y, 1.0),
+    )
+
+
+def _clip(p: _Polys, nx, ny, off) -> _Polys:
+    """geom2d._clip_verts on every row, each against its own half-plane
+    {nx*x + ny*y <= off}: each vertex emits the crossing point of the edge
+    that ends at it, then itself if inside."""
+    x, y, n = p
+    width = x.shape[1]
+    valid = np.arange(width) < n[:, None]
+    d = off[:, None] - (nx[:, None] * x + ny[:, None] * y)
+    dprev = _cyclic(d, n, -1).ravel()
+    inside = d >= 0.0
+    cross = (valid & (inside != (dprev >= 0.0).reshape(d.shape))).ravel()
+    keep = (valid & inside).ravel()
+    emitted = cross.astype(np.intp) + keep
+    end = np.cumsum(emitted.reshape(d.shape), axis=1)
+    count = end[:, -1] if width else np.zeros(len(n), dtype=np.intp)
+    out_w = count.max(initial=0)
+    # Flat indices: vertex (r, c) is r * width + c, output slot s of row r
+    # is r * out_w + s.
+    x, y, d, end = x.ravel(), y.ravel(), d.ravel(), end.ravel()
+    out_x = np.zeros(len(n) * out_w)
+    out_y = np.zeros(len(n) * out_w)
+    at = np.flatnonzero(cross)
+    r = at // width
+    prev = np.where(at > r * width, at - 1, r * width + n[r] - 1)
+    t = dprev[at] / (dprev[at] - d[at])
+    slot = r * out_w + end[at] - emitted[at]
+    out_x[slot] = x[prev] + t * (x[at] - x[prev])
+    out_y[slot] = y[prev] + t * (y[at] - y[prev])
+    at = np.flatnonzero(keep)
+    slot = at // width * out_w + end[at] - 1
+    out_x[slot] = x[at]
+    out_y[slot] = y[at]
+    return _Polys(out_x.reshape(len(n), out_w), out_y.reshape(len(n), out_w), count)
+
+
+def _clip_all(p: _Polys, planes) -> _Polys:
+    """Each row clipped by the row of (nx, ny, off) half-plane arrays, in
+    column order, as intersect clips by the other polygon's edges."""
+    for nx, ny, off in zip(*(h.T for h in planes)):
+        p = _clip(p, nx, ny, off)
+    return p
+
+
+def _finish(p: _Polys) -> tuple[_Polys, np.ndarray]:
+    """ConvexPolygon._wrap on every row: geom2d._dedup, then Empty below
+    three vertices or EPS_AREA; returns the rows and their areas."""
+    x, y, n = p
+    eps2 = EPS_GEOM * EPS_GEOM
+    keep = np.zeros(x.shape, dtype=bool)
+    last_x = np.zeros(len(n))
+    last_y = np.zeros(len(n))
+    seen = np.zeros(len(n), dtype=bool)
+    for k in range(x.shape[1]):
+        dx = x[:, k] - last_x
+        dy = y[:, k] - last_y
+        take = (k < n) & ~(seen & (dx * dx + dy * dy <= eps2))
+        keep[:, k] = take
+        last_x = np.where(take, x[:, k], last_x)
+        last_y = np.where(take, y[:, k], last_y)
+        seen |= take
+    x, y, n = _compact(keep, x, y)
+    if x.shape[1]:
+        rows = np.arange(len(n))
+        while True:
+            last = np.maximum(n - 1, 0)
+            dx = x[:, 0] - x[rows, last]
+            dy = y[:, 0] - y[rows, last]
+            drop = (n >= 2) & (dx * dx + dy * dy <= eps2)
+            if not drop.any():
+                break
+            n = n - drop
+    valid = np.arange(x.shape[1]) < n[:, None]
+    p = _Polys(np.where(valid, x, 0.0), np.where(valid, y, 0.0), n)
+    terms = np.where(valid, p.x * _cyclic(p.y, n, 1) - _cyclic(p.x, n, 1) * p.y, 0.0)
+    s = np.zeros(len(n))
+    for k in range(terms.shape[1]):
+        s = s + terms[:, k]
+    s = 0.5 * s
+    empty = (n < 3) | (np.abs(s) < EPS_AREA)
+    n = np.where(empty, 0, n)
+    width = n.max(initial=0)
+    p = _Polys(p.x[:, :width], p.y[:, :width], n)
+    return p, np.where(empty, 0.0, np.maximum(s, 0.0))
+
+
+# ---------------------------------------------------------------------------
 # Ulam discretization
 # ---------------------------------------------------------------------------
 
 
+def _boxes(squares: np.ndarray, nx: int, origin, resolution: int) -> _Polys:
+    """Lattice squares, numbered row-major with nx per row from the square
+    at lattice index origin, as geom2d.box(ix / n, iy / n, (ix + 1) / n,
+    (iy + 1) / n) vertex rows."""
+    iy, ix = np.divmod(squares, nx)
+    ix = ix + origin[0]
+    iy = iy + origin[1]
+    left, right = ix / resolution, (ix + 1) / resolution
+    bottom, top = iy / resolution, (iy + 1) / resolution
+    return _Polys(
+        np.stack([left, right, right, left], axis=1),
+        np.stack([bottom, bottom, top, top], axis=1),
+        np.full(len(squares), 4, dtype=np.intp),
+    )
+
+
 @dataclass(frozen=True)
 class UlamGrid:
-    """Axis-aligned squares of side 1/resolution clipped to the region."""
+    """Axis-aligned squares of side 1/resolution clipped to the region.
+
+    ``cells`` are the nonempty clipped squares in row-major order of the
+    squares.  For the overlay kernel, ``squares`` numbers each cell's
+    square row-major from the square at lattice index ``origin``, and
+    ``lookup`` maps square numbers (as a 2D array) back to cells, -1 where
+    the square misses the region.  A square that the region does not cut
+    is its own cell, so only cut cells keep their vertices: cell i's are
+    row ``cut_row[i]`` of ``cut_vertices``, or the square's when that is
+    -1.  ``vertices`` assembles the batch.
+    """
 
     region: ConvexPolygon
     resolution: int
     cells: tuple[ConvexPolygon, ...]
-    index: dict = field(compare=False, repr=False, default_factory=dict)
+    cell_areas: np.ndarray = field(compare=False, repr=False)
+    squares: np.ndarray = field(compare=False, repr=False)
+    lookup: np.ndarray = field(compare=False, repr=False)
+    origin: tuple[int, int] = field(compare=False, repr=False)
+    cut_row: np.ndarray = field(compare=False, repr=False)
+    cut_vertices: _Polys = field(compare=False, repr=False)
 
     @staticmethod
     def build(region: ConvexPolygon, resolution: int) -> "UlamGrid":
@@ -354,36 +557,156 @@ class UlamGrid:
         ix1 = math.ceil(xmax * n - SNAP)
         iy0 = math.floor(ymin * n + SNAP)
         iy1 = math.ceil(ymax * n - SNAP)
-        cells = []
-        index = {}
-        for iy in range(iy0, iy1):
-            for ix in range(ix0, ix1):
-                square = geom2d.box(ix / n, iy / n, (ix + 1) / n, (iy + 1) / n)
-                cell = intersect(square, region)
-                if not cell.is_empty:
-                    index[(ix, iy)] = len(cells)
-                    cells.append(cell)
-        return UlamGrid(region, resolution, tuple(cells), index)
+        nx, ny = max(ix1 - ix0, 0), max(iy1 - iy0, 0)
+        if nx * ny > MAX_CELLS:
+            raise CellExplosion(
+                f"resolution {resolution} needs {nx * ny} grid squares, "
+                f"more than the budget of {MAX_CELLS}"
+            )
+        gx = np.arange(ix0, ix1 + 1) / n
+        gy = np.arange(iy0, iy1 + 1) / n
+        # Square corners against the region's edge half-planes in clipping
+        # order, computed as the clip computes them.  While every corner has
+        # been inside, the clip has left the square as it is: it is its own
+        # intersection with the region if that holds to the last edge, and
+        # the clip empties it at the first edge with every corner outside.
+        inside = np.ones((ny, nx), dtype=bool)
+        outside = np.zeros((ny, nx), dtype=bool)
+        for hx, hy, off in region.edge_halfplanes():
+            d = off - (hx * gx[None, :] + hy * gy[:, None])
+            corners = (d[:-1, :-1], d[:-1, 1:], d[1:, 1:], d[1:, :-1])
+            outside |= inside & np.logical_and.reduce([c < 0.0 for c in corners])
+            inside &= np.logical_and.reduce([c >= 0.0 for c in corners])
+        inside = inside.ravel()
+        squares = np.flatnonzero(~outside)
+        crossing = np.flatnonzero(~inside[squares])
+        region_planes = _halfplanes(_pack([region]))
+        clipped = _clip_all(
+            _boxes(squares[crossing], nx, (ix0, iy0), n),
+            [np.broadcast_to(h, (len(crossing), h.shape[1])) for h in region_planes],
+        )
+        width = max(4, clipped.x.shape[1])
+        cells, areas, kept, cut = [], [], [], []
+        for lo in range(0, len(squares), OVERLAY_CHUNK):
+            sq = squares[lo : lo + OVERLAY_CHUNK]
+            raw = _widen(_boxes(sq, nx, (ix0, iy0), n), width)
+            k0, k1 = np.searchsorted(crossing, [lo, lo + len(sq)])
+            rows = crossing[k0:k1] - lo
+            raw.x[rows], raw.y[rows], raw.n[rows] = _widen(clipped.take(slice(k0, k1)), width)
+            done, done_area = _finish(raw)
+            hit = np.flatnonzero(done.n)
+            uncut = inside[sq[hit]] & (done.n[hit] == 4)
+            cut.append(len(cells) + np.flatnonzero(~uncut))
+            kept.append(sq[hit])
+            areas.append(done_area[hit])
+            for xs, ys, count, area in zip(
+                done.x[hit].tolist(),
+                done.y[hit].tolist(),
+                done.n[hit].tolist(),
+                done_area[hit].tolist(),
+            ):
+                cells.append(ConvexPolygon._clean(tuple(zip(xs[:count], ys[:count])), area))
+        kept = np.concatenate([np.zeros(0, np.intp)] + kept)
+        lookup = np.full(nx * ny, -1, dtype=np.intp)
+        lookup[kept] = np.arange(len(kept))
+        cut = np.concatenate([np.zeros(0, np.intp)] + cut)
+        cut_row = np.full(len(kept), -1, dtype=np.intp)
+        cut_row[cut] = np.arange(len(cut))
+        return UlamGrid(
+            region,
+            resolution,
+            tuple(cells),
+            np.concatenate([np.zeros(0)] + areas),
+            kept,
+            lookup.reshape(ny, nx),
+            (ix0, iy0),
+            cut_row,
+            _pack([cells[i] for i in cut.tolist()]),
+        )
 
     def areas(self) -> np.ndarray:
-        return np.array([c.area for c in self.cells])
+        return self.cell_areas.copy()
 
-    def overlaps(self, poly: ConvexPolygon) -> Iterator[tuple[int, float]]:
-        """(j, area of poly ∩ cell j) for each cell that poly meets with
-        positive area, in row-major order of the grid squares."""
-        n = self.resolution
-        bbox = poly.bbox()
-        ix_lo = math.floor(bbox[0] * n - SNAP)
-        ix_hi = math.floor(bbox[2] * n + SNAP)
-        iy_lo = math.floor(bbox[1] * n - SNAP)
-        iy_hi = math.floor(bbox[3] * n + SNAP)
-        for iy in range(iy_lo, iy_hi + 1):
-            for ix in range(ix_lo, ix_hi + 1):
-                j = self.index.get((ix, iy))
-                if j is not None:
-                    w = intersect(poly, self.cells[j]).area
-                    if w > 0.0:
-                        yield j, w
+    def vertices(self, rows=slice(None)) -> _Polys:
+        """The cells at rows (indices or a slice) as a vertex batch."""
+        cut = self.cut_vertices
+        p = _widen(
+            _boxes(self.squares[rows], self.lookup.shape[1], self.origin, self.resolution),
+            max(4, cut.x.shape[1]),
+        )
+        at = self.cut_row[rows]
+        hit = np.flatnonzero(at >= 0)
+        p.x[hit, : cut.x.shape[1]] = cut.x[at[hit]]
+        p.y[hit, : cut.y.shape[1]] = cut.y[at[hit]]
+        p.n[hit] = cut.n[at[hit]]
+        return p
+
+    def moments(self, values: np.ndarray, powers) -> list[float]:
+        """Integral of x^ax * y^ay against the grid density with these cell
+        values, for each (ax, ay) in powers (total degree <= 2).
+
+        Per cell, geom2d.monomial_integral's fan triangles (0, i, i + 1)
+        and closed forms in the same order; cells are then summed left to
+        right, as Python 3.10/3.11 ``sum`` does.
+        """
+        x, y, n = self.vertices()
+        x0, y0 = x[:, :1], y[:, :1]
+        x1, y1, x2, y2 = x[:, 1:-1], y[:, 1:-1], x[:, 2:], y[:, 2:]
+        a = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+        fan = np.arange(2, x.shape[1]) < n[:, None]
+        terms = {
+            (0, 0): a,
+            (1, 0): a * (x0 + x1 + x2) / 3.0,
+            (0, 1): a * (y0 + y1 + y2) / 3.0,
+            (2, 0): a / 6.0 * (x0 * x0 + x1 * x1 + x2 * x2 + x0 * x1 + x0 * x2 + x1 * x2),
+            (0, 2): a / 6.0 * (y0 * y0 + y1 * y1 + y2 * y2 + y0 * y1 + y0 * y2 + y1 * y2),
+            (1, 1): a / 12.0 * ((x0 + x1 + x2) * (y0 + y1 + y2) + x0 * y0 + x1 * y1 + x2 * y2),
+        }
+        out = []
+        for ax_ay in powers:
+            if tuple(ax_ay) not in terms:
+                raise ValueError("moments supports total degree <= 2")
+            per_cell = np.zeros(len(n))
+            for column in np.where(fan, terms[tuple(ax_ay)], 0.0).T:
+                per_cell = per_cell + column
+            out.append(float(np.cumsum(values * per_cell)[-1]))
+        return out
+
+
+def _overlay(grid: UlamGrid, p: _Polys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, j, area of row k ∩ cell j) for every pair with positive area,
+    ordered by k and then by j.
+
+    Row k meets the squares from floor(bbox * resolution -/+ SNAP), taken
+    in row-major order; candidate (row, square) pairs are made and clipped
+    OVERLAY_CHUNK at a time.
+    """
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+    if not p.x.size:  # no rows, or every row Empty
+        return parts[0]
+    res = grid.resolution
+    ix0, iy0 = grid.origin
+    ny, nx = grid.lookup.shape
+    x = np.where(np.arange(p.x.shape[1]) < p.n[:, None], p.x, p.x[:, :1])
+    y = np.where(np.arange(p.y.shape[1]) < p.n[:, None], p.y, p.y[:, :1])
+    lo_x = np.maximum(np.floor(x.min(axis=1) * res - SNAP).astype(np.intp) - ix0, 0)
+    hi_x = np.minimum(np.floor(x.max(axis=1) * res + SNAP).astype(np.intp) - ix0, nx - 1)
+    lo_y = np.maximum(np.floor(y.min(axis=1) * res - SNAP).astype(np.intp) - iy0, 0)
+    hi_y = np.minimum(np.floor(y.max(axis=1) * res + SNAP).astype(np.intp) - iy0, ny - 1)
+    width = np.maximum(hi_x - lo_x + 1, 0)
+    count = np.where(p.n > 0, width * np.maximum(hi_y - lo_y + 1, 0), 0)
+    ends = np.cumsum(count)
+    total = int(count.sum())
+    for start in range(0, total, OVERLAY_CHUNK):
+        pos = np.arange(start, min(start + OVERLAY_CHUNK, total))
+        k = np.searchsorted(ends, pos, side="right")
+        dy, dx = np.divmod(pos - (ends[k] - count[k]), width[k])
+        j = grid.lookup[lo_y[k] + dy, lo_x[k] + dx]
+        k, j = k[j >= 0], j[j >= 0]
+        _, w = _finish(_clip_all(p.take(k), _halfplanes(grid.vertices(j))))
+        hit = w > 0.0
+        parts.append((k[hit], j[hit], w[hit]))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 @dataclass(frozen=True)
@@ -409,34 +732,57 @@ def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
 
     Preimage measures are computed on the image side by exact clipping:
     area(branch_image(cell_i ∩ R_b) ∩ cell_j) / |J_b| for each branch b.
-    Rows sum to 1 because the map sends the region into itself.
+    Rows sum to 1 because the map sends the region into itself.  The
+    (cell, branch) pairs go through the overlay kernel OVERLAY_CHUNK at a
+    time, in row-major order, so entries come out as the per-cell loop
+    appended them.
     """
     grid = UlamGrid.build(m.region, resolution)
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for i, cell in enumerate(grid.cells):
-        ai = cell.area
-        for branch in m.branches:
-            piece = intersect(cell, branch.domain)
-            if piece.is_empty:
-                continue
-            image = affine_image(branch.map, piece)
-            if image.is_empty:
-                continue
-            captured = 0.0
-            for j, w in grid.overlaps(image):
-                rows.append(i)
-                cols.append(j)
-                data.append(w / (branch.jacobian_abs * ai))
-                captured += w
-            if image.area - captured > 1e-9:
-                raise ResolutionTooLow(
-                    f"cell {i} maps outside the gridded region "
-                    f"(lost image area {image.area - captured:g})"
-                )
+    nb = len(m.branches)
+    domains = _halfplanes(_pack([br.domain for br in m.branches]))
+    lin = np.array([br.map.linear for br in m.branches])
+    shift = np.array([br.map.shift for br in m.branches])
+    jac = np.array([br.jacobian_abs for br in m.branches])
+    det = np.array([br.map.linear.det() for br in m.branches])
+    row_nnz = np.zeros(len(grid.cells), dtype=np.int32)
+    cols, data = [np.zeros(0, np.int32)], [np.zeros(0)]
+    for lo in range(0, len(grid.cells) * nb, OVERLAY_CHUNK):
+        i, b = np.divmod(np.arange(lo, min(lo + OVERLAY_CHUNK, len(grid.cells) * nb)), nb)
+        piece, _ = _finish(_clip_all(grid.vertices(i), [h[b] for h in domains]))
+        i, b, piece = i[piece.n > 0], b[piece.n > 0], piece.take(piece.n > 0)
+        singular = np.abs(det[b]) <= EPS_GEOM
+        if singular.any():
+            d = abs(float(det[b[singular][0]]))
+            raise SingularMatrix(f"affine map with |det| = {d!r} is not a bijection")
+        # affine_image: vertex-wise map, order reversed when det < 0
+        a, bb, c, dd = (lin[b, col][:, None] for col in range(4))
+        x = a * piece.x + bb * piece.y + shift[b, 0][:, None]
+        y = c * piece.x + dd * piece.y + shift[b, 1][:, None]
+        k = np.arange(x.shape[1])
+        flip = (det[b] < 0.0)[:, None] & (k < piece.n[:, None])
+        order = np.where(flip, piece.n[:, None] - 1 - k, k)
+        image, image_area = _finish(
+            _Polys(np.take_along_axis(x, order, 1), np.take_along_axis(y, order, 1), piece.n)
+        )
+        ok = image.n > 0
+        i, b, image, image_area = i[ok], b[ok], image.take(ok), image_area[ok]
+        src, j, w = _overlay(grid, image)
+        lost = image_area - np.bincount(src, weights=w, minlength=len(i))
+        bad = np.flatnonzero(lost > 1e-9)
+        if bad.size:
+            raise ResolutionTooLow(
+                f"cell {i[bad[0]]} maps outside the gridded region "
+                f"(lost image area {float(lost[bad[0]]):g})"
+            )
+        row_nnz += np.bincount(i[src], minlength=len(row_nnz)).astype(np.int32)
+        cols.append(j.astype(np.int32))
+        data.append(w / (jac[b[src]] * grid.cell_areas[i[src]]))
+    # Rows come out in order, so the entries are already in the order
+    # coo_matrix.tocsr places them; it then sums duplicates the same way.
     n = len(grid.cells)
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    indptr = np.concatenate([np.zeros(1, np.int32), np.cumsum(row_nnz, dtype=np.int32)])
+    matrix = sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr), shape=(n, n))
+    matrix.sum_duplicates()
     return UlamOperator(grid, matrix)
 
 
@@ -510,17 +856,11 @@ def project_to_grid(f: PiecewisePolyDensity, resolution: int) -> PiecewisePolyDe
     """Cell-averaged projection onto the square grid (an L1 contraction
     that preserves mass exactly)."""
     grid = UlamGrid.build(f.region, resolution)
-    acc = np.zeros(len(grid.cells))
-    for poly, v in f.cells:
-        if v == 0.0:
-            continue
-        for j, w in grid.overlaps(poly):
-            acc[j] += v * w
-    areas = grid.areas()
-    cells = tuple(
-        (poly, float(val / area))
-        for poly, val, area in zip(grid.cells, acc, areas)
-    )
+    tiles = [(poly, v) for poly, v in f.cells if v != 0.0 and not poly.is_empty]
+    src, j, w = _overlay(grid, _pack([poly for poly, _ in tiles]))
+    values = np.array([v for _, v in tiles], dtype=float)
+    acc = np.bincount(j, weights=values[src] * w, minlength=len(grid.cells))
+    cells = tuple(zip(grid.cells, (acc / grid.cell_areas).tolist()))
     return PiecewisePolyDensity(f.region, cells, f.signed)
 
 

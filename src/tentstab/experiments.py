@@ -17,15 +17,17 @@ import numpy as np
 
 from . import maps as maps_mod
 from .density import (
+    MAX_CELLS,
     PiecewisePolyDensity,
+    UlamGrid,
     build_ulam,
     push_forward,
     stationary_masses,
     ulam_fixed,
     variation,
 )
-from .errors import ParameterOutOfRange
-from .geom2d import Point2, monomial_integral
+from .errors import CellExplosion, ParameterOutOfRange
+from .geom2d import Point2
 from .maps import (
     TENT_T_MIN,
     ConditionCertificate,
@@ -76,15 +78,9 @@ class OrbitStats:
     reseeds: int = 0
 
 
-def _density_moments(grid_cells, values) -> dict[str, float]:
+def _density_moments(grid: UlamGrid, values: np.ndarray) -> dict[str, float]:
     """Exact integrals of the monomial test functions against a grid density."""
-    out = {}
-    for name, (ax, ay) in TEST_FUNCTIONS.items():
-        out[name] = sum(
-            float(v) * monomial_integral(cell, ax, ay)
-            for cell, v in zip(grid_cells, values)
-        )
-    return out
+    return dict(zip(TEST_FUNCTIONS, grid.moments(values, TEST_FUNCTIONS.values())))
 
 
 def stability_sweep(
@@ -112,13 +108,13 @@ def stability_sweep(
     op0 = build_ulam(tent_power(t0, power), resolution)
     h0 = ulam_fixed(op0, tol, max_iter)
     areas = op0.grid.areas()
-    moments0 = _density_moments(op0.grid.cells, h0.values)
+    moments0 = _density_moments(op0.grid, h0.values)
     rows = []
     for t in sorted(ts):
         op = build_ulam(tent_power(t, power), resolution)
         h = ulam_fixed(op, tol, max_iter)
         l1 = float(np.abs(h.values - h0.values) @ areas)
-        moments = _density_moments(op.grid.cells, h.values)
+        moments = _density_moments(op.grid, h.values)
         gaps = {name: abs(moments[name] - moments0[name]) for name in TEST_FUNCTIONS}
         rows.append(
             SweepRow(t, t0, power, resolution, l1, gaps, h.iterations, h.residual)
@@ -276,6 +272,11 @@ def tent1d_ulam(
         raise ParameterOutOfRange(f"slope a={a!r} outside (1, 2]")
     if n_cells < 2 or n_cells % 2 != 0:
         raise ParameterOutOfRange(f"n_cells must be even and >= 2, got {n_cells}")
+    if n_cells * n_cells > MAX_CELLS:
+        raise CellExplosion(
+            f"n_cells={n_cells} needs {n_cells * n_cells} matrix entries, "
+            f"more than the budget of {MAX_CELLS}"
+        )
     edges = np.array([-1.0 + 2.0 * k / n_cells for k in range(n_cells + 1)])
     width = 2.0 / n_cells
     # Row i is source cell [lo, hi]; column j is target cell [c, d].

@@ -182,6 +182,15 @@ class ConvexPolygon:
         """Fast constructor for vertices already known convex CCW."""
         return ConvexPolygon(verts, validate=False)
 
+    @staticmethod
+    def _clean(verts: tuple, area: float) -> "ConvexPolygon":
+        """Constructor for vertices that _wrap keeps as they are (merged,
+        convex CCW, above EPS_AREA), given with their area."""
+        poly = object.__new__(ConvexPolygon)
+        object.__setattr__(poly, "vertices", verts)
+        object.__setattr__(poly, "_area", area)
+        return poly
+
     @property
     def is_empty(self) -> bool:
         return not self.vertices

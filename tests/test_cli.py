@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import tentstab
 from tentstab import cli
+from tentstab import experiments as E
 from tentstab.cli import SvgHeatmap, emit_svg, heatmap_from_cells, main, render_svg
 from tentstab.errors import ConfigError
 from tentstab.geom2d import ConvexPolygon
@@ -169,6 +171,35 @@ class TestOracle1d:
         assert code == 1
         assert "--cells" in capsys.readouterr().err
 
+    def test_cells_over_matrix_budget_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["oracle1d", "--cells", "100000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--cells" in err
+        assert not out.exists()
+
+    def test_benchmark_cell_count_runs(self, tmp_path):
+        assert main(["oracle1d", "--cells", "512", "--out", str(tmp_path / "o.csv")]) == 0
+
+    @pytest.mark.parametrize("cells", [4, 64, 512])
+    @pytest.mark.parametrize("a", ["2.0", "1.6", "1.7320508"])
+    def test_matrix_export_matches_entrywise_loop(self, tmp_path, a, cells):
+        mat = tmp_path / "m.csv"
+        code = main([
+            "oracle1d", "--a", a, "--cells", str(cells),
+            "--out", str(tmp_path / "o.csv"), "--matrix-out", str(mat),
+        ])
+        assert code == 0
+        matrix = E.tent1d_ulam(float(a), cells).matrix
+        lines = ["i,j,weight"]
+        for i in range(cells):
+            for j in range(cells):
+                w = matrix[i, j]
+                if w != 0.0:
+                    lines.append(f"{i},{j},{cli.fmt(w)}")
+        assert mat.read_bytes() == ("\n".join(lines) + "\n").encode()
+
 
 class TestSvg:
     def test_single_cell_legend(self, tmp_path):
@@ -267,6 +298,28 @@ class TestInputContracts:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["density", "--resolution", "100000"],
+            ["sweep", "--tmin", "0.95", "--tmax", "0.99", "--resolution", "100000"],
+        ],
+    )
+    def test_resolution_over_grid_budget_exits_1(self, tmp_path, capsys, args):
+        out = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            code = main(args + ["--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "resolution 100000" in err
+        assert peak < 1_000_000
         assert not out.exists()
 
     def test_help_exits_0(self, capsys):

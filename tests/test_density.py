@@ -1,14 +1,23 @@
 """Pushforward, variation, norms, Cesaro iteration, and Ulam operators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import ulam_oracle
 from tentstab import density as D
-from tentstab.errors import ParameterOutOfRange, RegionMismatch, ZeroVariation
-from tentstab.geom2d import ConvexPolygon, box, perimeter
-from tentstab.maps import TENT_T_MIN, make_tent2d, power
+from tentstab.errors import (
+    CellExplosion,
+    ParameterOutOfRange,
+    RegionMismatch,
+    ResolutionTooLow,
+    ZeroVariation,
+)
+from tentstab.geom2d import EPS_AREA, AffineMap2, ConvexPolygon, Matrix2, box, perimeter
+from tentstab.maps import TENT_T_MIN, Branch, PiecewiseMap, make_tent2d, power, tent_power
 
 from conftest import (
     LEFT_HALF,
@@ -305,3 +314,215 @@ def test_project_to_grid_preserves_mass(rng):
     f = random_grid_density(rng, TRIANGLE_T, 5)
     g = D.project_to_grid(f, 3)
     assert g.mass() == pytest.approx(f.mass(), abs=1e-12)
+
+
+def _bits_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.dtype == b.dtype
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+def _same_cells(got, want) -> bool:
+    """Vertex tuples equal, sign bits of zero coordinates included."""
+    got = [c.vertices for c in got]
+    want = [c.vertices for c in want]
+    return got == want and all(
+        math.copysign(1.0, a) == math.copysign(1.0, b)
+        for g, w in zip(got, want)
+        for pg, pw in zip(g, w)
+        for a, b in zip(pg, pw)
+    )
+
+
+class TestOverlayKernel:
+    """The batched kernel against the per-cell loops in ulam_oracle."""
+
+    @pytest.mark.parametrize("pw", [1, 2])
+    @pytest.mark.parametrize("t", [TAU, 0.9, 1.0])
+    @pytest.mark.parametrize("resolution", [16, 64, 128])
+    def test_ulam_matrix_and_grid_bit_identical(self, resolution, t, pw):
+        m = tent_power(t, pw)
+        op = D.build_ulam(m, resolution)
+        grid, matrix = ulam_oracle.build_ulam(m, resolution)
+        assert _bits_equal(op.matrix.data, matrix.data)
+        assert _bits_equal(op.matrix.indices, matrix.indices)
+        assert _bits_equal(op.matrix.indptr, matrix.indptr)
+        assert _same_cells(op.grid.cells, grid.cells)
+        assert _bits_equal(op.grid.areas(), np.array([c.area for c in grid.cells]))
+
+    def test_grids_of_random_regions_bit_identical(self, rng):
+        for _ in range(6):
+            region = random_convex_polygon(rng)
+            for resolution in (3, 7, 16):
+                grid = D.UlamGrid.build(region, resolution)
+                want = ulam_oracle.Grid(region, resolution)
+                assert _same_cells(grid.cells, want.cells)
+                assert _bits_equal(grid.areas(), np.array([c.area for c in want.cells]))
+
+    def test_ulam_on_random_regions_bit_identical(self, rng):
+        # p -> (p + centroid) / 2 maps a convex region into itself
+        for _ in range(3):
+            region = random_convex_polygon(rng)
+            cx, cy = region.centroid()
+            halve = AffineMap2(Matrix2(0.5, 0.0, 0.0, 0.5), (0.5 * cx, 0.5 * cy))
+            m = PiecewiseMap(region, (Branch(region, halve, 0.25),), "halving")
+            for resolution in (5, 11):
+                op = D.build_ulam(m, resolution)
+                _, matrix = ulam_oracle.build_ulam(m, resolution)
+                assert _bits_equal(op.matrix.data, matrix.data)
+                assert _bits_equal(op.matrix.indices, matrix.indices)
+                assert _bits_equal(op.matrix.indptr, matrix.indptr)
+
+    @pytest.mark.parametrize("resolution", [8, 13])
+    def test_ulam_with_orientation_reversing_branches_bit_identical(self, resolution):
+        # the unit square folded at x = 1/2; both branches have det -2
+        flip_y = AffineMap2(Matrix2(2.0, 0.0, 0.0, -1.0), (0.0, 1.0))
+        flip_x = AffineMap2(Matrix2(-2.0, 0.0, 0.0, 1.0), (2.0, 0.0))
+        branches = (
+            Branch(box(0.0, 0.0, 0.5, 1.0), flip_y, 2.0),
+            Branch(box(0.5, 0.0, 1.0, 1.0), flip_x, 2.0),
+        )
+        m = PiecewiseMap(box(0.0, 0.0, 1.0, 1.0), branches, "fold")
+        op = D.build_ulam(m, resolution)
+        _, matrix = ulam_oracle.build_ulam(m, resolution)
+        assert _bits_equal(op.matrix.data, matrix.data)
+        assert _bits_equal(op.matrix.indices, matrix.indices)
+        assert _bits_equal(op.matrix.indptr, matrix.indptr)
+
+    @pytest.mark.parametrize("n, resolution", [(2, 3), (3, 8), (5, 4), (8, 16)])
+    def test_project_to_grid_bit_identical(self, rng, n, resolution):
+        f = random_grid_density(rng, TRIANGLE_T, n)
+        got = D.project_to_grid(f, resolution)
+        want = ulam_oracle.project_to_grid(f, resolution)
+        assert _same_cells([c for c, _ in got.cells], [c for c, _ in want.cells])
+        assert _bits_equal([v for _, v in got.cells], [v for _, v in want.cells])
+
+    def test_project_to_grid_of_a_cesaro_iterate_bit_identical(self):
+        m = make_tent2d(0.93)
+        f = D.push_forward(m, D.project_to_grid(D.uniform_density(TRIANGLE_T), 16))
+        got = D.project_to_grid(f, 16)
+        want = ulam_oracle.project_to_grid(f, 16)
+        assert _bits_equal([v for _, v in got.cells], [v for _, v in want.cells])
+
+    def test_project_to_grid_of_zero_density_bit_identical(self):
+        f = D.PiecewisePolyDensity(TRIANGLE_T, ((TRIANGLE_T, 0.0),))
+        got = D.project_to_grid(f, 8)
+        want = ulam_oracle.project_to_grid(f, 8)
+        assert _bits_equal([v for _, v in got.cells], [v for _, v in want.cells])
+
+    def test_ulam_with_all_empty_chunks_bit_identical(self):
+        # 4096 branches ordered by itinerary: the 2048-pair chunks of cells
+        # left of x = 1 meet no branch domain in one of their two halves
+        m = tent_power(1.0, 12)
+        op = D.build_ulam(m, 2)
+        _, matrix = ulam_oracle.build_ulam(m, 2)
+        assert _bits_equal(op.matrix.data, matrix.data)
+        assert _bits_equal(op.matrix.indices, matrix.indices)
+        assert _bits_equal(op.matrix.indptr, matrix.indptr)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_chunk_size_does_not_change_results(self, monkeypatch, rng, chunk):
+        # short last chunks, chunks of one pair, chunks that split a row
+        m = tent_power(0.9, 2)
+        f = random_grid_density(rng, TRIANGLE_T, 5)
+        want_op = D.build_ulam(m, 8)
+        want_f = D.project_to_grid(f, 6)
+        monkeypatch.setattr(D, "OVERLAY_CHUNK", chunk)
+        op = D.build_ulam(m, 8)
+        _, matrix = ulam_oracle.build_ulam(m, 8)
+        for got in (op.matrix, matrix):
+            assert _bits_equal(got.data, want_op.matrix.data)
+            assert _bits_equal(got.indices, want_op.matrix.indices)
+            assert _bits_equal(got.indptr, want_op.matrix.indptr)
+        assert _same_cells(op.grid.cells, want_op.grid.cells)
+        got_f = D.project_to_grid(f, 6)
+        assert _bits_equal([v for _, v in got_f.cells], [v for _, v in want_f.cells])
+
+    def test_python_heap_peak_not_above_per_cell_loop(self):
+        m = tent_power(0.9, 1)
+        D.build_ulam(m, 16)  # first-call imports stay out of the peaks
+        ulam_oracle.build_ulam(m, 16)
+        peaks = []
+        for build in (D.build_ulam, ulam_oracle.build_ulam):
+            tracemalloc.start()
+            try:
+                build(m, 128)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        kernel, oracle = peaks
+        assert kernel <= oracle, f"kernel {kernel / 1e6:.1f} MB > oracle {oracle / 1e6:.1f} MB"
+
+
+def _shifted_square_map(shift: float) -> PiecewiseMap:
+    """The unit square translated right by shift: the image leaves the
+    region, losing area shift / 2 from each right-column cell at res 2."""
+    square = box(0.0, 0.0, 1.0, 1.0)
+    branch = Branch(square, AffineMap2(Matrix2(1.0, 0.0, 0.0, 1.0), (shift, 0.0)), 1.0)
+    return PiecewiseMap(square, (branch,), "shifted square")
+
+
+class TestLostArea:
+    def test_image_leaving_the_grid_raises(self):
+        m = _shifted_square_map(4e-9)  # lost area 2e-9 per right-column cell
+        with pytest.raises(ResolutionTooLow, match=r"cell 1 maps outside .* 2e-09"):
+            D.build_ulam(m, 2)
+        with pytest.raises(ResolutionTooLow, match=r"cell 1 maps outside .* 2e-09"):
+            ulam_oracle.build_ulam(m, 2)
+
+    def test_threshold_is_1e_minus_9(self):
+        m = _shifted_square_map(1e-9)  # lost area 5e-10 per cell: kept
+        op = D.build_ulam(m, 2)
+        _, matrix = ulam_oracle.build_ulam(m, 2)
+        assert _bits_equal(op.matrix.data, matrix.data)
+
+
+@given(
+    t=st.floats(min_value=TENT_T_MIN, max_value=1.0),
+    pw=st.integers(min_value=1, max_value=2),
+    resolution=st.integers(min_value=4, max_value=24),
+)
+@example(t=TENT_T_MIN, pw=1, resolution=4)
+@example(t=1.0, pw=2, resolution=24)
+@example(t=0.99999, pw=1, resolution=10)  # drops a 9.99992e-13 overlap from row 92
+@example(t=0.9999999987175887, pw=2, resolution=24)  # row 467 loses 3.1e-8 to a merge
+@settings(max_examples=60, deadline=None)
+def test_ulam_rows_are_probability_vectors(t, pw, resolution):
+    """Entries are positive, no row is empty, and rows sum to 1 within
+    1e-12 once the slivers that clipping drops are added back: a row that
+    misses 1 by more than 1e-12 misses it by the mass the per-cell loop
+    drops from it, to 1e-12."""
+    m = tent_power(t, pw)
+    op = D.build_ulam(m, resolution)
+    deficit = 1.0 - np.asarray(op.matrix.sum(axis=1)).ravel()
+    off = np.flatnonzero(np.abs(deficit) > 1e-12)
+    if off.size:
+        grid = ulam_oracle.Grid(m.region, resolution)
+        dropped = np.array([ulam_oracle.dropped_mass(m, grid, i) for i in off])
+        assert (np.abs(deficit[off] - dropped) <= 1e-12).all()
+    assert (op.matrix.data > 0.0).all()
+    assert (np.diff(op.matrix.indptr) > 0).all()
+
+
+def test_grid_budget_checked_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CellExplosion, match="resolution 100000 needs 20000000000"):
+            D.UlamGrid.build(TRIANGLE_T, 100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_grid_moments_of_the_uniform_density():
+    grid = D.UlamGrid.build(TRIANGLE_T, 8)
+    ones = np.ones(len(grid.cells))
+    area, x_moment = grid.moments(ones, [(0, 0), (1, 0)])
+    assert area == pytest.approx(1.0, abs=1e-14)
+    assert x_moment == pytest.approx(1.0, abs=1e-14)  # centroid x = 1
+    with pytest.raises(ValueError, match="total degree <= 2"):
+        grid.moments(ones, [(2, 1)])

@@ -8,9 +8,10 @@ import pytest
 
 from tentstab import density as D
 from tentstab import experiments as E
-from tentstab.errors import ParameterOutOfRange
+from tentstab.errors import CellExplosion, ParameterOutOfRange
 from tentstab.maps import TENT_T_MIN, NormConvention, certify, tent_power
 
+import ulam_oracle
 from conftest import LEFT_HALF, TRIANGLE_T, cached_fixed
 
 TAU = TENT_T_MIN
@@ -32,9 +33,20 @@ class TestStabilitySweep:
         # at t=1 the fixed density is 1, so the y moment is the exact
         # centroid integral of the triangle: 1/3
         op, vec = cached_fixed(1.0, 16)
-        moments = E._density_moments(op.grid.cells, vec.values)
+        moments = E._density_moments(op.grid, vec.values)
         assert moments["y"] == pytest.approx(1.0 / 3.0, abs=1e-9)
         assert moments["1"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("t", [TAU, 0.9, 1.0])
+    def test_moments_match_per_cell_integrals(self, t):
+        op, vec = cached_fixed(t, 16)
+        values = [vec.values, np.random.default_rng(5).uniform(0.0, 2.0, vec.values.shape)]
+        for vals in values:
+            got = E._density_moments(op.grid, vals)
+            want = ulam_oracle.density_moments(op.grid.cells, vals)
+            for name in E.TEST_FUNCTIONS:
+                assert got[name] == want[name]
+                assert math.copysign(1.0, got[name]) == math.copysign(1.0, want[name])
 
     def test_rows_sorted_by_t(self):
         rows = E.stability_sweep(1.0, [0.95, 0.9, 0.99], 16)
@@ -222,6 +234,17 @@ class TestTent1D:
             E.tent1d_ulam(2.5, 4)
         with pytest.raises(ParameterOutOfRange):
             E.tent1d_ulam(2.0, 5)
+
+    def test_matrix_budget_checked_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CellExplosion, match="n_cells=100000"):
+                E.tent1d_ulam(2.0, 100000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        E.tent1d_ulam(2.0, 1000)  # the largest count within the budget
 
     def test_general_slope_density_is_invariant(self):
         # stationarity check: density must be fixed by the matrix action

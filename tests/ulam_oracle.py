@@ -1,0 +1,135 @@
+"""Per-cell grid overlay: the slow path the batched Ulam kernel must match.
+
+Every function here walks the grid one square or one polygon at a time
+through ``geom2d.intersect``, exactly as ``density`` did before its Ulam
+assembly was batched.  Tests compare the kernel with these loops bit for
+bit; nothing in the package imports this module.
+"""
+
+import math
+
+import numpy as np
+import scipy.sparse as sp
+
+from tentstab import geom2d
+from tentstab.density import PiecewisePolyDensity
+from tentstab.errors import ResolutionTooLow
+from tentstab.geom2d import SNAP, affine_image, intersect
+from tentstab.experiments import TEST_FUNCTIONS
+
+
+class Grid:
+    """The clipped squares of side 1/resolution, square by square."""
+
+    def __init__(self, region, resolution):
+        n = resolution
+        xmin, ymin, xmax, ymax = region.bbox()
+        ix0 = math.floor(xmin * n + SNAP)
+        ix1 = math.ceil(xmax * n - SNAP)
+        iy0 = math.floor(ymin * n + SNAP)
+        iy1 = math.ceil(ymax * n - SNAP)
+        self.resolution = n
+        self.cells = []
+        self.index = {}
+        for iy in range(iy0, iy1):
+            for ix in range(ix0, ix1):
+                square = geom2d.box(ix / n, iy / n, (ix + 1) / n, (iy + 1) / n)
+                cell = intersect(square, region)
+                if not cell.is_empty:
+                    self.index[(ix, iy)] = len(self.cells)
+                    self.cells.append(cell)
+
+    def overlaps(self, poly):
+        """(j, area of poly ∩ cell j) for each cell that poly meets with
+        positive area, in row-major order of the grid squares."""
+        n = self.resolution
+        bbox = poly.bbox()
+        ix_lo = math.floor(bbox[0] * n - SNAP)
+        ix_hi = math.floor(bbox[2] * n + SNAP)
+        iy_lo = math.floor(bbox[1] * n - SNAP)
+        iy_hi = math.floor(bbox[3] * n + SNAP)
+        for iy in range(iy_lo, iy_hi + 1):
+            for ix in range(ix_lo, ix_hi + 1):
+                j = self.index.get((ix, iy))
+                if j is not None:
+                    w = intersect(poly, self.cells[j]).area
+                    if w > 0.0:
+                        yield j, w
+
+
+def build_ulam(m, resolution):
+    """(grid, CSR Ulam matrix) by the cell x branch x candidate loop."""
+    grid = Grid(m.region, resolution)
+    rows, cols, data = [], [], []
+    for i, cell in enumerate(grid.cells):
+        ai = cell.area
+        for branch in m.branches:
+            piece = intersect(cell, branch.domain)
+            if piece.is_empty:
+                continue
+            image = affine_image(branch.map, piece)
+            if image.is_empty:
+                continue
+            captured = 0.0
+            for j, w in grid.overlaps(image):
+                rows.append(i)
+                cols.append(j)
+                data.append(w / (branch.jacobian_abs * ai))
+                captured += w
+            if image.area - captured > 1e-9:
+                raise ResolutionTooLow(
+                    f"cell {i} maps outside the gridded region "
+                    f"(lost image area {image.area - captured:g})"
+                )
+    n = len(grid.cells)
+    matrix = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    return grid, matrix
+
+
+def dropped_mass(m, grid, i):
+    """How far clipping takes row i below 1: the part of cell i that falls
+    in no branch piece, and the part of each branch image that falls in no
+    captured overlap, each over |J| area_i.  Both are slivers that
+    intersect empties (vertices merged within EPS_GEOM, areas below
+    EPS_AREA) or shaves off by merging vertices."""
+    cell = grid.cells[i]
+    total = cell.area
+    for branch in m.branches:
+        piece = intersect(cell, branch.domain)
+        total -= piece.area
+        if piece.is_empty:
+            continue
+        image = affine_image(branch.map, piece)
+        if image.is_empty:
+            continue
+        captured = sum(w for _, w in grid.overlaps(image))
+        total += (image.area - captured) / branch.jacobian_abs
+    return total / cell.area
+
+
+def project_to_grid(f, resolution):
+    grid = Grid(f.region, resolution)
+    acc = np.zeros(len(grid.cells))
+    for poly, v in f.cells:
+        if v == 0.0:
+            continue
+        for j, w in grid.overlaps(poly):
+            acc[j] += v * w
+    areas = np.array([c.area for c in grid.cells])
+    cells = tuple(
+        (poly, float(val / area))
+        for poly, val, area in zip(grid.cells, acc, areas)
+    )
+    return PiecewisePolyDensity(f.region, cells, f.signed)
+
+
+def density_moments(grid_cells, values):
+    """Monomial integrals by geom2d.monomial_integral, summed left to right
+    as Python 3.10/3.11 ``sum`` does (3.12 compensates the sum)."""
+    out = {}
+    for name, (ax, ay) in TEST_FUNCTIONS.items():
+        total = 0.0
+        for cell, v in zip(grid_cells, values):
+            total += float(v) * geom2d.monomial_integral(cell, ax, ay)
+        out[name] = total
+    return out
