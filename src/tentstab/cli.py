@@ -20,12 +20,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .density import (
-    MAX_CELLS,
     build_ulam,
     density_csv,
     density_from_vector,
     indicator_density,
     ulam_fixed,
+    ulam_matrix_csv,
     uniform_density,
 )
 from .errors import ConfigError, Error
@@ -41,7 +41,7 @@ from .experiments import (
 )
 from .geom2d import ConvexPolygon
 from .ioutil import atomic_write_text, fmt
-from .maps import TENT_T_MIN, NormConvention, certify, tent_power
+from .maps import MAX_CELLS, TENT_T_MIN, NormConvention, certify, tent_power
 
 CANVAS_W = 1024
 CANVAS_H = 640
@@ -155,9 +155,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     else:
         atomic_write_text(args.out, density_csv(dens))
     if args.matrix_out:
-        from .density import ulam_matrix_csv
-
-        atomic_write_text(args.matrix_out, ulam_matrix_csv(op))
+        atomic_write_text(args.matrix_out, ulam_matrix_csv(op.matrix))
     lo = float(np.min(vec.values))
     hi = float(np.max(vec.values))
     print(
@@ -232,11 +230,7 @@ def _cmd_oracle1d(args: argparse.Namespace) -> int:
         )
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     if args.matrix_out:
-        rows, cols = np.nonzero(result.matrix)
-        mat_lines = ["i,j,weight"]
-        for i, j, w in zip(rows.tolist(), cols.tolist(), result.matrix[rows, cols].tolist()):
-            mat_lines.append(f"{i},{j},{fmt(w)}")
-        atomic_write_text(args.matrix_out, "\n".join(mat_lines) + "\n")
+        atomic_write_text(args.matrix_out, ulam_matrix_csv(result.matrix))
     print(
         f"oracle1d a={fmt(args.a)} cells={args.cells}: residual "
         f"{fmt(result.residual)} after {result.iterations} iterations "

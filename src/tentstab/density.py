@@ -10,6 +10,7 @@ averaging, and the Ulam discretization are built on the same machinery.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -35,9 +36,7 @@ from .geom2d import (
     intersect,
     snap_key,
 )
-from .maps import PiecewiseMap
-
-MAX_CELLS = 10**6  # hard budget for grid squares and exact-pushforward arrangements
+from .maps import MAX_CELLS, PiecewiseMap
 
 
 @dataclass(frozen=True)
@@ -527,25 +526,20 @@ def _boxes(squares: np.ndarray, nx: int, origin, resolution: int) -> _Polys:
 class UlamGrid:
     """Axis-aligned squares of side 1/resolution clipped to the region.
 
-    ``cells`` are the nonempty clipped squares in row-major order of the
-    squares.  For the overlay kernel, ``squares`` numbers each cell's
-    square row-major from the square at lattice index ``origin``, and
-    ``lookup`` maps square numbers (as a 2D array) back to cells, -1 where
-    the square misses the region.  A square that the region does not cut
-    is its own cell, so only cut cells keep their vertices: cell i's are
-    row ``cut_row[i]`` of ``cut_vertices``, or the square's when that is
-    -1.  ``vertices`` assembles the batch.
+    ``polys`` holds the nonempty clipped squares, in row-major order of the
+    squares, as one vertex batch, with their areas in ``cell_areas``.
+    ``lookup`` maps squares, numbered row-major from the square at lattice
+    index ``origin``, to cells (as a 2D array), -1 where the square misses
+    the region.  ``cells`` builds the same cells as ConvexPolygons on first
+    read.
     """
 
     region: ConvexPolygon
     resolution: int
-    cells: tuple[ConvexPolygon, ...]
+    polys: _Polys = field(compare=False, repr=False)
     cell_areas: np.ndarray = field(compare=False, repr=False)
-    squares: np.ndarray = field(compare=False, repr=False)
     lookup: np.ndarray = field(compare=False, repr=False)
     origin: tuple[int, int] = field(compare=False, repr=False)
-    cut_row: np.ndarray = field(compare=False, repr=False)
-    cut_vertices: _Polys = field(compare=False, repr=False)
 
     @staticmethod
     def build(region: ConvexPolygon, resolution: int) -> "UlamGrid":
@@ -577,69 +571,41 @@ class UlamGrid:
             corners = (d[:-1, :-1], d[:-1, 1:], d[1:, 1:], d[1:, :-1])
             outside |= inside & np.logical_and.reduce([c < 0.0 for c in corners])
             inside &= np.logical_and.reduce([c >= 0.0 for c in corners])
-        inside = inside.ravel()
         squares = np.flatnonzero(~outside)
-        crossing = np.flatnonzero(~inside[squares])
+        crossing = np.flatnonzero(~inside.ravel()[squares])
+        boxes = _boxes(squares, nx, (ix0, iy0), n)
         region_planes = _halfplanes(_pack([region]))
         clipped = _clip_all(
-            _boxes(squares[crossing], nx, (ix0, iy0), n),
+            boxes.take(crossing),
             [np.broadcast_to(h, (len(crossing), h.shape[1])) for h in region_planes],
         )
         width = max(4, clipped.x.shape[1])
-        cells, areas, kept, cut = [], [], [], []
-        for lo in range(0, len(squares), OVERLAY_CHUNK):
-            sq = squares[lo : lo + OVERLAY_CHUNK]
-            raw = _widen(_boxes(sq, nx, (ix0, iy0), n), width)
-            k0, k1 = np.searchsorted(crossing, [lo, lo + len(sq)])
-            rows = crossing[k0:k1] - lo
-            raw.x[rows], raw.y[rows], raw.n[rows] = _widen(clipped.take(slice(k0, k1)), width)
-            done, done_area = _finish(raw)
-            hit = np.flatnonzero(done.n)
-            uncut = inside[sq[hit]] & (done.n[hit] == 4)
-            cut.append(len(cells) + np.flatnonzero(~uncut))
-            kept.append(sq[hit])
-            areas.append(done_area[hit])
+        boxes = _widen(boxes, width)
+        boxes.x[crossing], boxes.y[crossing], boxes.n[crossing] = _widen(clipped, width)
+        polys, areas = _finish(boxes)
+        hit = np.flatnonzero(polys.n)
+        lookup = np.full(nx * ny, -1, dtype=np.intp)
+        lookup[squares[hit]] = np.arange(len(hit))
+        return UlamGrid(
+            region, resolution, polys.take(hit), areas[hit], lookup.reshape(ny, nx), (ix0, iy0)
+        )
+
+    @functools.cached_property
+    def cells(self) -> tuple[ConvexPolygon, ...]:
+        """The cells as ConvexPolygons, built on first read OVERLAY_CHUNK
+        rows at a time, so that the tolist() temporaries stay small."""
+        cells = []
+        for lo in range(0, len(self.cell_areas), OVERLAY_CHUNK):
+            rows = slice(lo, lo + OVERLAY_CHUNK)
+            p = self.polys.take(rows)
             for xs, ys, count, area in zip(
-                done.x[hit].tolist(),
-                done.y[hit].tolist(),
-                done.n[hit].tolist(),
-                done_area[hit].tolist(),
+                p.x.tolist(), p.y.tolist(), p.n.tolist(), self.cell_areas[rows].tolist()
             ):
                 cells.append(ConvexPolygon._clean(tuple(zip(xs[:count], ys[:count])), area))
-        kept = np.concatenate([np.zeros(0, np.intp)] + kept)
-        lookup = np.full(nx * ny, -1, dtype=np.intp)
-        lookup[kept] = np.arange(len(kept))
-        cut = np.concatenate([np.zeros(0, np.intp)] + cut)
-        cut_row = np.full(len(kept), -1, dtype=np.intp)
-        cut_row[cut] = np.arange(len(cut))
-        return UlamGrid(
-            region,
-            resolution,
-            tuple(cells),
-            np.concatenate([np.zeros(0)] + areas),
-            kept,
-            lookup.reshape(ny, nx),
-            (ix0, iy0),
-            cut_row,
-            _pack([cells[i] for i in cut.tolist()]),
-        )
+        return tuple(cells)
 
     def areas(self) -> np.ndarray:
         return self.cell_areas.copy()
-
-    def vertices(self, rows=slice(None)) -> _Polys:
-        """The cells at rows (indices or a slice) as a vertex batch."""
-        cut = self.cut_vertices
-        p = _widen(
-            _boxes(self.squares[rows], self.lookup.shape[1], self.origin, self.resolution),
-            max(4, cut.x.shape[1]),
-        )
-        at = self.cut_row[rows]
-        hit = np.flatnonzero(at >= 0)
-        p.x[hit, : cut.x.shape[1]] = cut.x[at[hit]]
-        p.y[hit, : cut.y.shape[1]] = cut.y[at[hit]]
-        p.n[hit] = cut.n[at[hit]]
-        return p
 
     def moments(self, values: np.ndarray, powers) -> list[float]:
         """Integral of x^ax * y^ay against the grid density with these cell
@@ -649,7 +615,7 @@ class UlamGrid:
         and closed forms in the same order; cells are then summed left to
         right, as Python 3.10/3.11 ``sum`` does.
         """
-        x, y, n = self.vertices()
+        x, y, n = self.polys
         x0, y0 = x[:, :1], y[:, :1]
         x1, y1, x2, y2 = x[:, 1:-1], y[:, 1:-1], x[:, 2:], y[:, 2:]
         a = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
@@ -703,7 +669,7 @@ def _overlay(grid: UlamGrid, p: _Polys) -> tuple[np.ndarray, np.ndarray, np.ndar
         dy, dx = np.divmod(pos - (ends[k] - count[k]), width[k])
         j = grid.lookup[lo_y[k] + dy, lo_x[k] + dx]
         k, j = k[j >= 0], j[j >= 0]
-        _, w = _finish(_clip_all(p.take(k), _halfplanes(grid.vertices(j))))
+        _, w = _finish(_clip_all(p.take(k), _halfplanes(grid.polys.take(j))))
         hit = w > 0.0
         parts.append((k[hit], j[hit], w[hit]))
     return tuple(np.concatenate(a) for a in zip(*parts))
@@ -744,11 +710,12 @@ def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
     shift = np.array([br.map.shift for br in m.branches])
     jac = np.array([br.jacobian_abs for br in m.branches])
     det = np.array([br.map.linear.det() for br in m.branches])
-    row_nnz = np.zeros(len(grid.cells), dtype=np.int32)
+    n = len(grid.cell_areas)
+    row_nnz = np.zeros(n, dtype=np.int32)
     cols, data = [np.zeros(0, np.int32)], [np.zeros(0)]
-    for lo in range(0, len(grid.cells) * nb, OVERLAY_CHUNK):
-        i, b = np.divmod(np.arange(lo, min(lo + OVERLAY_CHUNK, len(grid.cells) * nb)), nb)
-        piece, _ = _finish(_clip_all(grid.vertices(i), [h[b] for h in domains]))
+    for lo in range(0, n * nb, OVERLAY_CHUNK):
+        i, b = np.divmod(np.arange(lo, min(lo + OVERLAY_CHUNK, n * nb)), nb)
+        piece, _ = _finish(_clip_all(grid.polys.take(i), [h[b] for h in domains]))
         i, b, piece = i[piece.n > 0], b[piece.n > 0], piece.take(piece.n > 0)
         singular = np.abs(det[b]) <= EPS_GEOM
         if singular.any():
@@ -779,7 +746,6 @@ def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
         data.append(w / (jac[b[src]] * grid.cell_areas[i[src]]))
     # Rows come out in order, so the entries are already in the order
     # coo_matrix.tocsr places them; it then sums duplicates the same way.
-    n = len(grid.cells)
     indptr = np.concatenate([np.zeros(1, np.int32), np.cumsum(row_nnz, dtype=np.int32)])
     matrix = sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr), shape=(n, n))
     matrix.sum_duplicates()
@@ -859,7 +825,7 @@ def project_to_grid(f: PiecewisePolyDensity, resolution: int) -> PiecewisePolyDe
     tiles = [(poly, v) for poly, v in f.cells if v != 0.0 and not poly.is_empty]
     src, j, w = _overlay(grid, _pack([poly for poly, _ in tiles]))
     values = np.array([v for _, v in tiles], dtype=float)
-    acc = np.bincount(j, weights=values[src] * w, minlength=len(grid.cells))
+    acc = np.bincount(j, weights=values[src] * w, minlength=len(grid.cell_areas))
     cells = tuple(zip(grid.cells, (acc / grid.cell_areas).tolist()))
     return PiecewisePolyDensity(f.region, cells, f.signed)
 
@@ -933,13 +899,14 @@ def density_csv(f: PiecewisePolyDensity) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ulam_matrix_csv(op: UlamOperator) -> str:
-    """Sparse matrix as i,j,weight coordinate triples."""
+def ulam_matrix_csv(matrix) -> str:
+    """A transition matrix, scipy sparse or dense, as i,j,weight coordinate
+    triples of its stored entries in row-major order."""
     from .ioutil import fmt
 
-    coo = op.matrix.tocoo()
+    coo = sp.coo_matrix(matrix)
     order = np.lexsort((coo.col, coo.row))
     lines = ["i,j,weight"]
-    for k in order:
-        lines.append(f"{coo.row[k]},{coo.col[k]},{fmt(coo.data[k])}")
+    for i, j, w in zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist()):
+        lines.append(f"{i},{j},{fmt(w)}")
     return "\n".join(lines) + "\n"

@@ -38,7 +38,7 @@ class ZeroVariation(Error):
 
 
 class CellExplosion(Error):
-    """Exact pushforward arrangement exceeded the cell budget."""
+    """A branch, grid, matrix or arrangement size exceeds MAX_CELLS."""
 
 
 class ConfigError(Error):

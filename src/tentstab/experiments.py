@@ -17,7 +17,6 @@ import numpy as np
 
 from . import maps as maps_mod
 from .density import (
-    MAX_CELLS,
     PiecewisePolyDensity,
     UlamGrid,
     build_ulam,
@@ -29,6 +28,7 @@ from .density import (
 from .errors import CellExplosion, ParameterOutOfRange
 from .geom2d import Point2
 from .maps import (
+    MAX_CELLS,
     TENT_T_MIN,
     ConditionCertificate,
     check_tent_parameter,

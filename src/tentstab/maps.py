@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import OutsideRegion, ParameterOutOfRange
+from .errors import CellExplosion, OutsideRegion, ParameterOutOfRange
 from .geom2d import (
     EPS_GEOM,
     AffineMap2,
@@ -31,6 +31,8 @@ from .ioutil import fmt, json_number
 # Smallest tent parameter for which the cubed map keeps its full
 # eight-branch smoothness partition: (1/sqrt(2)) * (sqrt(2)+1)^(1/4).
 TENT_T_MIN = math.sqrt(math.sqrt(math.sqrt(2.0) + 1.0)) / math.sqrt(2.0)
+
+MAX_CELLS = 10**6  # hard budget for branches, grid squares and arrangement cells
 
 
 class Branch(NamedTuple):
@@ -208,6 +210,14 @@ def power(m: PiecewiseMap, n: int) -> PiecewiseMap:
         raise ParameterOutOfRange(f"power must be >= 1, got {n}")
     if n == 1:
         return m
+    # k ** n bounds the branch count; capping the exponent at the budget's
+    # bit length keeps the check small and decides it the same way for k >= 2.
+    k = len(m.branches)
+    if k ** min(n, MAX_CELLS.bit_length()) > MAX_CELLS:
+        raise CellExplosion(
+            f"power {n} of a map with {k} branches may need {k}^{n} branches, "
+            f"more than the budget of {MAX_CELLS}"
+        )
     items = [((i,), b.domain, b.map) for i, b in enumerate(m.branches)]
     for _ in range(n - 1):
         grown = []

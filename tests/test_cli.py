@@ -322,6 +322,20 @@ class TestInputContracts:
         assert peak < 1_000_000
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args", [["verify", "--power", "20"], ["density", "--power", "40"]]
+    )
+    def test_power_over_branch_budget_exits_1(self, tmp_path, capsys, args):
+        out = tmp_path / "x.out"
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CellExplosion: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_power_12_within_branch_budget(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["density", "--power", "12", "--resolution", "4", "--out", str(out)]) == 0
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -295,7 +295,7 @@ class TestExports:
 
     def test_matrix_csv(self):
         op, _ = cached_fixed(1.0, 16)
-        text = D.ulam_matrix_csv(op)
+        text = D.ulam_matrix_csv(op.matrix)
         lines = text.strip().split("\n")
         assert lines[0] == "i,j,weight"
         i, j, w = lines[1].split(",")
@@ -516,6 +516,14 @@ def test_grid_budget_checked_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_grid_builds_its_polygons_on_first_read():
+    op = D.build_ulam(tent_power(0.9, 2), 8)
+    assert "cells" not in vars(op.grid)
+    cells = op.grid.cells
+    assert op.grid.cells is cells
+    assert len(cells) == len(op.grid.cell_areas) == op.matrix.shape[0]
 
 
 def test_grid_moments_of_the_uniform_density():

@@ -59,6 +59,23 @@ class TestStabilitySweep:
         with pytest.raises(ParameterOutOfRange):
             E.stability_sweep(1.0, [0.95], 8)
 
+    def test_grids_stay_vertex_batches(self, monkeypatch):
+        def unread(grid):
+            raise AssertionError("the sweep read UlamGrid.cells")
+
+        monkeypatch.setattr(D.UlamGrid, "cells", property(unread))
+        E.stability_sweep(1.0, [0.95], 16)
+
+    def test_resolution_64_sweep_heap_peak(self):
+        E.stability_sweep(1.0, [0.95], 16)  # first-call imports stay out of the peak
+        tracemalloc.start()
+        try:
+            E.stability_sweep(1.0, [0.9, 0.95], 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, f"{peak / 1e6:.1f} MB"
+
     def test_power_flag_gives_same_acim(self):
         # the invariant density of the map and its cube coincide
         r1 = E.stability_sweep(1.0, [0.92], 16, power=1)

@@ -2,12 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tentstab import maps
-from tentstab.errors import OutsideRegion, ParameterOutOfRange
+from tentstab.errors import CellExplosion, OutsideRegion, ParameterOutOfRange
 from tentstab.experiments import seeded_start
 from tentstab.geom2d import (
     EPS_AREA,
@@ -147,6 +148,17 @@ class TestPower:
 
     def test_label_tracks_power(self):
         assert tent_power(0.9, 3).label == "tent2d t=0.9 power=3"
+
+    @pytest.mark.parametrize("n", [20, 40, 10**9])
+    def test_branch_budget_checked_before_composing(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CellExplosion, match=f"power {n} of a map with 2 branches"):
+                tent_power(0.9, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestExpansion:
