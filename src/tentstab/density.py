@@ -901,7 +901,8 @@ def density_csv(f: PiecewisePolyDensity) -> str:
 
 def ulam_matrix_csv(matrix) -> str:
     """A transition matrix, scipy sparse or dense, as i,j,weight coordinate
-    triples of its stored entries in row-major order."""
+    triples of its stored entries (a dense matrix stores its nonzeros), in
+    row-major order."""
     from .ioutil import fmt
 
     coo = sp.coo_matrix(matrix)
