@@ -14,15 +14,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .density import (
+    UlamGrid,
     build_ulam,
     density_csv,
-    density_from_vector,
     indicator_density,
     ulam_fixed,
     ulam_matrix_csv,
@@ -51,21 +51,6 @@ RAMP_LO = (0.13, 0.15, 0.38)
 RAMP_HI = (0.99, 0.97, 0.80)
 
 
-@dataclass(frozen=True)
-class SvgHeatmap:
-    """Filled-cell heatmap on a fixed 1024x640 canvas with a 5% margin."""
-
-    cells: tuple[tuple[ConvexPolygon, float], ...]
-    value_range: tuple[float, float]
-
-
-def heatmap_from_cells(cells) -> SvgHeatmap:
-    values = [v for _, v in cells]
-    if not values:
-        return SvgHeatmap((), (0.0, 0.0))
-    return SvgHeatmap(tuple(cells), (min(values), max(values)))
-
-
 def _ramp_color(frac: float) -> str:
     frac = min(1.0, max(0.0, frac))
     channels = [
@@ -75,14 +60,14 @@ def _ramp_color(frac: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*channels)
 
 
-def render_svg(h: SvgHeatmap) -> str:
-    """Standalone SVG text; same heatmap always renders to the same bytes."""
-    if not h.cells:
-        raise ConfigError("cannot render an empty heatmap (no cells)")
-    xs = [v[0] for poly, _ in h.cells for v in poly.vertices]
-    ys = [v[1] for poly, _ in h.cells for v in poly.vertices]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+def render_svg(grid: UlamGrid, values: np.ndarray) -> str:
+    """Heatmap of the grid density with these cell values, as standalone
+    SVG text on a fixed 1024x640 canvas with a 5% margin; the same grid
+    and values always render to the same bytes."""
+    x, y, n = grid.polys
+    valid = np.arange(x.shape[1]) < n[:, None]
+    xmin, xmax = float(x[valid].min()), float(x[valid].max())
+    ymin, ymax = float(y[valid].min()), float(y[valid].max())
     span_x = max(xmax - xmin, 1e-12)
     span_y = max(ymax - ymin, 1e-12)
     scale = min(0.90 * CANVAS_W / span_x, 0.90 * CANVAS_H / span_y)
@@ -94,7 +79,7 @@ def render_svg(h: SvgHeatmap) -> str:
         py = CANVAS_H - (off_y + (p[1] - ymin) * scale)
         return f"{px:.3f},{py:.3f}"
 
-    vmin, vmax = h.value_range
+    vmin, vmax = float(np.min(values)), float(np.max(values))
     spread = vmax - vmin
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -102,9 +87,9 @@ def render_svg(h: SvgHeatmap) -> str:
         f'height="{CANVAS_H}" viewBox="0 0 {CANVAS_W} {CANVAS_H}">',
         f'<rect width="{CANVAS_W}" height="{CANVAS_H}" fill="#ffffff"/>',
     ]
-    for poly, value in h.cells:
+    for xs, ys, value in grid._rows(values):
         frac = 0.5 if spread <= 0.0 else (value - vmin) / spread
-        points = " L ".join(to_px(v) for v in poly.vertices)
+        points = " L ".join(to_px(v) for v in zip(xs, ys))
         parts.append(f'<path d="M {points} Z" fill="{_ramp_color(frac)}"/>')
     swatches = 16
     sw = 12.0
@@ -123,10 +108,6 @@ def render_svg(h: SvgHeatmap) -> str:
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def emit_svg(h: SvgHeatmap, path: str) -> None:
-    atomic_write_text(path, render_svg(h))
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +130,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_density(args: argparse.Namespace) -> int:
     op = build_ulam(tent_power(args.t, args.power), args.resolution)
     vec = ulam_fixed(op, args.tol)
-    dens = density_from_vector(op.grid, vec)
-    if args.format == "svg":
-        emit_svg(heatmap_from_cells(dens.cells), args.out)
-    else:
-        atomic_write_text(args.out, density_csv(dens))
+    write = render_svg if args.format == "svg" else density_csv
+    atomic_write_text(args.out, write(op.grid, vec.values))
     if args.matrix_out:
         atomic_write_text(args.matrix_out, ulam_matrix_csv(op.matrix))
     lo = float(np.min(vec.values))

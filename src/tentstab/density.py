@@ -403,6 +403,15 @@ def _cyclic(a: np.ndarray, n: np.ndarray, step: int) -> np.ndarray:
     return out
 
 
+def _sequential_sum(terms: np.ndarray) -> np.ndarray:
+    """Each row's sum, taken column by column from 0.0 as a Python loop
+    adds the terms one at a time, so that it matches that loop bit for bit."""
+    s = np.zeros(len(terms))
+    for column in terms.T:
+        s = s + column
+    return s
+
+
 def _halfplanes(p: _Polys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ConvexPolygon.edge_halfplanes of every row as (nx, ny, off) arrays,
     padded with the half-plane 0 <= 1, which clips nothing."""
@@ -490,10 +499,7 @@ def _finish(p: _Polys) -> tuple[_Polys, np.ndarray]:
     valid = np.arange(x.shape[1]) < n[:, None]
     p = _Polys(np.where(valid, x, 0.0), np.where(valid, y, 0.0), n)
     terms = np.where(valid, p.x * _cyclic(p.y, n, 1) - _cyclic(p.x, n, 1) * p.y, 0.0)
-    s = np.zeros(len(n))
-    for k in range(terms.shape[1]):
-        s = s + terms[:, k]
-    s = 0.5 * s
+    s = 0.5 * _sequential_sum(terms)
     empty = (n < 3) | (np.abs(s) < EPS_AREA)
     n = np.where(empty, 0, n)
     width = n.max(initial=0)
@@ -590,22 +596,37 @@ class UlamGrid:
             region, resolution, polys.take(hit), areas[hit], lookup.reshape(ny, nx), (ix0, iy0)
         )
 
-    @functools.cached_property
-    def cells(self) -> tuple[ConvexPolygon, ...]:
-        """The cells as ConvexPolygons, built on first read OVERLAY_CHUNK
-        rows at a time, so that the tolist() temporaries stay small."""
-        cells = []
+    def _rows(self, *columns):
+        """Each cell as Python values: its vertex x and y lists, then its
+        entry of each per-cell column array.  Rows are converted
+        OVERLAY_CHUNK at a time, so that the tolist() temporaries stay
+        small."""
         for lo in range(0, len(self.cell_areas), OVERLAY_CHUNK):
             rows = slice(lo, lo + OVERLAY_CHUNK)
             p = self.polys.take(rows)
-            for xs, ys, count, area in zip(
-                p.x.tolist(), p.y.tolist(), p.n.tolist(), self.cell_areas[rows].tolist()
+            for xs, ys, count, *rest in zip(
+                p.x.tolist(), p.y.tolist(), p.n.tolist(), *(c[rows].tolist() for c in columns)
             ):
-                cells.append(ConvexPolygon._clean(tuple(zip(xs[:count], ys[:count])), area))
-        return tuple(cells)
+                yield (xs[:count], ys[:count], *rest)
 
-    def areas(self) -> np.ndarray:
-        return self.cell_areas.copy()
+    @functools.cached_property
+    def cells(self) -> tuple[ConvexPolygon, ...]:
+        """The cells as ConvexPolygons, built on first read."""
+        return tuple(
+            ConvexPolygon._clean(tuple(zip(xs, ys)), area)
+            for xs, ys, area in self._rows(self.cell_areas)
+        )
+
+    def centroids(self) -> tuple[np.ndarray, np.ndarray]:
+        """ConvexPolygon.centroid of every cell, as (x, y) arrays: the edge
+        sums taken vertex by vertex in order, over 6 * area.  _finish has
+        emptied every cell below EPS_AREA, so centroid's small-area
+        fallback never applies."""
+        x, y, n = self.polys
+        x1, y1 = _cyclic(x, n, 1), _cyclic(y, n, 1)
+        w = np.where(np.arange(x.shape[1]) < n[:, None], x * y1 - x1 * y, 0.0)
+        cx, cy = _sequential_sum((x + x1) * w), _sequential_sum((y + y1) * w)
+        return cx / (6.0 * self.cell_areas), cy / (6.0 * self.cell_areas)
 
     def moments(self, values: np.ndarray, powers) -> list[float]:
         """Integral of x^ax * y^ay against the grid density with these cell
@@ -632,9 +653,7 @@ class UlamGrid:
         for ax_ay in powers:
             if tuple(ax_ay) not in terms:
                 raise ValueError("moments supports total degree <= 2")
-            per_cell = np.zeros(len(n))
-            for column in np.where(fan, terms[tuple(ax_ay)], 0.0).T:
-                per_cell = per_cell + column
+            per_cell = _sequential_sum(np.where(fan, terms[tuple(ax_ay)], 0.0))
             out.append(float(np.cumsum(values * per_cell)[-1]))
         return out
 
@@ -807,7 +826,7 @@ def stationary_masses(
 
 def ulam_fixed(op: UlamOperator, tol: float = 1e-8, max_iter: int = 20000) -> DensityVector:
     """Fixed density of the discretized operator from the uniform start."""
-    areas = op.grid.areas()
+    areas = op.grid.cell_areas
     p, iters, residual, converged = stationary_masses(op.matrix, areas, tol, max_iter)
     values = p / areas
     return DensityVector(values, iters, residual, converged)
@@ -880,21 +899,23 @@ def cesaro_fixed_density(
 # ---------------------------------------------------------------------------
 
 
-def density_csv(f: PiecewisePolyDensity) -> str:
-    """Cell table: id, area, centroid, value, vertex count and coordinates."""
+def density_csv(grid: UlamGrid, values: np.ndarray) -> str:
+    """Cell table of the grid density with these cell values: id, area,
+    centroid, value, vertex count and coordinates."""
     from .ioutil import fmt
 
-    max_verts = max((len(poly.vertices) for poly, _ in f.cells), default=0)
+    max_verts = int(grid.polys.n.max(initial=0))
     header = ["cell_id", "area", "centroid_x", "centroid_y", "value", "n_vertices"]
     for k in range(max_verts):
         header += [f"v{k}x", f"v{k}y"]
     lines = [",".join(header)]
-    for i, (poly, v) in enumerate(f.cells):
-        cx, cy = poly.centroid()
-        row = [str(i), fmt(poly.area), fmt(cx), fmt(cy), fmt(v), str(len(poly.vertices))]
-        for vx, vy in poly.vertices:
+    cx, cy = grid.centroids()
+    rows = grid._rows(grid.cell_areas, cx, cy, values)
+    for i, (xs, ys, area, x, y, v) in enumerate(rows):
+        row = [str(i), fmt(area), fmt(x), fmt(y), fmt(v), str(len(xs))]
+        for vx, vy in zip(xs, ys):
             row += [fmt(vx), fmt(vy)]
-        row += [""] * (2 * (max_verts - len(poly.vertices)))
+        row += [""] * (2 * (max_verts - len(xs)))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

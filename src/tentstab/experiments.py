@@ -20,6 +20,7 @@ from .density import (
     PiecewisePolyDensity,
     UlamGrid,
     build_ulam,
+    lp_norm,
     push_forward,
     stationary_masses,
     ulam_fixed,
@@ -107,13 +108,12 @@ def stability_sweep(
             )
     op0 = build_ulam(tent_power(t0, power), resolution)
     h0 = ulam_fixed(op0, tol, max_iter)
-    areas = op0.grid.areas()
     moments0 = _density_moments(op0.grid, h0.values)
     rows = []
     for t in sorted(ts):
         op = build_ulam(tent_power(t, power), resolution)
         h = ulam_fixed(op, tol, max_iter)
-        l1 = float(np.abs(h.values - h0.values) @ areas)
+        l1 = float(np.abs(h.values - h0.values) @ op0.grid.cell_areas)
         moments = _density_moments(op.grid, h.values)
         gaps = {name: abs(moments[name] - moments0[name]) for name in TEST_FUNCTIONS}
         rows.append(
@@ -138,7 +138,7 @@ def ly_check(
             "the bound has no finite K1"
         )
     m = tent_power(t, cert.power)
-    mass0 = sum(abs(v) * poly.area for poly, v in f0.cells)
+    mass0 = lp_norm(f0)
     v0 = variation(f0)
     rows = [LYRow(0, v0, v0 + cert.K1 * mass0, v0 / (v0 + cert.K1 * mass0))]
     f = f0

@@ -7,14 +7,17 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import tentstab
+import ulam_oracle
 from tentstab import cli
+from tentstab import density as D
 from tentstab import experiments as E
-from tentstab.cli import SvgHeatmap, emit_svg, heatmap_from_cells, main, render_svg
-from tentstab.errors import ConfigError
-from tentstab.geom2d import ConvexPolygon
+from tentstab.cli import main, render_svg
+from tentstab.geom2d import box
+from tentstab.maps import tent_power
 
 
 def run_cli(tmp_path, *args):
@@ -72,6 +75,38 @@ class TestDensity:
         ])
         assert code == 2
         assert out.exists()  # outputs still written
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_outputs_build_no_cell_polygons(self, tmp_path, monkeypatch, fmt):
+        def no_polygons(grid):
+            raise AssertionError("the density outputs read UlamGrid.cells")
+
+        monkeypatch.setattr(D.UlamGrid, "cells", property(no_polygons))
+        out = tmp_path / f"d.{fmt}"
+        argv = ["density", "--t", "0.95", "--resolution", "16", "--format", fmt]
+        assert main(argv + ["--out", str(out)]) == 0
+
+    def test_heap_peak_at_resolution_64(self, tmp_path):
+        out = str(tmp_path / "d.csv")
+        main(["density", "--t", "0.95", "--resolution", "16", "--out", out])  # imports
+        tracemalloc.start()
+        try:
+            code = main(["density", "--t", "0.95", "--resolution", "64", "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4_500_000, f"peak {peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("t", [0.95, 1.0])
+    @pytest.mark.parametrize("pw", [1, 2])
+    @pytest.mark.parametrize("resolution", [3, 16, 64])
+    def test_outputs_match_per_polygon_writers(self, resolution, pw, t):
+        op = D.build_ulam(tent_power(t, pw), resolution)
+        vec = D.ulam_fixed(op)
+        dens = D.density_from_vector(op.grid, vec)
+        assert D.density_csv(op.grid, vec.values) == ulam_oracle.density_csv(dens)
+        assert render_svg(op.grid, vec.values) == ulam_oracle.render_svg(dens.cells)
 
 
 class TestSweep:
@@ -202,28 +237,18 @@ class TestOracle1d:
 
 
 class TestSvg:
-    def test_single_cell_legend(self, tmp_path):
-        square = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
-        h = heatmap_from_cells(((square, 1.0),))
-        text = render_svg(h)
+    def test_single_cell_legend(self):
+        grid = D.UlamGrid.build(box(0.0, 0.0, 0.5, 0.5), 2)
+        text = render_svg(grid, np.array([1.0]))
         assert text.count("<path") == 1
         assert "1.00000 - 1.00000" in text
 
     def test_two_values_use_ramp_endpoints(self):
-        a = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
-        b = ConvexPolygon(((1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0)))
-        text = render_svg(heatmap_from_cells(((a, 0.0), (b, 1.0))))
+        grid = D.UlamGrid.build(box(0.0, 0.0, 1.0, 0.5), 2)
+        text = render_svg(grid, np.array([0.0, 1.0]))
         lo = cli._ramp_color(0.0)
         hi = cli._ramp_color(1.0)
         assert lo in text and hi in text and lo != hi
-
-    def test_empty_heatmap_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            render_svg(SvgHeatmap((), (0.0, 0.0)))
-        target = tmp_path / "x.svg"
-        with pytest.raises(ConfigError):
-            emit_svg(SvgHeatmap((), (0.0, 0.0)), str(target))
-        assert not target.exists()
 
     def test_monotone_lightness(self):
         def lightness(hexcolor):

@@ -28,6 +28,7 @@ from conftest import (
 )
 
 TAU = TENT_T_MIN
+OFF_LATTICE_QUAD = ConvexPolygon(((0.13, 0.07), (1.91, 0.21), (1.47, 1.33), (0.29, 0.88)))
 
 
 @pytest.fixture
@@ -228,7 +229,7 @@ class TestCesaro:
         op = D.build_ulam(m, n)
         masses = np.array([v * poly.area for poly, v in f.cells])
         pushed_masses = op.matrix.T @ masses
-        areas = op.grid.areas()
+        areas = op.grid.cell_areas
         matrix_values = pushed_masses / areas
         for (poly, v), mv in zip(geometric.cells, matrix_values):
             assert v == pytest.approx(mv, abs=1e-10)
@@ -246,7 +247,7 @@ class TestUlam:
     def test_t1_uniform_exactly_fixed(self):
         op, vec = cached_fixed(1.0, 16)
         assert np.abs(vec.values - 1.0).max() <= 1e-9
-        masses = op.grid.areas()
+        masses = op.grid.cell_areas
         assert np.abs(op.matrix.T @ masses - masses).max() <= 1e-12
 
     def test_two_cell_doubly_stochastic(self):
@@ -279,17 +280,18 @@ class TestUlam:
 
     def test_density_vector_normalized(self):
         op, vec = cached_fixed(0.95, 16)
-        mass = float(vec.values @ op.grid.areas())
+        mass = float(vec.values @ op.grid.cell_areas)
         assert mass == pytest.approx(1.0, abs=1e-9)
         assert vec.values.min() >= 0.0
 
 
 class TestExports:
-    def test_density_csv_roundtrip(self, chi_left):
-        text = D.density_csv(chi_left)
+    def test_density_csv_roundtrip(self):
+        op, vec = cached_fixed(0.95, 16)
+        text = D.density_csv(op.grid, vec.values)
         lines = text.strip().split("\n")
         assert lines[0].startswith("cell_id,area,centroid_x,centroid_y,value,n_vertices,v0x,v0y")
-        assert len(lines) == 1 + len(chi_left.cells)
+        assert len(lines) == 1 + len(op.grid.cell_areas)
         first = lines[1].split(",")
         assert float(first[1]) > 0.0
 
@@ -301,8 +303,9 @@ class TestExports:
         i, j, w = lines[1].split(",")
         assert float(w) > 0.0
 
-    def test_csv_floats_roundtrip(self, chi_left):
-        text = D.density_csv(chi_left)
+    def test_csv_floats_roundtrip(self):
+        op, vec = cached_fixed(0.95, 16)
+        text = D.density_csv(op.grid, vec.values)
         for line in text.strip().split("\n")[1:]:
             parts = line.split(",")
             area_back = float(parts[1])
@@ -351,7 +354,7 @@ class TestOverlayKernel:
         assert _bits_equal(op.matrix.indices, matrix.indices)
         assert _bits_equal(op.matrix.indptr, matrix.indptr)
         assert _same_cells(op.grid.cells, grid.cells)
-        assert _bits_equal(op.grid.areas(), np.array([c.area for c in grid.cells]))
+        assert _bits_equal(op.grid.cell_areas, np.array([c.area for c in grid.cells]))
 
     def test_grids_of_random_regions_bit_identical(self, rng):
         for _ in range(6):
@@ -360,7 +363,7 @@ class TestOverlayKernel:
                 grid = D.UlamGrid.build(region, resolution)
                 want = ulam_oracle.Grid(region, resolution)
                 assert _same_cells(grid.cells, want.cells)
-                assert _bits_equal(grid.areas(), np.array([c.area for c in want.cells]))
+                assert _bits_equal(grid.cell_areas, np.array([c.area for c in want.cells]))
 
     def test_ulam_on_random_regions_bit_identical(self, rng):
         # p -> (p + centroid) / 2 maps a convex region into itself
@@ -440,6 +443,15 @@ class TestOverlayKernel:
         assert _same_cells(op.grid.cells, want_op.grid.cells)
         got_f = D.project_to_grid(f, 6)
         assert _bits_equal([v for _, v in got_f.cells], [v for _, v in want_f.cells])
+
+    @pytest.mark.parametrize("resolution", [3, 16, 128])
+    @pytest.mark.parametrize("region", [TRIANGLE_T, OFF_LATTICE_QUAD], ids=["tent", "quad"])
+    def test_centroids_bit_identical(self, region, resolution):
+        grid = D.UlamGrid.build(region, resolution)
+        want = np.array([c.centroid() for c in grid.cells])
+        cx, cy = grid.centroids()
+        assert _bits_equal(cx, want[:, 0])
+        assert _bits_equal(cy, want[:, 1])
 
     def test_python_heap_peak_not_above_per_cell_loop(self):
         m = tent_power(0.9, 1)

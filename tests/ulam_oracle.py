@@ -1,9 +1,12 @@
-"""Per-cell grid overlay: the slow path the batched Ulam kernel must match.
+"""Per-cell grid overlay and output writers: the slow paths the batched
+Ulam kernel and the batch-reading density outputs must match.
 
-Every function here walks the grid one square or one polygon at a time
+The overlay functions walk the grid one square or one polygon at a time
 through ``geom2d.intersect``, exactly as ``density`` did before its Ulam
-assembly was batched.  Tests compare the kernel with these loops bit for
-bit; nothing in the package imports this module.
+assembly was batched.  The writers format one ConvexPolygon at a time, as
+the ``density`` command did before it read the grid's vertex batch.  Tests
+compare the package with these loops bit for bit; nothing in the package
+imports this module.
 """
 
 import math
@@ -11,11 +14,12 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from tentstab import geom2d
+from tentstab import cli, geom2d
 from tentstab.density import PiecewisePolyDensity
 from tentstab.errors import ResolutionTooLow
 from tentstab.geom2d import SNAP, affine_image, intersect
 from tentstab.experiments import TEST_FUNCTIONS
+from tentstab.ioutil import fmt
 
 
 class Grid:
@@ -133,3 +137,70 @@ def density_moments(grid_cells, values):
             total += float(v) * geom2d.monomial_integral(cell, ax, ay)
         out[name] = total
     return out
+
+
+def density_csv(f):
+    """The density cell table of a PiecewisePolyDensity, polygon by polygon."""
+    max_verts = max((len(poly.vertices) for poly, _ in f.cells), default=0)
+    header = ["cell_id", "area", "centroid_x", "centroid_y", "value", "n_vertices"]
+    for k in range(max_verts):
+        header += [f"v{k}x", f"v{k}y"]
+    lines = [",".join(header)]
+    for i, (poly, v) in enumerate(f.cells):
+        cx, cy = poly.centroid()
+        row = [str(i), fmt(poly.area), fmt(cx), fmt(cy), fmt(v), str(len(poly.vertices))]
+        for vx, vy in poly.vertices:
+            row += [fmt(vx), fmt(vy)]
+        row += [""] * (2 * (max_verts - len(poly.vertices)))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def render_svg(cells):
+    """The SVG heatmap of (polygon, value) cells, polygon by polygon."""
+    values = [v for _, v in cells]
+    vmin, vmax = min(values), max(values)
+    xs = [v[0] for poly, _ in cells for v in poly.vertices]
+    ys = [v[1] for poly, _ in cells for v in poly.vertices]
+    xmin, xmax = min(xs), max(xs)
+    ymin, ymax = min(ys), max(ys)
+    width, height = cli.CANVAS_W, cli.CANVAS_H
+    span_x = max(xmax - xmin, 1e-12)
+    span_y = max(ymax - ymin, 1e-12)
+    scale = min(0.90 * width / span_x, 0.90 * height / span_y)
+    off_x = 0.5 * (width - scale * span_x)
+    off_y = 0.5 * (height - scale * span_y)
+
+    def to_px(p):
+        px = off_x + (p[0] - xmin) * scale
+        py = height - (off_y + (p[1] - ymin) * scale)
+        return f"{px:.3f},{py:.3f}"
+
+    spread = vmax - vmin
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+    ]
+    for poly, value in cells:
+        frac = 0.5 if spread <= 0.0 else (value - vmin) / spread
+        points = " L ".join(to_px(v) for v in poly.vertices)
+        parts.append(f'<path d="M {points} Z" fill="{cli._ramp_color(frac)}"/>')
+    swatches = 16
+    sw = 12.0
+    x0 = 12.0
+    y0 = height - 24.0
+    for k in range(swatches):
+        color = cli._ramp_color(k / (swatches - 1))
+        parts.append(
+            f'<rect x="{x0 + k * sw:.3f}" y="{y0:.3f}" width="{sw:.3f}" '
+            f'height="12.000" fill="{color}"/>'
+        )
+    legend = f"{vmin:#.6g} - {vmax:#.6g}"
+    parts.append(
+        f'<text x="{x0 + swatches * sw + 8:.3f}" y="{y0 + 10:.3f}" '
+        f'font-family="monospace" font-size="13">{legend}</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
