@@ -17,6 +17,7 @@ from tentstab import density as D
 from tentstab import experiments as E
 from tentstab.cli import main, render_svg
 from tentstab.geom2d import box
+from tentstab.ioutil import fmt
 from tentstab.maps import tent_power
 
 
@@ -384,3 +385,21 @@ def test_cli_import_leaves_scipy_optimize_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (math.nan, "nan"),
+        (-0.0, "-0"),
+        (True, "true"),
+        (False, "false"),
+        (7, "7"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (np.float64(-math.inf), "-inf"),
+    ],
+)
+def test_fmt_spellings(value, text):
+    assert fmt(value) == text

@@ -193,6 +193,72 @@ class TestBirkhoff:
         assert st.reseeds == 0
 
 
+# Orbit values pinned to the last bit (17 digits).  The t = 1 orbits are
+# captured by the region boundary about every 100 steps, so they run
+# through the reseed path; the golden `orbit` case (t = 0.9) never does.
+PINNED_ORBITS = [
+    E.OrbitStats(
+        1.0, 2, 200000, (0.8217154119127561, 0.29849114341412331),
+        0.34657359027965196,
+        {"1": 1.0, "x": 0.99833001277218292, "y": 0.33397350705262019,
+         "x2": 1.1614248688349329, "xy": 0.33353726308132825,
+         "y2": 0.1667249976376198},
+        1982,
+    ),
+    E.OrbitStats(
+        1.0, 1234567, 200000, (1.0049275892020011, 0.99223174850464479),
+        0.34657359027965196,
+        {"1": 1.0, "x": 1.000427218251958, "y": 0.33464422429151242,
+         "x2": 1.1643245557541682, "xy": 0.33467360121326606,
+         "y2": 0.16686843570630713},
+        1985,
+    ),
+    E.OrbitStats(
+        0.88141192811024427, 7, 20000, (0.85259526582109058, 0.10278619903042452),
+        0.22034339675485884,
+        {"1": 1.0, "x": 1.0977729694951965, "y": 0.39733983568582087,
+         "x2": 1.2300522516544761, "xy": 0.43504712394355249,
+         "y2": 0.17080014473141295},
+        0,
+    ),
+    E.OrbitStats(
+        0.90000000000000002, 11, 20000, (0.75641826797851419, 0.49927786244011496),
+        0.2412130746221525,
+        {"1": 1.0, "x": 1.0997037551801805, "y": 0.39275773027896205,
+         "x2": 1.2431585281094906, "xy": 0.43037054264055957,
+         "y2": 0.17072903743895057},
+        0,
+    ),
+    E.OrbitStats(
+        0.99999000000000005, 3, 20000, (0.40810884088334842, 0.2368105065960997),
+        0.34656359023007194,
+        {"1": 1.0, "x": 0.99663615251574333, "y": 0.33221252523635292,
+         "x2": 1.1623713070315842, "xy": 0.33147741663023278,
+         "y2": 0.16647618275704021},
+        0,
+    ),
+]
+
+
+class TestPinnedOrbits:
+    @pytest.mark.parametrize(
+        "want", PINNED_ORBITS, ids=[f"t{p.t}-seed{p.seed}" for p in PINNED_ORBITS]
+    )
+    def test_orbit_stats(self, want):
+        x0 = E.seeded_start(want.t, want.seed)
+        assert E.orbit_stats(want.t, x0, want.n, want.seed) == want
+
+    def test_lyapunov_exponent(self):
+        # 496 reseeds along the way
+        val = E.lyapunov_exponent(1.0, E.seeded_start(1.0, 3), 50000, 3)
+        assert val == 0.34657359027957302
+
+    def test_birkhoff_average_through_reseeds(self):
+        # the generic apply path; 200 reseeds along the way
+        val = E.birkhoff_average(1.0, "x", E.seeded_start(1.0, 5), 20000, 5)
+        assert val == 0.99902124110991886
+
+
 def _tent1d_matrix_loop(a, n_cells):
     """Reference: the Ulam matrix of x -> 1 - a|x| entry by entry."""
     edges = np.array([-1.0 + 2.0 * k / n_cells for k in range(n_cells + 1)])
