@@ -156,16 +156,12 @@ def lyapunov_exponent(t: float, x0, n: int, seed: int) -> float:
     return orbit_stats(t, x0, n, seed).lyapunov
 
 
-def _captured(x: float, y: float) -> bool:
-    """True once the double-precision orbit has landed exactly on the
-    boundary of the region, which is invariant and absorbs float orbits
-    (at t = 1 they then die at the fixed point within ~60 steps)."""
-    return y == 0.0 or x == y or x + y == 2.0 or y < 0.0 or y > x or x + y > 2.0
-
-
 def _reseed_point(rng) -> tuple[float, float]:
+    """Uniform interior point of the region at least 1e-9 from its edges,
+    as Python floats, so that the orbit steps after a reseed run on floats
+    rather than numpy scalars (the same IEEE arithmetic, and faster)."""
     while True:
-        u, v = rng.random(2)
+        u, v = rng.random(2).tolist()
         if u + v > 1.0:
             u, v = 1.0 - u, 1.0 - v
         x, y = 2.0 * u + v, v
@@ -179,7 +175,8 @@ def birkhoff_average(t: float, fname: str, x0, n: int, seed: int = 0) -> float:
     Critical-line hits are harmless (the map is continuous there and apply
     tie-breaks to the first branch); exact capture by the invariant region
     boundary restarts the orbit from a seeded interior point, since capture
-    freezes double-precision orbits on a null set.
+    freezes double-precision orbits on a null set (the boundary is invariant,
+    and at t = 1 captured orbits die at the fixed point within ~60 steps).
     """
     if n < 1:
         raise ParameterOutOfRange(f"orbit length must be >= 1, got {n}")
@@ -191,7 +188,7 @@ def birkhoff_average(t: float, fname: str, x0, n: int, seed: int = 0) -> float:
     for _ in range(n):
         total += x.x**ax * x.y**ay
         x = maps_mod.apply(m, x)
-        if _captured(x.x, x.y):
+        if x.y <= 0.0 or x.x <= x.y or x.x + x.y >= 2.0:
             x = Point2(*_reseed_point(rng))
     return total / n
 
@@ -215,6 +212,7 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
     sx = sy = sxx = sxy = syy = 0.0
     log_total = 0.0
     reseeds = 0
+    hypot, log = math.hypot, math.log
     for _ in range(n):
         sx += x
         sy += y
@@ -229,10 +227,11 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
             wx = t * (-vx + vy)
             wy = t * (-vx - vy)
             x, y = t * (2.0 - x + y), t * (2.0 - x - y)
-        norm = math.hypot(wx, wy)
-        log_total += math.log(norm)
-        vx, vy = wx / norm, wy / norm
-        if _captured(x, y):
+        norm = hypot(wx, wy)
+        log_total += log(norm)
+        vx = wx / norm
+        vy = wy / norm
+        if y <= 0.0 or x <= y or x + y >= 2.0:
             x, y = _reseed_point(rng)
             reseeds += 1
     sums = {"1": float(n), "x": sx, "y": sy, "x2": sxx, "xy": sxy, "y2": syy}

@@ -150,7 +150,7 @@ class ConvexPolygon:
     ``EMPTY`` singleton.  Vertices are plain (x, y) float pairs.
     """
 
-    __slots__ = ("vertices", "_area")
+    __slots__ = ("vertices", "_area", "_edge_data")
 
     def __init__(self, vertices: Iterable = (), validate: bool = True):
         verts = _dedup([(float(p[0]), float(p[1])) for p in vertices])
@@ -158,6 +158,7 @@ class ConvexPolygon:
             verts = ()
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "_area", None)
+        object.__setattr__(self, "_edge_data", None)
         if validate and verts:
             for v in verts:
                 if not (math.isfinite(v[0]) and math.isfinite(v[1])):
@@ -189,6 +190,7 @@ class ConvexPolygon:
         poly = object.__new__(ConvexPolygon)
         object.__setattr__(poly, "vertices", verts)
         object.__setattr__(poly, "_area", area)
+        object.__setattr__(poly, "_edge_data", None)
         return poly
 
     @property
@@ -224,11 +226,17 @@ class ConvexPolygon:
         """True if p lies in the polygon, inflated by tol (a distance)."""
         if not self.vertices:
             return False
+        edges = self._edge_data
+        if edges is None:
+            # (ax, ay, dx, dy, |d|) per edge, built on the first call
+            edges = tuple(
+                (ax, ay, bx - ax, by - ay, math.hypot(bx - ax, by - ay))
+                for (ax, ay), (bx, by) in self.edges()
+            )
+            object.__setattr__(self, "_edge_data", edges)
         px, py = p[0], p[1]
-        for (ax, ay), (bx, by) in self.edges():
-            dx, dy = bx - ax, by - ay
-            cross = dx * (py - ay) - dy * (px - ax)
-            if cross < -tol * math.hypot(dx, dy):
+        for ax, ay, dx, dy, h in edges:
+            if dx * (py - ay) - dy * (px - ax) < -tol * h:
                 return False
         return True
 

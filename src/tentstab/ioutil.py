@@ -13,8 +13,6 @@ def fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return format(float(x), ".17g")
 
 

@@ -519,6 +519,42 @@ def test_ulam_rows_are_probability_vectors(t, pw, resolution):
     assert (np.diff(op.matrix.indptr) > 0).all()
 
 
+@given(
+    t=st.floats(min_value=TENT_T_MIN, max_value=1.0),
+    pw=st.integers(min_value=1, max_value=2),
+    resolution=st.integers(min_value=2, max_value=5),
+    values=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=40),
+)
+@example(t=0.9999999987175887, pw=2, resolution=5, values=[0.0, 1.0, 2.0])
+@settings(max_examples=40, deadline=None)
+def test_push_forward_conserves_mass_and_sign(t, pw, resolution, values):
+    """The exact pushforward of a nonnegative grid density (values cycled
+    over the cells) keeps its mass to a relative 1e-9 and has no negative
+    value.  The worst of 408 seeded random cases lost 2.7e-11 of its mass,
+    in slivers that clipping merges or drops."""
+    grid = D.UlamGrid.build(TRIANGLE_T, resolution)
+    cells = tuple((poly, values[k % len(values)]) for k, poly in enumerate(grid.cells))
+    f = D.PiecewisePolyDensity(TRIANGLE_T, cells)
+    out = D.push_forward(tent_power(t, pw), f)
+    assert abs(out.mass() - f.mass()) <= 1e-9 * f.mass()
+    assert all(v >= 0.0 for _, v in out.cells)
+    assert not out.signed
+
+
+@given(
+    t=st.floats(min_value=TENT_T_MIN, max_value=1.0),
+    pw=st.integers(min_value=1, max_value=2),
+    resolution=st.integers(min_value=4, max_value=12),
+)
+@settings(max_examples=25, deadline=None)
+def test_ulam_fixed_density_is_a_probability_density(t, pw, resolution):
+    """Nonnegative cell values whose area-weighted sum is 1 to 1e-12."""
+    op = D.build_ulam(tent_power(t, pw), resolution)
+    vec = D.ulam_fixed(op)
+    assert (vec.values >= 0.0).all()
+    assert abs(float(vec.values @ op.grid.cell_areas) - 1.0) <= 1e-12
+
+
 def test_grid_budget_checked_before_allocating():
     tracemalloc.start()
     try:

@@ -258,6 +258,13 @@ class TestPinnedOrbits:
         val = E.birkhoff_average(1.0, "x", E.seeded_start(1.0, 5), 20000, 5)
         assert val == 0.99902124110991886
 
+    def test_reseed_points_are_python_floats(self):
+        # numpy scalars would give the same bits, at twice the cost per step
+        rng = np.random.default_rng(2)
+        points = [E.seeded_start(1.0, 2)] + [E._reseed_point(rng) for _ in range(50)]
+        for x, y in points:
+            assert type(x) is float and type(y) is float
+
 
 def _tent1d_matrix_loop(a, n_cells):
     """Reference: the Ulam matrix of x -> 1 - a|x| entry by entry."""
