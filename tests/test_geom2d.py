@@ -181,6 +181,30 @@ class TestInradius:
                     assert abs(inradius(poly) - expected) <= 1e-11 * expected
 
 
+def _contains_per_edge(poly, p, tol):
+    """Reference for ConvexPolygon.contains: the edge terms recomputed on
+    every call instead of cached."""
+    if poly.is_empty:
+        return False
+    for (ax, ay), (bx, by) in poly.edges():
+        dx, dy = bx - ax, by - ay
+        if dx * (p[1] - ay) - dy * (p[0] - ax) < -tol * math.hypot(dx, dy):
+            return False
+    return True
+
+
+def test_contains_matches_per_edge_loop(rng):
+    for _ in range(30):
+        poly = random_convex_polygon(rng)
+        pts = [tuple(q) for q in rng.uniform(-2.5, 2.5, (40, 2))]
+        pts += list(poly.vertices)
+        pts += [((ax + bx) / 2.0, (ay + by) / 2.0) for (ax, ay), (bx, by) in poly.edges()]
+        for tol in (geom2d.EPS_GEOM, 1e-7, 0.0, -1e-6):
+            for p in pts:
+                assert poly.contains(p, tol) == _contains_per_edge(poly, p, tol)
+    assert not geom2d.EMPTY.contains((0.0, 0.0), 1.0)
+
+
 def test_non_convex_input_rejected():
     with pytest.raises(InvalidPolygon):
         ConvexPolygon(((0, 0), (2, 0), (1, 0.2), (2, 2)))
