@@ -1,5 +1,6 @@
 """Pushforward, variation, norms, Cesaro iteration, and Ulam operators."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -582,3 +583,172 @@ def test_grid_moments_of_the_uniform_density():
     assert x_moment == pytest.approx(1.0, abs=1e-14)  # centroid x = 1
     with pytest.raises(ValueError, match="total degree <= 2"):
         grid.moments(ones, [(2, 1)])
+
+
+def _cells_digest(f) -> str:
+    """SHA-256 (first 20 hex digits) of float.hex of every vertex
+    coordinate and value of f, cell by cell."""
+    h = hashlib.sha256()
+    for poly, v in f.cells:
+        h.update(" ".join(float.hex(c) for p in poly.vertices for c in p).encode())
+        h.update(f" {float.hex(v)}\n".encode())
+    return h.hexdigest()[:20]
+
+
+# Every consumer of the overlay refinement (_refine), pinned bit for bit.
+# (t, power, f0) -> for the pushforward iterates f_j, j = 1, 2, 3, of f0:
+# cell count, _cells_digest(f_j), variation(f_j), l1_distance(f_j, f_{j-1})
+# and _cells_digest(add_scaled(f_j, 0.75, f_{j-1}, -0.5)).  f0 is uniform
+# or 2 on LEFT_HALF (indicator_density), as lycheck's --f0 choices.
+REFINE_PINS = {
+    (TAU, 1, "uniform"): (
+        (2, '5da816499f7bcdc3eade', '0x1.5e9887884a91ap+2', '0x1.c8ef79b0a8ffcp-2', '631642f027ed9bd76772'),
+        (4, '6487bff78696077c21fe', '0x1.7e17688153a00p+2', '0x1.56406b8f6acd2p-2', '6b7cc418bc33d46858c6'),
+        (7, 'faa3d7c917ef958711f6', '0x1.a2881d0b53cdep+2', '0x1.56406b8f6acd0p-2', 'bdff6b1e038edd0a1940'),
+    ),
+    (TAU, 1, "lefthalf"): (
+        (2, '5da816499f7bcdc3eade', '0x1.5e9887884a91ap+2', '0x1.7f7eeec6e4483p-1', '4915f8eaf3ba9d4f3c45'),
+        (4, '6487bff78696077c21fe', '0x1.7e17688153a00p+2', '0x1.56406b8f6acd2p-2', '6b7cc418bc33d46858c6'),
+        (7, 'faa3d7c917ef958711f6', '0x1.a2881d0b53cdep+2', '0x1.56406b8f6acd0p-2', 'bdff6b1e038edd0a1940'),
+    ),
+    (TAU, 2, "uniform"): (
+        (4, 'd35aebcda381e0bd1792', '0x1.7e176881539fdp+2', '0x1.30123d08a2aa0p-1', '771e8f84331341a23820'),
+        (14, '838a78992bf5aac5eb84', '0x1.d18c9cc08cd64p+2', '0x1.7cc89f36fe559p-2', '793d60e19479433ef2fa'),
+        (39, '5ba8422b3258ee24fa94', '0x1.1d366e1fd9e91p+3', '0x1.2cfcfb0bf59e8p-2', '474d61769aaaa665bd8c'),
+    ),
+    (TAU, 2, "lefthalf"): (
+        (4, 'd35aebcda381e0bd1792', '0x1.7e176881539fdp+2', '0x1.665a5fd574daep-1', 'eea0d84a007ab6720053'),
+        (14, '838a78992bf5aac5eb84', '0x1.d18c9cc08cd64p+2', '0x1.7cc89f36fe559p-2', '793d60e19479433ef2fa'),
+        (39, '5ba8422b3258ee24fa94', '0x1.1d366e1fd9e91p+3', '0x1.2cfcfb0bf59e8p-2', '474d61769aaaa665bd8c'),
+    ),
+    (TAU, 3, "uniform"): (
+        (7, 'e25056c1c166ba45615c', '0x1.a2881d0b53cdap+2', '0x1.2fe6657f7703dp-1', '52d5cc3e4040bfce69b5'),
+        (35, '242db28c612df67df391', '0x1.1d366e1fd9e93p+3', '0x1.d491ce5aa0dc7p-2', 'e5c587eff105871182e6'),
+        (139, '257c86f14462eb782e79', '0x1.5ed81d677fabfp+3', '0x1.33e022b9f186ep-2', 'd980a9a7ebe1f0d1d610'),
+    ),
+    (TAU, 3, "lefthalf"): (
+        (7, 'efda23e7dbc8f8b863ec', '0x1.a2881d0b53cdbp+2', '0x1.d4ae75ff1ab1dp-1', '3c18fbcd42fa27924f03'),
+        (35, '0ac72d49ba11026c5140', '0x1.1d366e1fd9e8cp+3', '0x1.d491ce5aa0dc3p-2', '38454e224e218cfe8208'),
+        (143, 'deab3c0451f8c8d167df', '0x1.5ed81d677f9bbp+3', '0x1.33e022b9f185ep-2', '2e6e76e8ea917b6b750d'),
+    ),
+    (0.9, 1, "uniform"): (
+        (2, 'e1c0ba867e4b0607f9f9', '0x1.575ad55632139p+2', '0x1.851eb851eb850p-2', '6b8517d21edeb7131956'),
+        (4, 'e25343db922e2fa377da', '0x1.7116fa8f7a6e6p+2', '0x1.3373ed4a35594p-2', '78ec3333108237ac9275'),
+        (7, '882336ceb7ae74658d9e', '0x1.8ecff525ea23cp+2', '0x1.3373ed4a35594p-2', 'cd753e0e04b69ca530db'),
+    ),
+    (0.9, 1, "lefthalf"): (
+        (2, 'e1c0ba867e4b0607f9f9', '0x1.575ad55632139p+2', '0x1.948b0fcd6e9e1p-1', '3422fc99fd3195d185ac'),
+        (4, 'e25343db922e2fa377da', '0x1.7116fa8f7a6e6p+2', '0x1.3373ed4a35594p-2', '78ec3333108237ac9275'),
+        (7, '882336ceb7ae74658d9e', '0x1.8ecff525ea23cp+2', '0x1.3373ed4a35594p-2', 'cd753e0e04b69ca530db'),
+    ),
+    (0.9, 2, "uniform"): (
+        (4, '7051d58efc6911d26431', '0x1.7116fa8f7a6e6p+2', '0x1.163eac81e0ebcp-1', '90bfe3aa2c854ec8bd1d'),
+        (14, '1dc4c498815b8b7edc33', '0x1.b3f5aea853b1cp+2', '0x1.728d235288eefp-2', '1f3531c58321810ca065'),
+        (38, '9e8aebf770c3ae1625cd', '0x1.028edeb99facdp+3', '0x1.19d675913f128p-2', 'c5f7353ea099049a16d7'),
+    ),
+    (0.9, 2, "lefthalf"): (
+        (4, '266fb77411ba1bd43ef0', '0x1.7116fa8f7a6e6p+2', '0x1.83101d5784b3ap-1', 'aa57f3abde14d13b17ee'),
+        (14, '779bce52e470e5e2ecb0', '0x1.b3f5aea853b1ap+2', '0x1.728d235288ef0p-2', '7a873cd3b86f429f88ea'),
+        (38, 'f2f1bb732703529927a7', '0x1.028edeb99fac4p+3', '0x1.19d675913f129p-2', '5c0f56f6a272f787e9ad'),
+    ),
+    (0.9, 3, "uniform"): (
+        (7, '0707bfd74128b1cad727', '0x1.8ecff525ea23ep+2', '0x1.191c5f8ca5806p-1', '68bcf25944eee1740f58'),
+        (35, '3870323948fbbf584056', '0x1.028edeb99fabfp+3', '0x1.aecd88dea4e9bp-2', '9bac42740037ba3737ad'),
+        (127, '04b7242ae5317895ec74', '0x1.3ce643a120e76p+3', '0x1.0c7219181b977p-2', '2d6c9997ea895371b072'),
+    ),
+    (0.9, 3, "lefthalf"): (
+        (7, '52360eb96b912fb4ee5a', '0x1.8ecff525ea23cp+2', '0x1.da26f0be68f53p-1', 'ead528e4f42fa70dc6cf'),
+        (35, '9872d780134b06b9c790', '0x1.028edeb99fab7p+3', '0x1.aecd88dea4e9ep-2', 'b4f1106305d835709d7d'),
+        (127, 'b74cba3c05377ca94721', '0x1.3ce643a121083p+3', '0x1.0c7219181b936p-2', '8dce7de6a44b93aa4821'),
+    ),
+    (0.9627, 1, "uniform"): (
+        (2, '905576a0d2caafb63ee9', '0x1.40fe0ab16deaep+2', '0x1.2bdce573b7b28p-3', '26eb017787d0fdaae61b'),
+        (4, '87f007744ead1143ff8a', '0x1.49a53b74dcd4ep+2', '0x1.151397d7709f1p-3', 'ac467dc498ef95a4a0d1'),
+        (7, '7796533f99b63e1124e9', '0x1.537c70e3e5686p+2', '0x1.151397d7709f2p-3', '67bf97d96efe36601d0f'),
+    ),
+    (0.9627, 1, "lefthalf"): (
+        (2, '905576a0d2caafb63ee9', '0x1.40fe0ab16deaep+2', '0x1.d917f18232964p-1', '7ec087d558a5c0dba32f'),
+        (4, '87f007744ead1143ff8a', '0x1.49a53b74dcd4ep+2', '0x1.151397d7709f1p-3', 'ac467dc498ef95a4a0d1'),
+        (7, '7796533f99b63e1124e9', '0x1.537c70e3e5686p+2', '0x1.151397d7709f2p-3', '67bf97d96efe36601d0f'),
+    ),
+    (0.9627, 2, "uniform"): (
+        (4, 'c83f3a79722b596adae0', '0x1.49a53b74dcd50p+2', '0x1.0aef301b39863p-2', '31e3c6bc3acf7113502c'),
+        (14, 'b767bf21d04bda12ca2b', '0x1.5ea4ffbfe3acbp+2', '0x1.c4db89186a156p-3', 'ff36ebabd0a73c9bb9e4'),
+        (38, '6657612d10e2be0ed7b0', '0x1.756f3b9bc9315p+2', '0x1.48df5bcb288bep-3', '1d593c54f9140bf6179c'),
+    ),
+    (0.9627, 2, "lefthalf"): (
+        (4, '6dd09c3a2402f1a21746', '0x1.49a53b74dcd4ep+2', '0x1.d6d931afbcf11p-1', '22b52c4ab40e9489f53c'),
+        (14, 'fca0196dcb18b8c9fa59', '0x1.5ea4ffbfe3ac8p+2', '0x1.c4db89186a11ep-3', 'ffc86f9837106e29ff4d'),
+        (39, 'bb00b36ca3d15c3cec77', '0x1.756f3b9bc9445p+2', '0x1.48df5bcb288bep-3', 'eacd04fc9b2bf485aeb0'),
+    ),
+    (0.9627, 3, "uniform"): (
+        (7, 'f07bec264c334ec76bd9', '0x1.537c70e3e5686p+2', '0x1.624a5b6ac8207p-2', 'e6cb4c1a2806ea8c3d4f'),
+        (33, 'f2ac180661a7c65d8669', '0x1.756f3b9bc938fp+2', '0x1.06ca80cddd521p-2', '876c066afc9031702073'),
+        (102, '4d951dca0e1c9a7df5fc', '0x1.958f118789041p+2', '0x1.2abb5f5a1337ep-3', '033e48605179d5666fc0'),
+    ),
+    (0.9627, 3, "lefthalf"): (
+        (7, '6cdd9d456fd38e8b5634', '0x1.537c70e3e5687p+2', '0x1.fb63b61c60cb9p-1', '4863e7866e367871351c'),
+        (33, '3e51dc7adac966e8396e', '0x1.756f3b9bc9310p+2', '0x1.06ca80cddd51fp-2', 'ce01a161bbeda2ef98e1'),
+        (102, '67e110fe2bbc2ea6891c', '0x1.958f1187890c5p+2', '0x1.2abb5f5a13385p-3', '84da5e32a8e1f014bf97'),
+    ),
+    (1.0, 1, "uniform"): (
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
+    ),
+    (1.0, 1, "lefthalf"): (
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x1.0000000000000p+0', '5a7b4ccfc147cee7e29e'),
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
+    ),
+    (1.0, 2, "uniform"): (
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
+    ),
+    (1.0, 2, "lefthalf"): (
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x1.0000000000000p+0', '5a7b4ccfc147cee7e29e'),
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
+    ),
+    (1.0, 3, "uniform"): (
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
+    ),
+    (1.0, 3, "lefthalf"): (
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x1.0000000000000p+0', '5a7b4ccfc147cee7e29e'),
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
+        (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(REFINE_PINS), ids=str)
+def test_refine_consumers_pinned(key):
+    t, pw, name = key
+    m = tent_power(t, pw)
+    if name == "uniform":
+        f = D.uniform_density(m.region)
+    else:
+        f = D.indicator_density(m.region, LEFT_HALF, 2.0)
+    got = []
+    for _ in range(3):
+        g = D.push_forward(m, f)
+        got.append((
+            len(g.cells),
+            _cells_digest(g),
+            float.hex(D.variation(g)),
+            float.hex(D.l1_distance(g, f)),
+            _cells_digest(D.add_scaled(g, 0.75, f, -0.5)),
+        ))
+        f = g
+    assert tuple(got) == REFINE_PINS[key]
+
+
+def test_refine_of_two_grid_partitions_pinned(rng):
+    f = random_grid_density(rng, TRIANGLE_T, 3)
+    g = random_grid_density(rng, TRIANGLE_T, 4)
+    combo = D.add_scaled(f, 0.75, g, -0.5)
+    assert float.hex(D.l1_distance(f, g)) == "0x1.8c60bc2a85df2p-1"
+    assert (len(combo.cells), _cells_digest(combo)) == (42, "158d1a4658eb95da26ee")
