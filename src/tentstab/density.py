@@ -28,6 +28,7 @@ from .errors import (
     ZeroVariation,
 )
 from .geom2d import (
+    EMPTY,
     EPS_AREA,
     EPS_GEOM,
     SNAP,
@@ -71,29 +72,40 @@ def _check_same_region(a: ConvexPolygon, b: ConvexPolygon) -> None:
         raise RegionMismatch("operands are defined over different regions")
 
 
-def _split(poly: ConvexPolygon, clipper: ConvexPolygon):
-    """Split poly by clipper: (poly ∩ clipper, convex pieces of poly \\ clipper).
+def _split(poly: ConvexPolygon, planes):
+    """Split poly by a convex clipper given as its edge half-planes:
+    (poly ∩ clipper, convex pieces of poly \\ clipper).
 
     Peeling the complement edge by edge keeps every piece convex and makes
     the piece areas sum to area(poly) to floating-point accuracy, because
-    each step clips against a line and its exact complement.
+    each step clips against a line and its exact complement.  The kept
+    side is clipped first, and the outside pieces are clipped and wrapped
+    only once the intersection is known to be nonempty: when it is Empty,
+    the result is (EMPTY, ()), since no caller has a use for the pieces.
     """
-    rest = poly.vertices
+    clip = geom2d._clip_verts
+    rests = [poly.vertices]
+    for nx, ny, off in planes:
+        rest = clip(rests[-1], nx, ny, off)
+        if not rest:
+            return EMPTY, ()
+        rests.append(rest)
+    inter = ConvexPolygon._wrap(rests[-1])
+    if inter.is_empty:
+        return inter, ()
     pieces = []
-    for nx, ny, off in clipper.edge_halfplanes():
-        outside = geom2d._clip_verts(rest, -nx, -ny, -off)
+    for (nx, ny, off), rest in zip(planes, rests):
+        outside = clip(rest, -nx, -ny, -off)
         if outside:
             piece = ConvexPolygon._wrap(outside)
             if not piece.is_empty:
                 pieces.append(piece)
-        rest = geom2d._clip_verts(rest, nx, ny, off)
-        if not rest:
-            break
-    return ConvexPolygon._wrap(rest), pieces
+    return inter, pieces
 
 
 class _CellStore:
-    """Growable cell partition with a lazy uniform-bin spatial index."""
+    """Growable cell partition with a lazy uniform-bin spatial index;
+    ``boxes[i]`` is the bounding box of ``polys[i]``."""
 
     def __init__(self, region: ConvexPolygon, nbins: int = 48):
         xmin, ymin, xmax, ymax = region.bbox()
@@ -103,6 +115,7 @@ class _CellStore:
         self.sx = max((xmax - xmin) / nbins, 1e-300)
         self.sy = max((ymax - ymin) / nbins, 1e-300)
         self.polys: list[ConvexPolygon | None] = []
+        self.boxes: list[tuple[float, float, float, float]] = []
         self.values: list[float] = []
         self.bins: dict[tuple[int, int], list[int]] = {}
         self.add(region, 0.0)
@@ -116,9 +129,11 @@ class _CellStore:
 
     def add(self, poly: ConvexPolygon, value: float) -> None:
         idx = len(self.polys)
+        box = poly.bbox()
         self.polys.append(poly)
+        self.boxes.append(box)
         self.values.append(value)
-        bx0, by0, bx1, by1 = self._bin_span(poly.bbox())
+        bx0, by0, bx1, by1 = self._bin_span(box)
         for bx in range(bx0, bx1 + 1):
             for by in range(by0, by1 + 1):
                 self.bins.setdefault((bx, by), []).append(idx)
@@ -149,20 +164,22 @@ def _refine(
         if tile.is_empty or tv == 0.0:
             continue
         tb = tile.bbox()
+        planes = tuple(tile.edge_halfplanes())
         for idx in store.candidates(tb):
             poly = store.polys[idx]
             if poly is None:
                 continue
-            pb = poly.bbox()
+            pb = store.boxes[idx]
             if pb[0] > tb[2] or pb[2] < tb[0] or pb[1] > tb[3] or pb[3] < tb[1]:
                 continue
-            inter, outside = _split(poly, tile)
+            inter, outside = _split(poly, planes)
             if inter.is_empty:
                 continue
             if not outside:
                 store.values[idx] += tv
                 continue
             store.polys[idx] = inter
+            store.boxes[idx] = inter.bbox()
             store.values[idx] += tv
             for piece in outside:
                 store.add(piece, store.values[idx] - tv)
