@@ -4,8 +4,10 @@ A density is a list of (convex cell, value) pairs tiling a region mod 0.
 The pushforward of such a density under a piecewise-affine map is again
 piecewise constant, and is computed exactly: branch images are overlaid
 into a common convex partition by iterated refinement, with contributions
-summed per overlay cell.  Variation, L^p norms, L1 distances, Cesaro
-averaging, and the Ulam discretization are built on the same machinery.
+summed per overlay cell.  Variation, L^p norms, L1 distances and exact
+Cesaro averaging are built on that arrangement.  The Ulam discretization
+and grid projections overlay polygons on a square grid with a batched
+numpy kernel, and coarsened Cesaro averaging runs on the Ulam matrix.
 """
 
 from __future__ import annotations
@@ -854,15 +856,20 @@ def density_from_vector(grid: UlamGrid, vec: DensityVector) -> PiecewisePolyDens
     return PiecewisePolyDensity(grid.region, cells)
 
 
-def project_to_grid(f: PiecewisePolyDensity, resolution: int) -> PiecewisePolyDensity:
-    """Cell-averaged projection onto the square grid (an L1 contraction
-    that preserves mass exactly)."""
-    grid = UlamGrid.build(f.region, resolution)
+def _grid_values(grid: UlamGrid, f: PiecewisePolyDensity) -> np.ndarray:
+    """Cell averages of f on the grid: the cell values of project_to_grid."""
     tiles = [(poly, v) for poly, v in f.cells if v != 0.0 and not poly.is_empty]
     src, j, w = _overlay(grid, _pack([poly for poly, _ in tiles]))
     values = np.array([v for _, v in tiles], dtype=float)
     acc = np.bincount(j, weights=values[src] * w, minlength=len(grid.cell_areas))
-    cells = tuple(zip(grid.cells, (acc / grid.cell_areas).tolist()))
+    return acc / grid.cell_areas
+
+
+def project_to_grid(f: PiecewisePolyDensity, resolution: int) -> PiecewisePolyDensity:
+    """Cell-averaged projection onto the square grid (an L1 contraction
+    that preserves mass exactly)."""
+    grid = UlamGrid.build(f.region, resolution)
+    cells = tuple(zip(grid.cells, _grid_values(grid, f).tolist()))
     return PiecewisePolyDensity(f.region, cells, f.signed)
 
 
@@ -880,31 +887,59 @@ def cesaro_fixed_density(
     tol: float = 1e-8,
     coarsen: int | None = None,
 ) -> CesaroResult:
-    """Running Cesaro average A_n of the pushforward iterates of f0.
+    """Running Cesaro average A_n of the transfer-operator iterates of f0.
 
-    Stops at the first n with ||P A_n - A_n||_1 < tol, or at n_max with
-    converged=False.  ``coarsen`` (a grid resolution) projects every
-    iterate onto a fixed square grid to keep cell counts bounded; None
-    keeps the arrangement exact.
+    Stops at the first n with ||P A_n - A_n||_1 < tol, or at n_max >= 1
+    with converged=False.  With ``coarsen`` None, P is the exact
+    pushforward and the averages live on its growing overlay arrangement.
+    With ``coarsen`` a grid resolution (>= 2), P is the Ulam operator of m
+    on that grid, built once: f0 is projected onto the grid, and the
+    iterates are cell-value vectors v -> (M^T (v * areas)) / areas, so the
+    result is the Cesaro average of the Ulam chain started from the
+    projected f0.  That is projecting every exact pushforward back onto
+    the grid, up to rounding and the mass that clipping drops from Ulam
+    rows (see build_ulam).
     """
+    if coarsen is not None and not coarsen >= 2:
+        raise ParameterOutOfRange(f"coarsen must be None or >= 2, got {coarsen!r}")
+    if n_max < 1:
+        raise ParameterOutOfRange(f"n_max must be >= 1, got {n_max!r}")
     if abs(f0.mass() - 1.0) > 1e-9:
         raise ParameterOutOfRange("cesaro_fixed_density expects ||f0||_1 = 1")
-    cur = project_to_grid(f0, coarsen) if coarsen else f0
+    _check_same_region(f0.region, m.region)
+    if coarsen is None:
+        cur = f0
+
+        def push(f):
+            return push_forward(m, f)
+
+        distance, mix = l1_distance, add_scaled
+    else:
+        op = build_ulam(m, coarsen)
+        areas = op.grid.cell_areas
+        adjoint = op.matrix.T.tocsr()
+        cur = _grid_values(op.grid, f0)
+
+        def push(v):
+            return (adjoint @ (v * areas)) / areas
+
+        def distance(a, b):
+            return float(np.sum(np.abs(a - b) * areas))
+
+        def mix(a, alpha, b, beta):
+            return alpha * a + beta * b
+
     avg = cur
     n = 0
-    residual = math.inf
     while True:
         n += 1
-        pushed = push_forward(m, avg)
-        if coarsen:
-            pushed = project_to_grid(pushed, coarsen)
-        residual = l1_distance(pushed, avg)
+        residual = distance(push(avg), avg)
         if residual < tol or n >= n_max:
             break
-        cur = push_forward(m, cur)
-        if coarsen:
-            cur = project_to_grid(cur, coarsen)
-        avg = add_scaled(avg, n / (n + 1.0), cur, 1.0 / (n + 1.0))
+        cur = push(cur)
+        avg = mix(avg, n / (n + 1.0), cur, 1.0 / (n + 1.0))
+    if coarsen is not None:
+        avg = PiecewisePolyDensity(f0.region, tuple(zip(op.grid.cells, avg.tolist())), f0.signed)
     total = avg.mass()
     cells = tuple((poly, v / total) for poly, v in avg.cells)
     out = PiecewisePolyDensity(avg.region, cells, avg.signed)

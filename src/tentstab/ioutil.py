@@ -9,6 +9,8 @@ import tempfile
 
 def fmt(x) -> str:
     """Render a number with 17 significant digits (exact float round-trip)."""
+    if type(x) is float:  # most calls; skips the isinstance checks below
+        return format(x, ".17g")
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):

@@ -235,6 +235,57 @@ class TestCesaro:
         for (poly, v), mv in zip(geometric.cells, matrix_values):
             assert v == pytest.approx(mv, abs=1e-10)
 
+    @pytest.mark.parametrize("f0_name", ["uniform", "lefthalf"])
+    @pytest.mark.parametrize("pw", [1, 2])
+    @pytest.mark.parametrize("t", [TAU, 0.8, 0.9, 0.995, 1.0])
+    def test_coarsened_run_matches_arrangement_oracle(self, t, pw, f0_name):
+        m = tent_power(t, pw)
+        if f0_name == "uniform":
+            f0 = D.uniform_density(m.region)
+        else:
+            f0 = D.indicator_density(m.region, LEFT_HALF, 2.0)
+        for coarsen in (2, 3, 4, 16):
+            for n_max in (1, 3):
+                got = D.cesaro_fixed_density(m, f0, n_max=n_max, coarsen=coarsen)
+                want = ulam_oracle.cesaro_coarsened(m, f0, n_max, 1e-8, coarsen)
+                assert (got.iterations, got.converged) == (want.iterations, want.converged)
+                assert got.residual == pytest.approx(want.residual, rel=0.0, abs=1e-12)
+                assert [c.vertices for c, _ in got.density.cells] == [
+                    c.vertices for c, _ in want.density.cells
+                ]
+                for (_, v), (_, w) in zip(got.density.cells, want.density.cells):
+                    assert v == pytest.approx(w, rel=1e-11, abs=0.0)
+
+    def test_coarsened_run_near_t1_shows_the_ulam_row_defect(self):
+        # At t = 1 - 1.3e-9, power 2, resolution 24, Ulam row 467 loses a
+        # domain sliver merged away by clipping and sums to 1 - 3.1e-8 (see
+        # test_ulam_rows_are_probability_vectors).  The matrix path then
+        # differs from projecting exact pushforwards by 8.6e-8 relative and
+        # meets tol = 1e-8 one step sooner.
+        m = tent_power(0.9999999987175887, 2)
+        f0 = D.uniform_density(m.region)
+        got = D.cesaro_fixed_density(m, f0, n_max=3, coarsen=24)
+        want = ulam_oracle.cesaro_coarsened(m, f0, 3, 1e-8, 24)
+        assert (got.iterations, got.converged) == (1, True)
+        assert (want.iterations, want.converged) == (2, True)
+        assert got.residual == pytest.approx(8.587259e-9, rel=1e-6)
+        assert want.residual == pytest.approx(9.629218e-9, rel=1e-6)
+        diff = max(
+            abs(v - w) / w for (_, v), (_, w) in zip(got.density.cells, want.density.cells)
+        )
+        assert diff == pytest.approx(8.5749e-8, rel=1e-4)
+
+    @pytest.mark.parametrize("coarsen", [0, 1, -4])
+    def test_rejects_coarsen_below_2(self, uniform, coarsen):
+        with pytest.raises(ParameterOutOfRange, match="coarsen"):
+            D.cesaro_fixed_density(make_tent2d(0.9), uniform, coarsen=coarsen)
+
+    @pytest.mark.parametrize("coarsen", [None, 4])
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_rejects_n_max_below_1(self, uniform, n_max, coarsen):
+        with pytest.raises(ParameterOutOfRange, match="n_max"):
+            D.cesaro_fixed_density(make_tent2d(0.9), uniform, n_max=n_max, coarsen=coarsen)
+
 
 class TestUlam:
     @pytest.mark.parametrize("t", [TAU, 0.95, 1.0])

@@ -6,7 +6,9 @@ through ``geom2d.intersect``, exactly as ``density`` did before its Ulam
 assembly was batched.  The writers format one ConvexPolygon at a time, as
 the ``density`` command did before it read the grid's vertex batch.  Tests
 compare the package with these loops bit for bit; nothing in the package
-imports this module.
+imports this module.  ``cesaro_coarsened`` is the coarsened Cesaro loop on
+exact arrangements, which the package's Ulam-matrix loop matches to
+rounding and the mass that clipping drops from Ulam rows.
 """
 
 import math
@@ -15,7 +17,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from tentstab import cli, geom2d
-from tentstab.density import PiecewisePolyDensity
+from tentstab.density import (
+    CesaroResult,
+    PiecewisePolyDensity,
+    add_scaled,
+    l1_distance,
+    push_forward,
+)
 from tentstab.errors import ResolutionTooLow
 from tentstab.geom2d import SNAP, affine_image, intersect
 from tentstab.experiments import TEST_FUNCTIONS
@@ -204,3 +212,23 @@ def render_svg(cells):
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def cesaro_coarsened(m, f0, n_max, tol, coarsen):
+    """cesaro_fixed_density with ``coarsen`` on the exact arrangement:
+    every exact pushforward is projected back onto the grid."""
+    cur = project_to_grid(f0, coarsen)
+    avg = cur
+    n = 0
+    while True:
+        n += 1
+        pushed = project_to_grid(push_forward(m, avg), coarsen)
+        residual = l1_distance(pushed, avg)
+        if residual < tol or n >= n_max:
+            break
+        cur = project_to_grid(push_forward(m, cur), coarsen)
+        avg = add_scaled(avg, n / (n + 1.0), cur, 1.0 / (n + 1.0))
+    total = avg.mass()
+    cells = tuple((poly, v / total) for poly, v in avg.cells)
+    out = PiecewisePolyDensity(avg.region, cells, avg.signed)
+    return CesaroResult(out, n, residual, residual < tol)
