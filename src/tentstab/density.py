@@ -94,7 +94,7 @@ def _split(poly: ConvexPolygon, planes):
         rests.append(rest)
     inter = ConvexPolygon._wrap(rests[-1])
     if inter.is_empty:
-        return inter, ()
+        return EMPTY, ()
     pieces = []
     for (nx, ny, off), rest in zip(planes, rests):
         outside = clip(rest, -nx, -ny, -off)
