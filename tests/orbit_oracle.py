@@ -1,0 +1,56 @@
+"""Step-by-step tangent arithmetic: the orbit loop ``orbit_stats`` must match.
+
+``orbit_stats`` below renormalizes the tangent vector on every step: it maps
+the unit vector by the branch's linear part, takes the norm with
+``math.hypot``, adds its ``log`` to the running total and divides.  This is
+the loop the package ran before it looked the tangent steps up in a table of
+the few float states the tangent vector takes.  Tests compare the package
+with it field by field under ``float.hex``; nothing in the package imports
+this module.
+"""
+
+import math
+
+import numpy as np
+
+from tentstab.experiments import TEST_FUNCTIONS, OrbitStats, _reseed_point
+from tentstab.maps import check_tent_parameter
+
+
+def orbit_stats(t, x0, n, seed):
+    """Lyapunov exponent and monomial Birkhoff averages, one step at a time."""
+    check_tent_parameter(t)
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    vx, vy = math.cos(theta), math.sin(theta)
+    x = float(x0[0])
+    y = float(x0[1])
+    sx = sy = sxx = sxy = syy = 0.0
+    log_total = 0.0
+    reseeds = 0
+    for _ in range(n):
+        sx += x
+        sy += y
+        sxx += x * x
+        sxy += x * y
+        syy += y * y
+        if x <= 1.0:
+            wx = t * (vx + vy)
+            wy = t * (vx - vy)
+            x, y = t * (x + y), t * (x - y)
+        else:
+            wx = t * (-vx + vy)
+            wy = t * (-vx - vy)
+            x, y = t * (2.0 - x + y), t * (2.0 - x - y)
+        norm = math.hypot(wx, wy)
+        log_total += math.log(norm)
+        vx = wx / norm
+        vy = wy / norm
+        if y <= 0.0 or x <= y or x + y >= 2.0:
+            x, y = _reseed_point(rng)
+            reseeds += 1
+    sums = {"1": float(n), "x": sx, "y": sy, "x2": sxx, "xy": sxy, "y2": syy}
+    birkhoff = {name: sums[name] / n for name in TEST_FUNCTIONS}
+    return OrbitStats(
+        t, seed, n, (float(x0[0]), float(x0[1])), log_total / n, birkhoff, reseeds
+    )

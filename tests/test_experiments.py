@@ -11,6 +11,7 @@ from tentstab import experiments as E
 from tentstab.errors import CellExplosion, ParameterOutOfRange
 from tentstab.maps import TENT_T_MIN, NormConvention, certify, tent_power
 
+import orbit_oracle
 import ulam_oracle
 from conftest import LEFT_HALF, TRIANGLE_T, cached_fixed
 
@@ -264,6 +265,44 @@ class TestPinnedOrbits:
         points = [E.seeded_start(1.0, 2)] + [E._reseed_point(rng) for _ in range(50)]
         for x, y in points:
             assert type(x) is float and type(y) is float
+
+
+def _orbit_hex(st):
+    """Every field of an OrbitStats, floats as float.hex (equal means equal bits)."""
+    return (
+        st.t.hex(), st.seed, st.n, tuple(v.hex() for v in st.x0),
+        st.lyapunov.hex(), {k: v.hex() for k, v in st.birkhoff.items()}, st.reseeds,
+    )
+
+
+_ORACLE_T = [TAU, 0.9, 0.99999, 1.0 - 1e-12, 1.0]
+# (t, seed, n): fixed t at short and medium n, seeded random t in
+# [TENT_T_MIN, 1], and long t = 1 orbits that reseed about every 100 steps.
+ORACLE_CASES = (
+    [(t, seed, n) for t in _ORACLE_T for seed in (1, 2, 3) for n in (1, 7, 20000)]
+    + [
+        (float(t), 100 + k, 5000)
+        for k, t in enumerate(np.random.default_rng(20241018).uniform(TAU, 1.0, 12))
+    ]
+    + [(1.0, 2, 200000), (1.0, 1234567, 200000)]
+)
+
+
+class TestOrbitOracle:
+    @pytest.mark.parametrize(
+        "t,seed,n", ORACLE_CASES, ids=[f"t{t!r}-seed{s}-n{n}" for t, s, n in ORACLE_CASES]
+    )
+    def test_orbit_stats_matches_step_by_step_tangent(self, t, seed, n):
+        x0 = E.seeded_start(t, seed)
+        want = orbit_oracle.orbit_stats(t, x0, n, seed)
+        assert _orbit_hex(E.orbit_stats(t, x0, n, seed)) == _orbit_hex(want)
+        if t == 1.0 and n == 200000:
+            assert want.reseeds > 1000
+
+    def test_lyapunov_exponent_is_the_orbit_field(self):
+        x0 = (0.37, 0.11)
+        want = orbit_oracle.orbit_stats(0.93, x0, 3000, 4).lyapunov
+        assert E.lyapunov_exponent(0.93, x0, 3000, 4).hex() == want.hex()
 
 
 def _tent1d_matrix_loop(a, n_cells):
