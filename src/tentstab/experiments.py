@@ -200,19 +200,70 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
     matching the lowest-index tie-break) so million-step orbits stay cheap;
     equivalence with the generic single-step apply is covered by tests.
     Boundary-captured orbits restart from seeded interior points.
+
+    The Lyapunov sum follows a unit tangent vector: each step maps it by
+    the branch's linear part, adds the log of the image's norm and divides
+    by that norm.  The two linear parts are sqrt(2) t times a reflection
+    and a rotation by 225 degrees, which generate the symmetries of the
+    regular octagon, so in exact arithmetic the unit vector takes at most
+    16 directions, and rounding splits them into a few more float vectors
+    (at most 51 states along 1200 seeded orbits of 1e5 steps, at most 132
+    in the closure under both branches).  A step's result depends only on the float vector and the
+    branch.  So the loop numbers these tangent states as it meets them,
+    and learns each (state, branch) step lazily: the first time it is
+    taken, it runs the per-step arithmetic once and records the next state
+    and its log.  Every later step is a lookup that adds the very float
+    the arithmetic would add, in the same order, so the results are bit
+    for bit those of renormalizing on every step, however many states an
+    orbit meets.
     """
     check_tent_parameter(t)
     if n < 1:
         raise ParameterOutOfRange(f"orbit length must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * math.pi)
-    vx, vy = math.cos(theta), math.sin(theta)
+    # Tangent state s: unit vector (vxs[s], vys[s]) and the log expansion
+    # logs[s] of the step that produced it (state 0, the starting vector,
+    # has none).  next0[s] and next1[s] are the states the first and second
+    # branch send s to, or ~s (negative) until that step is first taken.
+    # States are keyed by float.hex, so equal keys mean equal bits.  A zero
+    # component only arises as +0.0 (x + (-x) rounds to +0.0), beside a
+    # partner of exactly +-1.0, so -0.0 never occurs; the keys would keep
+    # it apart from +0.0 if it did.
+    vxs, vys, logs = [math.cos(theta)], [math.sin(theta)], [0.0]
+    next0, next1 = [~0], [~0]
+    index: dict[tuple[str, str, str], int] = {}
+
+    def learn(s: int, nexts: list[int]) -> int:
+        vx, vy = vxs[s], vys[s]
+        if nexts is next0:
+            wx = t * (vx + vy)
+            wy = t * (vx - vy)
+        else:
+            wx = t * (-vx + vy)
+            wy = t * (-vx - vy)
+        norm = math.hypot(wx, wy)
+        lg = math.log(norm)
+        vx = wx / norm
+        vy = wy / norm
+        key = (vx.hex(), vy.hex(), lg.hex())
+        r = index.get(key)
+        if r is None:
+            r = index[key] = len(logs)
+            vxs.append(vx)
+            vys.append(vy)
+            logs.append(lg)
+            next0.append(~r)
+            next1.append(~r)
+        nexts[s] = r
+        return r
+
     x = float(x0[0])
     y = float(x0[1])
     sx = sy = sxx = sxy = syy = 0.0
     log_total = 0.0
     reseeds = 0
-    hypot, log = math.hypot, math.log
+    s = 0
     for _ in range(n):
         sx += x
         sy += y
@@ -220,17 +271,16 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
         sxy += x * y
         syy += y * y
         if x <= 1.0:
-            wx = t * (vx + vy)
-            wy = t * (vx - vy)
             x, y = t * (x + y), t * (x - y)
+            s = next0[s]
+            if s < 0:
+                s = learn(~s, next0)
         else:
-            wx = t * (-vx + vy)
-            wy = t * (-vx - vy)
             x, y = t * (2.0 - x + y), t * (2.0 - x - y)
-        norm = hypot(wx, wy)
-        log_total += log(norm)
-        vx = wx / norm
-        vy = wy / norm
+            s = next1[s]
+            if s < 0:
+                s = learn(~s, next1)
+        log_total += logs[s]
         if y <= 0.0 or x <= y or x + y >= 2.0:
             x, y = _reseed_point(rng)
             reseeds += 1
