@@ -26,10 +26,11 @@ from .density import (
     ulam_fixed,
     variation,
 )
-from .errors import CellExplosion, ParameterOutOfRange
-from .geom2d import Point2
+from .errors import CellExplosion, OutsideRegion, ParameterOutOfRange
+from .geom2d import EPS_GEOM, Point2
 from .maps import (
     MAX_CELLS,
+    TENT_REGION,
     TENT_T_MIN,
     ConditionCertificate,
     check_tent_parameter,
@@ -220,6 +221,8 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
     check_tent_parameter(t)
     if n < 1:
         raise ParameterOutOfRange(f"orbit length must be >= 1, got {n}")
+    if not TENT_REGION.contains(x0, EPS_GEOM):
+        raise OutsideRegion(f"point {tuple(x0)!r} is not in the region")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * math.pi)
     # Tangent state s: unit vector (vxs[s], vys[s]) and the log expansion

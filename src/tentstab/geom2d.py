@@ -224,7 +224,11 @@ class ConvexPolygon:
             yield (dy, -dx, dy * ax - dx * ay)
 
     def contains(self, p, tol: float = EPS_GEOM) -> bool:
-        """True if p lies in the polygon, inflated by tol (a distance)."""
+        """True if p lies in the polygon, inflated by tol (a distance).
+
+        Each edge test is written "not (cross >= bound)" so that a point
+        with a NaN coordinate fails it and is outside every polygon.
+        """
         if not self.vertices:
             return False
         try:
@@ -237,7 +241,7 @@ class ConvexPolygon:
             object.__setattr__(self, "_edge_data", edges)
         px, py = p[0], p[1]
         for ax, ay, dx, dy, h in edges:
-            if dx * (py - ay) - dy * (px - ax) < -tol * h:
+            if not (dx * (py - ay) - dy * (px - ax) >= -tol * h):
                 return False
         return True
 

@@ -34,6 +34,9 @@ TENT_T_MIN = math.sqrt(math.sqrt(math.sqrt(2.0) + 1.0)) / math.sqrt(2.0)
 
 MAX_CELLS = 10**6  # hard budget for branches, grid squares and arrangement cells
 
+# The tent family's invariant triangle; it does not depend on t.
+TENT_REGION = ConvexPolygon(((0.0, 0.0), (2.0, 0.0), (1.0, 1.0)))
+
 
 class Branch(NamedTuple):
     """One affine branch: a convex domain and the bijection acting on it."""
@@ -175,7 +178,6 @@ def make_tent2d(t: float) -> PiecewiseMap:
     by 1/(2t) in the max-entry sense.
     """
     check_tent_parameter(t)
-    region = ConvexPolygon(((0.0, 0.0), (2.0, 0.0), (1.0, 1.0)))
     left = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
     right = ConvexPolygon(((1.0, 0.0), (2.0, 0.0), (1.0, 1.0)))
     jac = 2.0 * t * t
@@ -183,7 +185,7 @@ def make_tent2d(t: float) -> PiecewiseMap:
         Branch(left, AffineMap2(Matrix2(t, t, t, -t), (0.0, 0.0)), jac),
         Branch(right, AffineMap2(Matrix2(-t, t, -t, -t), (2.0 * t, 2.0 * t)), jac),
     )
-    return PiecewiseMap(region, branches, f"tent2d t={t:g} power=1", t, 1)
+    return PiecewiseMap(TENT_REGION, branches, f"tent2d t={t:g} power=1", t, 1)
 
 
 def apply(m: PiecewiseMap, p) -> Point2:

@@ -8,7 +8,7 @@ import pytest
 
 from tentstab import density as D
 from tentstab import experiments as E
-from tentstab.errors import CellExplosion, ParameterOutOfRange
+from tentstab.errors import CellExplosion, OutsideRegion, ParameterOutOfRange
 from tentstab.maps import TENT_T_MIN, NormConvention, certify, tent_power
 
 import orbit_oracle
@@ -156,6 +156,25 @@ def test_orbit_functions_reject_bad_t(t):
         E.lyapunov_exponent(t, (0.37, 0.11), 10, 1)
     with pytest.raises(ParameterOutOfRange):
         E.orbit_stats(t, (0.37, 0.11), 10, 1)
+
+
+@pytest.mark.parametrize(
+    "x0", [(math.nan, 0.1), (0.5, math.nan), (5.0, 3.0), (1.0, -0.1), (1.5, 0.6)]
+)
+def test_orbit_functions_reject_start_outside_region(x0):
+    with pytest.raises(OutsideRegion):
+        E.orbit_stats(0.9, x0, 100, 1)
+    with pytest.raises(OutsideRegion):
+        E.lyapunov_exponent(0.9, x0, 100, 1)
+    with pytest.raises(OutsideRegion):
+        E.birkhoff_average(0.9, "x", x0, 100, 1)
+
+
+def test_orbit_functions_accept_start_on_region_boundary():
+    # corners and edges within EPS_GEOM are in the region, as for maps.apply
+    for x0 in ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (0.5, -1e-10), (1.5, 0.5)):
+        assert E.orbit_stats(0.9, x0, 50, 1).x0 == x0
+        assert math.isfinite(E.birkhoff_average(0.9, "x", x0, 50, 1))
 
 
 class TestBirkhoff:

@@ -183,12 +183,12 @@ class TestInradius:
 
 def _contains_per_edge(poly, p, tol):
     """Reference for ConvexPolygon.contains: the edge terms recomputed on
-    every call instead of cached."""
+    every call instead of cached, and a NaN coordinate failing every edge."""
     if poly.is_empty:
         return False
     for (ax, ay), (bx, by) in poly.edges():
         dx, dy = bx - ax, by - ay
-        if dx * (p[1] - ay) - dy * (p[0] - ax) < -tol * math.hypot(dx, dy):
+        if not (dx * (p[1] - ay) - dy * (p[0] - ax) >= -tol * math.hypot(dx, dy)):
             return False
     return True
 
@@ -199,10 +199,17 @@ def test_contains_matches_per_edge_loop(rng):
         pts = [tuple(q) for q in rng.uniform(-2.5, 2.5, (40, 2))]
         pts += list(poly.vertices)
         pts += [((ax + bx) / 2.0, (ay + by) / 2.0) for (ax, ay), (bx, by) in poly.edges()]
+        pts += [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)]
         for tol in (geom2d.EPS_GEOM, 1e-7, 0.0, -1e-6):
             for p in pts:
                 assert poly.contains(p, tol) == _contains_per_edge(poly, p, tol)
     assert not geom2d.EMPTY.contains((0.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("p", [(math.nan, 0.2), (1.0, math.nan), (math.nan, math.nan)])
+def test_nan_point_is_outside(p):
+    assert not TRIANGLE_T.contains(p)
+    assert not TRIANGLE_T.contains(p, 10.0)
 
 
 def test_non_convex_input_rejected():

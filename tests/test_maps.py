@@ -92,6 +92,11 @@ class TestApply:
         with pytest.raises(OutsideRegion):
             apply(make_tent2d(1.0), (1.5, 1.5))
 
+    @pytest.mark.parametrize("p", [(math.nan, 0.2), (0.5, math.nan), (math.nan, math.nan)])
+    def test_nan_point_raises(self, p):
+        with pytest.raises(OutsideRegion):
+            apply(make_tent2d(0.9), p)
+
 
 class TestPower:
     @pytest.mark.parametrize("t", [TAU, 0.9, 0.95, 1.0])
