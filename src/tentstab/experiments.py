@@ -209,14 +209,14 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
     regular octagon, so in exact arithmetic the unit vector takes at most
     16 directions, and rounding splits them into a few more float vectors
     (at most 51 states along 1200 seeded orbits of 1e5 steps, at most 132
-    in the closure under both branches).  A step's result depends only on the float vector and the
-    branch.  So the loop numbers these tangent states as it meets them,
-    and learns each (state, branch) step lazily: the first time it is
-    taken, it runs the per-step arithmetic once and records the next state
-    and its log.  Every later step is a lookup that adds the very float
-    the arithmetic would add, in the same order, so the results are bit
-    for bit those of renormalizing on every step, however many states an
-    orbit meets.
+    in the closure under both branches).  A step's result depends only on
+    the float vector and the branch, so the loop numbers these tangent
+    states as it meets them and learns each (state, branch) step lazily:
+    the first time it is taken, it runs the per-step arithmetic once and
+    records the next state and its log.  Every later step is a lookup that
+    adds the very float the arithmetic would add, in the same order, so
+    the results are bit for bit those of renormalizing on every step,
+    however many states an orbit meets.
     """
     check_tent_parameter(t)
     if n < 1:

@@ -318,11 +318,6 @@ class TestOrbitOracle:
         if t == 1.0 and n == 200000:
             assert want.reseeds > 1000
 
-    def test_lyapunov_exponent_is_the_orbit_field(self):
-        x0 = (0.37, 0.11)
-        want = orbit_oracle.orbit_stats(0.93, x0, 3000, 4).lyapunov
-        assert E.lyapunov_exponent(0.93, x0, 3000, 4).hex() == want.hex()
-
 
 def _tent1d_matrix_loop(a, n_cells):
     """Reference: the Ulam matrix of x -> 1 - a|x| entry by entry."""
