@@ -13,12 +13,10 @@ from .geom2d import (
     EPS_GEOM,
     AffineMap2,
     ConvexPolygon,
-    HalfPlane,
     Matrix2,
     Point2,
     affine_image,
     area,
-    clip,
     inradius,
     intersect,
     matrix_norms,

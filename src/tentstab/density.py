@@ -39,6 +39,7 @@ from .geom2d import (
     intersect,
     snap_key,
 )
+from .ioutil import fmt
 from .maps import MAX_CELLS, PiecewiseMap
 
 
@@ -46,9 +47,9 @@ from .maps import MAX_CELLS, PiecewiseMap
 class PiecewisePolyDensity:
     """Piecewise-constant function over a convex polygonal partition.
 
-    Unsigned densities (the default) must have nonnegative values; signed
-    variants are allowed for linear-combination diagnostics and must be
-    flagged at construction.
+    Values must be finite.  Unsigned densities (the default) must also be
+    nonnegative; signed variants are allowed for linear-combination
+    diagnostics and must be flagged at construction.
     """
 
     region: ConvexPolygon
@@ -56,10 +57,10 @@ class PiecewisePolyDensity:
     signed: bool = False
 
     def __post_init__(self):
-        if not self.signed:
-            for _, v in self.cells:
-                if v < -1e-12 or not math.isfinite(v):
-                    raise ValueError(f"unsigned density has invalid value {v!r}")
+        for _, v in self.cells:
+            if not math.isfinite(v) or (v < -1e-12 and not self.signed):
+                kind = "signed" if self.signed else "unsigned"
+                raise ValueError(f"{kind} density has invalid value {v!r}")
 
     def mass(self) -> float:
         return sum(v * poly.area for poly, v in self.cells)
@@ -109,14 +110,15 @@ class _CellStore:
     """Growable cell partition with a lazy uniform-bin spatial index;
     ``boxes[i]`` is the bounding box of ``polys[i]``."""
 
-    def __init__(self, region: ConvexPolygon, nbins: int = 48):
+    nbins = 48
+
+    def __init__(self, region: ConvexPolygon):
         xmin, ymin, xmax, ymax = region.bbox()
         self.x0 = xmin
         self.y0 = ymin
-        self.nbins = nbins
-        self.sx = max((xmax - xmin) / nbins, 1e-300)
-        self.sy = max((ymax - ymin) / nbins, 1e-300)
-        self.polys: list[ConvexPolygon | None] = []
+        self.sx = max((xmax - xmin) / self.nbins, 1e-300)
+        self.sy = max((ymax - ymin) / self.nbins, 1e-300)
+        self.polys: list[ConvexPolygon] = []
         self.boxes: list[tuple[float, float, float, float]] = []
         self.values: list[float] = []
         self.bins: dict[tuple[int, int], list[int]] = {}
@@ -152,7 +154,6 @@ class _CellStore:
 def _refine(
     region: ConvexPolygon,
     tiles: Iterable[tuple[ConvexPolygon, float]],
-    max_cells: int = MAX_CELLS,
 ) -> tuple[tuple[ConvexPolygon, float], ...]:
     """Partition region by a sequence of value-carrying convex tiles.
 
@@ -168,13 +169,10 @@ def _refine(
         tb = tile.bbox()
         planes = tuple(tile.edge_halfplanes())
         for idx in store.candidates(tb):
-            poly = store.polys[idx]
-            if poly is None:
-                continue
             pb = store.boxes[idx]
             if pb[0] > tb[2] or pb[2] < tb[0] or pb[1] > tb[3] or pb[3] < tb[1]:
                 continue
-            inter, outside = _split(poly, planes)
+            inter, outside = _split(store.polys[idx], planes)
             if inter.is_empty:
                 continue
             if not outside:
@@ -185,16 +183,11 @@ def _refine(
             store.values[idx] += tv
             for piece in outside:
                 store.add(piece, store.values[idx] - tv)
-            if len(store.polys) > max_cells:
+            if len(store.polys) > MAX_CELLS:
                 raise CellExplosion(
-                    f"overlay arrangement exceeded {max_cells} cells"
+                    f"overlay arrangement exceeded {MAX_CELLS} cells"
                 )
-    cells = [
-        (poly, value)
-        for poly, value in zip(store.polys, store.values)
-        if poly is not None and not poly.is_empty
-    ]
-    cells.sort(key=lambda cv: snap_key(cv[0].centroid()))
+    cells = sorted(zip(store.polys, store.values), key=lambda cv: snap_key(cv[0].centroid()))
     return tuple(cells)
 
 
@@ -281,16 +274,7 @@ def lp_norm(f: PiecewisePolyDensity, p: float = 1.0) -> float:
 
 def l1_distance(f: PiecewisePolyDensity, g: PiecewisePolyDensity) -> float:
     """L1 distance on the overlay of the two partitions."""
-    _check_same_region(f.region, g.region)
-    if _same_partition(f, g):
-        return sum(
-            abs(vf - vg) * poly.area
-            for (poly, vf), (_, vg) in zip(f.cells, g.cells)
-        )
-    tiles = [(poly, v) for poly, v in f.cells]
-    tiles += [(poly, -v) for poly, v in g.cells]
-    cells = _refine(f.region, tiles)
-    return sum(abs(v) * poly.area for poly, v in cells)
+    return lp_norm(add_scaled(f, 1.0, g, -1.0))
 
 
 def variation(f: PiecewisePolyDensity) -> float:
@@ -305,8 +289,6 @@ def variation(f: PiecewisePolyDensity) -> float:
     """
     entries: dict[tuple[int, int, int], list] = {}
     for poly, v in f.cells:
-        if poly.is_empty:
-            continue
         for (a, b) in poly.edges():
             dx = b[0] - a[0]
             dy = b[1] - a[1]
@@ -812,7 +794,6 @@ def stationary_masses(
     history: list[float] = []
     for k in range(1, max_iter + 1):
         q = adjoint @ p
-        q = np.asarray(q).ravel()
         q = q / q.sum()
         residual = float(np.abs(q - p).sum())
         p = q
@@ -828,17 +809,17 @@ def stationary_masses(
     count = 1
     base = len(history)
     for k in range(base + 1, max_iter + 1):
-        q = np.asarray(adjoint @ p).ravel()
+        q = adjoint @ p
         q = q / q.sum()
         p = q
         avg = avg + (q - avg) / (count + 1)
         count += 1
         if count % 20 == 0:
-            shifted = np.asarray(adjoint @ avg).ravel()
+            shifted = adjoint @ avg
             residual = float(np.abs(shifted / shifted.sum() - avg).sum())
             if residual < tol:
                 return avg / avg.sum(), k, residual, True
-    shifted = np.asarray(adjoint @ avg).ravel()
+    shifted = adjoint @ avg
     residual = float(np.abs(shifted / shifted.sum() - avg).sum())
     return avg / avg.sum(), max_iter, residual, False
 
@@ -954,8 +935,6 @@ def cesaro_fixed_density(
 def density_csv(grid: UlamGrid, values: np.ndarray) -> str:
     """Cell table of the grid density with these cell values: id, area,
     centroid, value, vertex count and coordinates."""
-    from .ioutil import fmt
-
     max_verts = int(grid.polys.n.max(initial=0))
     header = ["cell_id", "area", "centroid_x", "centroid_y", "value", "n_vertices"]
     for k in range(max_verts):
@@ -976,8 +955,6 @@ def ulam_matrix_csv(matrix) -> str:
     """A transition matrix, scipy sparse or dense, as i,j,weight coordinate
     triples of its stored entries (a dense matrix stores its nonzeros), in
     row-major order."""
-    from .ioutil import fmt
-
     coo = sp.coo_matrix(matrix)
     order = np.lexsort((coo.col, coo.row))
     lines = ["i,j,weight"]

@@ -28,6 +28,7 @@ from .density import (
 )
 from .errors import CellExplosion, OutsideRegion, ParameterOutOfRange
 from .geom2d import EPS_GEOM, Point2
+from .ioutil import fmt
 from .maps import (
     MAX_CELLS,
     TENT_REGION,
@@ -181,6 +182,10 @@ def birkhoff_average(t: float, fname: str, x0, n: int, seed: int = 0) -> float:
     """
     if n < 1:
         raise ParameterOutOfRange(f"orbit length must be >= 1, got {n}")
+    if fname not in TEST_FUNCTIONS:
+        raise ParameterOutOfRange(
+            f"unknown observable {fname!r}; choose from {', '.join(TEST_FUNCTIONS)}"
+        )
     ax, ay = TEST_FUNCTIONS[fname]
     m = make_tent2d(t)
     rng = np.random.default_rng(seed)
@@ -354,8 +359,6 @@ def tent1d_ulam(
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    from .ioutil import fmt
-
     names = list(TEST_FUNCTIONS)
     header = "t,t0,power,resolution,iterations,residual,l1_dist," + ",".join(
         f"gap_{name}" for name in names
@@ -377,8 +380,6 @@ def sweep_csv(rows: Sequence[SweepRow]) -> str:
 
 
 def ly_csv(t: float, convention: str, rows: Sequence[LYRow]) -> str:
-    from .ioutil import fmt
-
     lines = ["t,convention,j,variation_j,bound,ratio"]
     for r in rows:
         lines.append(
@@ -389,8 +390,6 @@ def ly_csv(t: float, convention: str, rows: Sequence[LYRow]) -> str:
 
 
 def orbit_csv(stats: Sequence[OrbitStats]) -> str:
-    from .ioutil import fmt
-
     names = list(TEST_FUNCTIONS)
     header = "t,seed,n,lyapunov," + ",".join(f"birkhoff_{name}" for name in names)
     lines = [header]

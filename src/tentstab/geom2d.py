@@ -63,9 +63,6 @@ class Matrix2(NamedTuple):
             raise SingularMatrix(f"matrix {self} has |det| = {abs(det)!r} <= {EPS_GEOM}")
         return Matrix2(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
-    def scale(self, s: float) -> "Matrix2":
-        return Matrix2(self.a * s, self.b * s, self.c * s, self.d * s)
-
 
 class AffineMap2(NamedTuple):
     """x -> linear @ x + shift; branches of piecewise maps are bijections."""
@@ -87,27 +84,6 @@ class AffineMap2(NamedTuple):
         inv = self.linear.inverse()
         sx, sy = inv.apply(self.shift[0], self.shift[1])
         return AffineMap2(inv, (-sx, -sy))
-
-
-class HalfPlane(NamedTuple):
-    """The closed set {p : normal . p <= offset}, with unit normal."""
-
-    normal: tuple[float, float]
-    offset: float
-
-    @staticmethod
-    def make(nx: float, ny: float, offset: float) -> "HalfPlane":
-        nrm = math.hypot(nx, ny)
-        if nrm <= EPS_GEOM:
-            raise InvalidPolygon("half-plane normal must be nonzero")
-        return HalfPlane((nx / nrm, ny / nrm), offset / nrm)
-
-    def complement(self) -> "HalfPlane":
-        """The closed complementary half-plane {p : normal . p >= offset}."""
-        return HalfPlane((-self.normal[0], -self.normal[1]), -self.offset)
-
-    def __neg__(self) -> "HalfPlane":
-        return self.complement()
 
 
 def _dedup(verts):
@@ -314,14 +290,6 @@ def _clip_verts(verts, nx: float, ny: float, off: float):
             out.append((px + t * (cx - px), py + t * (cy - py)))
         px, py, dprev = cx, cy, d
     return out
-
-
-def clip(p: ConvexPolygon, h: HalfPlane) -> ConvexPolygon:
-    """p intersected with the half-plane; Empty if the result is a sliver."""
-    if p.is_empty:
-        return EMPTY
-    nx, ny = h.normal
-    return ConvexPolygon._wrap(_clip_verts(p.vertices, nx, ny, h.offset))
 
 
 def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:

@@ -220,18 +220,20 @@ def power(m: PiecewiseMap, n: int) -> PiecewiseMap:
             f"power {n} of a map with {k} branches may need {k}^{n} branches, "
             f"more than the budget of {MAX_CELLS}"
         )
-    items = [((i,), b.domain, b.map) for i, b in enumerate(m.branches)]
+    # Each item's survivors are appended in branch order, so the items stay
+    # in itinerary order.
+    items = [(b.domain, b.map) for b in m.branches]
     for _ in range(n - 1):
         grown = []
-        for itinerary, domain, amap in items:
+        for domain, amap in items:
             ainv = amap.inverse()
-            for j, branch in enumerate(m.branches):
+            for branch in m.branches:
                 pulled = intersect(domain, affine_image(ainv, branch.domain))
                 if not pulled.is_empty:
-                    grown.append((itinerary + (j,), pulled, branch.map.compose(amap)))
-        items = sorted(grown, key=lambda item: item[0])
+                    grown.append((pulled, branch.map.compose(amap)))
+        items = grown
     branches = tuple(
-        Branch(domain, amap, abs(amap.linear.det())) for _, domain, amap in items
+        Branch(domain, amap, abs(amap.linear.det())) for domain, amap in items
     )
     total = m.power * n
     if m.param_t is not None:

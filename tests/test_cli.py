@@ -17,7 +17,7 @@ from tentstab import density as D
 from tentstab import experiments as E
 from tentstab.cli import main, render_svg
 from tentstab.geom2d import box
-from tentstab.ioutil import fmt
+from tentstab.ioutil import atomic_write_text, fmt
 from tentstab.maps import tent_power
 
 
@@ -139,6 +139,26 @@ class TestSweep:
         ])
         assert code == 1
         assert "--resolution" in capsys.readouterr().err
+
+    def test_reversed_range_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main([
+            "sweep", "--tmin", "0.99", "--tmax", "0.95", "--resolution", "16", "--out", str(out),
+        ])
+        assert code == 1
+        assert "--tmin/--tmax" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_step_writes_the_tmin_row(self, tmp_path):
+        out = tmp_path / "s.csv"
+        code = main([
+            "sweep", "--tmin", "0.95", "--tmax", "0.99", "--steps", "1",
+            "--resolution", "16", "--out", str(out),
+        ])
+        assert code == 0
+        lines = out.read_text().strip().split("\n")
+        assert len(lines) == 2
+        assert lines[1].startswith(fmt(0.95) + ",")
 
 
 class TestLycheck:
@@ -373,6 +393,17 @@ class TestInputContracts:
         assert main(["orbit", "--n", "10", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.parent.exists()
+
+
+def test_atomic_write_removes_its_temp_file_when_replace_fails(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    target = tmp_path / "out.csv"
+    with pytest.raises(OSError, match="replace failed"):
+        atomic_write_text(str(target), "data\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_leaves_scipy_optimize_out():

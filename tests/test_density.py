@@ -15,6 +15,7 @@ from tentstab.errors import (
     ParameterOutOfRange,
     RegionMismatch,
     ResolutionTooLow,
+    SingularMatrix,
     ZeroVariation,
 )
 from tentstab.geom2d import EPS_AREA, AffineMap2, ConvexPolygon, Matrix2, box, perimeter
@@ -163,6 +164,29 @@ class TestNorms:
         assert D.l1_distance(chi_left, chi_right) == pytest.approx(1.0, abs=1e-12)
         zero = D.PiecewisePolyDensity(TRIANGLE_T, ((TRIANGLE_T, 0.0),))
         assert D.l1_distance(uniform, zero) == pytest.approx(1.0, abs=1e-12)
+
+    def test_lp_norm_rejects_p_below_1(self, uniform):
+        with pytest.raises(ParameterOutOfRange, match="p >= 1"):
+            D.lp_norm(uniform, 0.5)
+
+
+class TestValues:
+    def test_unsigned_rejects_negative_value(self):
+        with pytest.raises(ValueError, match="unsigned density has invalid value -1.0"):
+            D.PiecewisePolyDensity(TRIANGLE_T, ((TRIANGLE_T, -1.0),))
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_value(self, v, signed):
+        with pytest.raises(ValueError, match="density has invalid value"):
+            D.PiecewisePolyDensity(TRIANGLE_T, ((TRIANGLE_T, v),), signed=signed)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_add_scaled_rejects_non_finite_result(self, uniform, chi_left, alpha):
+        with pytest.raises(ValueError, match="density has invalid value"):
+            D.add_scaled(uniform, alpha, chi_left, 1.0)
+        with pytest.raises(ValueError, match="density has invalid value"):
+            D.add_scaled(uniform, alpha, uniform, 1.0)
 
 
 class TestSobolev:
@@ -605,6 +629,32 @@ def test_ulam_fixed_density_is_a_probability_density(t, pw, resolution):
     vec = D.ulam_fixed(op)
     assert (vec.values >= 0.0).all()
     assert abs(float(vec.values @ op.grid.cell_areas) - 1.0) <= 1e-12
+
+
+def test_refine_stops_at_the_cell_budget(monkeypatch):
+    # An interior triangle cuts the region into itself and three outside
+    # pieces.
+    inner = ConvexPolygon(((0.9, 0.1), (1.1, 0.1), (1.0, 0.3)))
+    monkeypatch.setattr(D, "MAX_CELLS", 3)
+    with pytest.raises(CellExplosion, match="exceeded 3 cells"):
+        D.indicator_density(TRIANGLE_T, inner, 1.0)
+    monkeypatch.setattr(D, "MAX_CELLS", 4)
+    assert len(D.indicator_density(TRIANGLE_T, inner, 1.0).cells) == 4
+
+
+def test_build_ulam_rejects_a_singular_branch():
+    flat = AffineMap2(Matrix2(1.0, 1.0, 1.0, 1.0), (0.0, 0.0))
+    m = PiecewiseMap(TRIANGLE_T, (Branch(TRIANGLE_T, flat, 0.0),), "singular")
+    with pytest.raises(SingularMatrix, match="not a bijection"):
+        D.build_ulam(m, 4)
+
+
+def test_stationary_masses_stops_at_max_iter_before_any_plateau():
+    # A swap never converges, and max_iter ends the run before the plateau
+    # test (from iteration 400) can switch to Cesaro averaging.
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    p, iters, residual, converged = D.stationary_masses(swap, np.array([1.0, 0.0]), max_iter=10)
+    assert (p.tolist(), iters, residual, converged) == ([1.0, 0.0], 10, 2.0, False)
 
 
 def test_grid_budget_checked_before_allocating():

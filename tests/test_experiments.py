@@ -122,6 +122,25 @@ class TestLYCheck:
             E.ly_check(1.0, D.uniform_density(TRIANGLE_T), 6, cert)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: E.orbit_stats(0.9, (0.5, 0.2), 0, 1),
+        lambda: E.lyapunov_exponent(0.9, (0.5, 0.2), 0, 1),
+        lambda: E.birkhoff_average(0.9, "x", (0.5, 0.2), 0),
+    ],
+    ids=["orbit_stats", "lyapunov_exponent", "birkhoff_average"],
+)
+def test_orbit_length_zero_rejected(call):
+    with pytest.raises(ParameterOutOfRange, match="orbit length must be >= 1"):
+        call()
+
+
+def test_birkhoff_average_rejects_unknown_observable():
+    with pytest.raises(ParameterOutOfRange, match="unknown observable 'z'; choose from 1, x, y"):
+        E.birkhoff_average(0.9, "z", (0.5, 0.2), 10)
+
+
 class TestLyapunov:
     def test_t1_exact_for_any_seed_and_n(self):
         for seed in (1, 7, 12345):

@@ -1,6 +1,7 @@
 """Geometry layer: examples plus randomized invariants."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,11 +13,9 @@ from tentstab.geom2d import (
     EPS_AREA,
     AffineMap2,
     ConvexPolygon,
-    HalfPlane,
     Matrix2,
     affine_image,
     area,
-    clip,
     inradius,
     intersect,
     matrix_norms,
@@ -45,22 +44,36 @@ class TestArea:
         assert area(p) == 0.0
 
 
+class Plane(NamedTuple):
+    """The closed half-plane {nx*x + ny*y <= off}; -h is its complement."""
+
+    nx: float
+    ny: float
+    off: float
+
+    def __neg__(self) -> "Plane":
+        return Plane(-self.nx, -self.ny, -self.off)
+
+
+def clip(poly, h):
+    """poly ∩ h, built as density._split builds its pieces: one
+    geom2d._clip_verts step, then ConvexPolygon._wrap."""
+    return ConvexPolygon._wrap(geom2d._clip_verts(poly.vertices, *h))
+
+
 class TestClip:
     def test_halves_left_triangle(self):
-        h = HalfPlane.make(1.0, 0.0, 0.5)  # x <= 0.5
-        out = clip(LEFT_HALF, h)
+        out = clip(LEFT_HALF, Plane(1.0, 0.0, 0.5))  # x <= 0.5
         assert area(out) == pytest.approx(0.125, abs=1e-12)
         keys = {snap_key(v) for v in out.vertices}
         assert keys == {snap_key(p) for p in ((0, 0), (0.5, 0), (0.5, 0.5))}
 
     def test_containing_halfplane_is_identity(self):
-        h = HalfPlane.make(1.0, 0.0, 10.0)
-        out = clip(TRIANGLE_T, h)
+        out = clip(TRIANGLE_T, Plane(1.0, 0.0, 10.0))
         assert set(out.vertices) == set(TRIANGLE_T.vertices)
 
     def test_disjoint_halfplane_gives_empty(self):
-        h = HalfPlane.make(1.0, 0.0, -1.0)  # x <= -1
-        assert clip(TRIANGLE_T, h).is_empty
+        assert clip(TRIANGLE_T, Plane(1.0, 0.0, -1.0)).is_empty  # x <= -1
 
 
 class TestIntersect:
@@ -219,6 +232,37 @@ def test_non_convex_input_rejected():
         ConvexPolygon(((0, 0), (1, 1), (1, 0)))  # clockwise
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_vertex_rejected(bad):
+    with pytest.raises(InvalidPolygon, match="non-finite vertex"):
+        ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.5, bad)))
+
+
+def test_polygons_are_immutable():
+    with pytest.raises(AttributeError, match="immutable"):
+        TRIANGLE_T.vertices = ()
+
+
+def test_singular_matrix_inverse_rejected():
+    with pytest.raises(SingularMatrix):
+        Matrix2(1.0, 2.0, 2.0, 4.0).inverse()
+
+
+class TestCentroid:
+    def test_empty_raises(self):
+        with pytest.raises(DegeneratePolygon):
+            geom2d.EMPTY.centroid()
+
+    def test_tiny_clockwise_triangle_takes_vertex_mean(self):
+        # Signed area -5e-11: clockwise, but its turns (-1e-10) are within
+        # the validation tolerance and its |area| is above EPS_AREA, so it is
+        # kept, and centroid falls back to the mean of its vertices.
+        s = 1e-5
+        tri = ConvexPolygon(((0.0, 0.0), (0.0, s), (s, 0.0)))
+        assert len(tri.vertices) == 3 and tri.area == 0.0
+        assert tri.centroid() == (s / 3.0, s / 3.0)
+
+
 # -- randomized invariants ---------------------------------------------------
 
 finite_coord = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -245,11 +289,11 @@ def convex_polygons(draw, max_pts=9):
 def halfplanes(draw):
     angle = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
     offset = draw(st.floats(min_value=-3.0, max_value=3.0))
-    return HalfPlane.make(math.cos(angle), math.sin(angle), offset)
+    return Plane(math.cos(angle), math.sin(angle), offset)
 
 
 @given(convex_polygons(), halfplanes())
-@example(ConvexPolygon(((-1e-12, 0.0), (1.0, 0.0), (0.0, 2.0))), HalfPlane.make(1.0, 0.0, 0.0))
+@example(ConvexPolygon(((-1e-12, 0.0), (1.0, 0.0), (0.0, 2.0))), Plane(1.0, 0.0, 0.0))
 @settings(max_examples=150, deadline=None)
 def test_area_additivity_under_clipping(poly, h):
     # A piece below EPS_AREA is dropped; the sum of the kept areas adds its
@@ -342,6 +386,11 @@ def test_monomial_integral_against_quadrature(ax, ay, rng):
         poly = random_convex_polygon(rng, inside=TRIANGLE_T)
         approx = _quadrature(poly, ax, ay)
         assert monomial_integral(poly, ax, ay) == pytest.approx(approx, abs=5e-4)
+
+
+def test_monomial_integral_rejects_degree_3():
+    with pytest.raises(ValueError, match="degree <= 2"):
+        monomial_integral(UNIT_SQUARE, 2, 1)
 
 
 def test_perimeter_triangle():

@@ -97,6 +97,12 @@ class TestApply:
         with pytest.raises(OutsideRegion):
             apply(make_tent2d(0.9), p)
 
+    def test_point_in_no_branch_domain_raises(self):
+        m = make_tent2d(0.9)
+        left_only = PiecewiseMap(m.region, m.branches[:1], "left branch")
+        with pytest.raises(OutsideRegion, match="in no branch domain"):
+            apply(left_only, (1.5, 0.2))
+
 
 class TestPower:
     @pytest.mark.parametrize("t", [TAU, 0.9, 0.95, 1.0])
@@ -146,6 +152,10 @@ class TestPower:
             smin = abs(norms["det"]) / smax
             assert smax == pytest.approx(expected, abs=1e-12)
             assert smin == pytest.approx(expected, abs=1e-12)
+
+    def test_power_zero_rejected(self):
+        with pytest.raises(ParameterOutOfRange, match="power must be >= 1"):
+            power(make_tent2d(0.9), 0)
 
     def test_power_one_is_identity(self):
         m = make_tent2d(0.9)
@@ -211,6 +221,11 @@ class TestLongBranches:
 
 
 class TestCertify:
+    def test_map_without_parameter_rejected(self):
+        m = tent_power(0.9, 3)
+        with pytest.raises(ParameterOutOfRange, match="tent-family parameter"):
+            certify(PiecewiseMap(m.region, m.branches, "no parameter"))
+
     def test_paper_formula_at_tau(self):
         cert = certify(tent_power(TAU, 3), NormConvention.PAPER_FORMULA)
         sigma = 1.0 / (8.0 * TAU**3)
