@@ -21,6 +21,7 @@ import numpy as np
 
 from .density import (
     UlamGrid,
+    _interleave,
     build_ulam,
     density_csv,
     indicator_density,
@@ -74,11 +75,6 @@ def render_svg(grid: UlamGrid, values: np.ndarray) -> str:
     off_x = 0.5 * (CANVAS_W - scale * span_x)
     off_y = 0.5 * (CANVAS_H - scale * span_y)
 
-    def to_px(p):
-        px = off_x + (p[0] - xmin) * scale
-        py = CANVAS_H - (off_y + (p[1] - ymin) * scale)
-        return f"{px:.3f},{py:.3f}"
-
     vmin, vmax = float(np.min(values)), float(np.max(values))
     spread = vmax - vmin
     parts = [
@@ -87,10 +83,28 @@ def render_svg(grid: UlamGrid, values: np.ndarray) -> str:
         f'height="{CANVAS_H}" viewBox="0 0 {CANVAS_W} {CANVAS_H}">',
         f'<rect width="{CANVAS_W}" height="{CANVAS_H}" fill="#ffffff"/>',
     ]
-    for xs, ys, value in grid._rows(values):
-        frac = 0.5 if spread <= 0.0 else (value - vmin) / spread
-        points = " L ".join(to_px(v) for v in zip(xs, ys))
-        parts.append(f'<path d="M {points} Z" fill="{_ramp_color(frac)}"/>')
+    # Every cell's pixel coordinates and _ramp_color channels, by the same
+    # IEEE operations in the same order (np.rint rounds half to even, as
+    # round does), written with one %-template per vertex count: '%.3f'
+    # spells a float as the format spec '.3f' does.
+    px = off_x + (x - xmin) * scale
+    py = CANVAS_H - (off_y + (y - ymin) * scale)
+    if spread <= 0.0:
+        frac = np.full(len(values), 0.5)
+    else:
+        frac = (values - vmin) / spread
+        frac = np.where(frac > 0.0, frac, 0.0)  # max(0.0, frac)
+        frac = np.where(frac < 1.0, frac, 1.0)  # min(1.0, frac)
+    channels = [
+        np.rint(255 * (lo + frac * (hi - lo))).astype(np.intp)
+        for lo, hi in zip(RAMP_LO, RAMP_HI)
+    ]
+    templates = [
+        '<path d="M ' + " L ".join(["%.3f,%.3f"] * k) + ' Z" fill="#%02x%02x%02x"/>'
+        for k in range(x.shape[1] + 1)
+    ]
+    for count, pxy, r, g, b in grid._rows(_interleave(px, py), *channels):
+        parts.append(templates[count] % (*pxy[: 2 * count], r, g, b))
     swatches = 16
     sw = 12.0
     x0 = 12.0

@@ -39,7 +39,6 @@ from .geom2d import (
     intersect,
     snap_key,
 )
-from .ioutil import fmt
 from .maps import MAX_CELLS, PiecewiseMap
 
 
@@ -85,6 +84,12 @@ def _split(poly: ConvexPolygon, planes):
     side is clipped first, and the outside pieces are clipped and wrapped
     only once the intersection is known to be nonempty: when it is Empty,
     the result is (EMPTY, ()), since no caller has a use for the pieces.
+
+    A clip returns its vertex list unchanged only when no vertex lies
+    outside its line by more than rounding.  So when the kept side comes
+    out as poly's own vertex list, each outside clip would leave at most
+    a sliver along its line, which _wrap empties, and the result is
+    (poly, ()) without the outside clips.
     """
     clip = geom2d._clip_verts
     rests = [poly.vertices]
@@ -93,6 +98,8 @@ def _split(poly: ConvexPolygon, planes):
         if not rest:
             return EMPTY, ()
         rests.append(rest)
+    if len(rests[-1]) == len(poly.vertices) and tuple(rests[-1]) == poly.vertices:
+        return poly, ()
     inter = ConvexPolygon._wrap(rests[-1])
     if inter.is_empty:
         return EMPTY, ()
@@ -170,7 +177,9 @@ def _refine(
         planes = tuple(tile.edge_halfplanes())
         for idx in store.candidates(tb):
             pb = store.boxes[idx]
-            if pb[0] > tb[2] or pb[2] < tb[0] or pb[1] > tb[3] or pb[3] < tb[1]:
+            # Boxes that at most touch: the split leaves a sliver along
+            # one line, which _wrap empties.
+            if pb[0] >= tb[2] or pb[2] <= tb[0] or pb[1] >= tb[3] or pb[3] <= tb[1]:
                 continue
             inter, outside = _split(store.polys[idx], planes)
             if inter.is_empty:
@@ -597,25 +606,32 @@ class UlamGrid:
             region, resolution, polys.take(hit), areas[hit], lookup.reshape(ny, nx), (ix0, iy0)
         )
 
+    @functools.cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(xmin, ymin, xmax, ymax) arrays: every cell's bounding box."""
+        x, y, n = self.polys
+        valid = np.arange(x.shape[1]) < n[:, None]
+        x = np.where(valid, x, x[:, :1])
+        y = np.where(valid, y, y[:, :1])
+        return x.min(axis=1), y.min(axis=1), x.max(axis=1), y.max(axis=1)
+
     def _rows(self, *columns):
-        """Each cell as Python values: its vertex x and y lists, then its
-        entry of each per-cell column array.  Rows are converted
-        OVERLAY_CHUNK at a time, so that the tolist() temporaries stay
-        small."""
+        """Each cell as Python values: its vertex count, then its entry of
+        each column, a per-cell array (a value) or a per-vertex array with
+        one row per cell (a list, padded past the cell's vertices).  Rows
+        are converted OVERLAY_CHUNK at a time, so that the tolist()
+        temporaries stay small."""
         for lo in range(0, len(self.cell_areas), OVERLAY_CHUNK):
             rows = slice(lo, lo + OVERLAY_CHUNK)
-            p = self.polys.take(rows)
-            for xs, ys, count, *rest in zip(
-                p.x.tolist(), p.y.tolist(), p.n.tolist(), *(c[rows].tolist() for c in columns)
-            ):
-                yield (xs[:count], ys[:count], *rest)
+            yield from zip(self.polys.n[rows].tolist(), *(c[rows].tolist() for c in columns))
 
     @functools.cached_property
     def cells(self) -> tuple[ConvexPolygon, ...]:
         """The cells as ConvexPolygons, built on first read."""
+        x, y, _ = self.polys
         return tuple(
-            ConvexPolygon._clean(tuple(zip(xs, ys)), area)
-            for xs, ys, area in self._rows(self.cell_areas)
+            ConvexPolygon._clean(tuple(zip(xs[:count], ys[:count])), area)
+            for count, xs, ys, area in self._rows(x, y, self.cell_areas)
         )
 
     def centroids(self) -> tuple[np.ndarray, np.ndarray]:
@@ -664,8 +680,12 @@ def _overlay(grid: UlamGrid, p: _Polys) -> tuple[np.ndarray, np.ndarray, np.ndar
     ordered by k and then by j.
 
     Row k meets the squares from floor(bbox * resolution -/+ SNAP), taken
-    in row-major order; candidate (row, square) pairs are made and clipped
-    OVERLAY_CHUNK at a time.
+    in row-major order.  Candidate (row, square) pairs are made
+    OVERLAY_CHUNK at a time.  A pair whose bounding boxes at most touch is
+    dropped: the two polygons then share at most a segment of one line,
+    so the clip would leave a sliver within rounding of that line, which
+    _finish empties.  The pairs left are clipped in batches of
+    OVERLAY_CHUNK.
     """
     parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
     if not p.x.size:  # no rows, or every row Empty
@@ -675,23 +695,33 @@ def _overlay(grid: UlamGrid, p: _Polys) -> tuple[np.ndarray, np.ndarray, np.ndar
     ny, nx = grid.lookup.shape
     x = np.where(np.arange(p.x.shape[1]) < p.n[:, None], p.x, p.x[:, :1])
     y = np.where(np.arange(p.y.shape[1]) < p.n[:, None], p.y, p.y[:, :1])
-    lo_x = np.maximum(np.floor(x.min(axis=1) * res - SNAP).astype(np.intp) - ix0, 0)
-    hi_x = np.minimum(np.floor(x.max(axis=1) * res + SNAP).astype(np.intp) - ix0, nx - 1)
-    lo_y = np.maximum(np.floor(y.min(axis=1) * res - SNAP).astype(np.intp) - iy0, 0)
-    hi_y = np.minimum(np.floor(y.max(axis=1) * res + SNAP).astype(np.intp) - iy0, ny - 1)
+    xmin, ymin, xmax, ymax = x.min(axis=1), y.min(axis=1), x.max(axis=1), y.max(axis=1)
+    lo_x = np.maximum(np.floor(xmin * res - SNAP).astype(np.intp) - ix0, 0)
+    hi_x = np.minimum(np.floor(xmax * res + SNAP).astype(np.intp) - ix0, nx - 1)
+    lo_y = np.maximum(np.floor(ymin * res - SNAP).astype(np.intp) - iy0, 0)
+    hi_y = np.minimum(np.floor(ymax * res + SNAP).astype(np.intp) - iy0, ny - 1)
+    cx0, cy0, cx1, cy1 = grid.bounds
     width = np.maximum(hi_x - lo_x + 1, 0)
     count = np.where(p.n > 0, width * np.maximum(hi_y - lo_y + 1, 0), 0)
     ends = np.cumsum(count)
     total = int(count.sum())
+    held_k = held_j = np.zeros(0, np.intp)
     for start in range(0, total, OVERLAY_CHUNK):
         pos = np.arange(start, min(start + OVERLAY_CHUNK, total))
         k = np.searchsorted(ends, pos, side="right")
         dy, dx = np.divmod(pos - (ends[k] - count[k]), width[k])
         j = grid.lookup[lo_y[k] + dy, lo_x[k] + dx]
-        k, j = k[j >= 0], j[j >= 0]
-        _, w = _finish(_clip_all(p.take(k), _halfplanes(grid.polys.take(j))))
-        hit = w > 0.0
-        parts.append((k[hit], j[hit], w[hit]))
+        meets = (j >= 0) & (cx0[j] < xmax[k]) & (cx1[j] > xmin[k])
+        meets &= (cy0[j] < ymax[k]) & (cy1[j] > ymin[k])
+        held_k = np.concatenate([held_k, k[meets]])
+        held_j = np.concatenate([held_j, j[meets]])
+        last = start + OVERLAY_CHUNK >= total
+        while len(held_k) >= OVERLAY_CHUNK or (last and len(held_k)):
+            k, held_k = held_k[:OVERLAY_CHUNK], held_k[OVERLAY_CHUNK:]
+            j, held_j = held_j[:OVERLAY_CHUNK], held_j[OVERLAY_CHUNK:]
+            _, w = _finish(_clip_all(p.take(k), _halfplanes(grid.polys.take(j))))
+            hit = w > 0.0
+            parts.append((k[hit], j[hit], w[hit]))
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
@@ -932,22 +962,30 @@ def cesaro_fixed_density(
 # ---------------------------------------------------------------------------
 
 
+def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows x0, y0, x1, y1, ... of two per-vertex arrays."""
+    return np.stack((x, y), axis=-1).reshape(len(x), -1)
+
+
 def density_csv(grid: UlamGrid, values: np.ndarray) -> str:
     """Cell table of the grid density with these cell values: id, area,
-    centroid, value, vertex count and coordinates."""
+    centroid, value, vertex count and coordinates.
+
+    Each row is written from one %-template per vertex count: '%.17g' % x
+    spells a float as ioutil.fmt(x) does."""
     max_verts = int(grid.polys.n.max(initial=0))
     header = ["cell_id", "area", "centroid_x", "centroid_y", "value", "n_vertices"]
     for k in range(max_verts):
         header += [f"v{k}x", f"v{k}y"]
+    templates = [
+        "%d,%.17g,%.17g,%.17g,%.17g,%d" + ",%.17g,%.17g" * k + ",," * (max_verts - k)
+        for k in range(max_verts + 1)
+    ]
     lines = [",".join(header)]
     cx, cy = grid.centroids()
-    rows = grid._rows(grid.cell_areas, cx, cy, values)
-    for i, (xs, ys, area, x, y, v) in enumerate(rows):
-        row = [str(i), fmt(area), fmt(x), fmt(y), fmt(v), str(len(xs))]
-        for vx, vy in zip(xs, ys):
-            row += [fmt(vx), fmt(vy)]
-        row += [""] * (2 * (max_verts - len(xs)))
-        lines.append(",".join(row))
+    rows = grid._rows(grid.cell_areas, cx, cy, values, _interleave(grid.polys.x, grid.polys.y))
+    for i, (count, area, x, y, v, xy) in enumerate(rows):
+        lines.append(templates[count] % (i, area, x, y, v, count, *xy[: 2 * count]))
     return "\n".join(lines) + "\n"
 
 
@@ -958,6 +996,6 @@ def ulam_matrix_csv(matrix) -> str:
     coo = sp.coo_matrix(matrix)
     order = np.lexsort((coo.col, coo.row))
     lines = ["i,j,weight"]
-    for i, j, w in zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist()):
-        lines.append(f"{i},{j},{fmt(w)}")
+    entries = zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist())
+    lines += ["%d,%d,%.17g" % e for e in entries]
     return "\n".join(lines) + "\n"

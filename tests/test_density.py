@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ulam_oracle
-from tentstab import density as D
+from tentstab import density as D, geom2d
 from tentstab.errors import (
     CellExplosion,
     ParameterOutOfRange,
@@ -25,6 +25,7 @@ from conftest import (
     LEFT_HALF,
     TRIANGLE_T,
     cached_fixed,
+    convex_hull,
     random_convex_polygon,
     random_grid_density,
 )
@@ -502,6 +503,66 @@ class TestOverlayKernel:
         assert _bits_equal(op.matrix.indices, matrix.indices)
         assert _bits_equal(op.matrix.indptr, matrix.indptr)
 
+    @pytest.mark.parametrize("pw", [1, 2, 3])
+    @pytest.mark.parametrize("resolution", [16, 17, 48, 64])
+    def test_touch_only_squares_at_t1_bit_identical(self, resolution, pw):
+        # At t = 1 the images of grid squares share their edges with grid
+        # lines (at the even resolutions), so most candidate squares only
+        # touch an image and the kernel drops them unclipped.
+        m = tent_power(1.0, pw)
+        op = D.build_ulam(m, resolution)
+        _, matrix = ulam_oracle.build_ulam(m, resolution)
+        assert _bits_equal(op.matrix.data, matrix.data)
+        assert _bits_equal(op.matrix.indices, matrix.indices)
+        assert _bits_equal(op.matrix.indptr, matrix.indptr)
+
+    @pytest.mark.parametrize("n, resolution", [(8, 8), (4, 16), (6, 12)])
+    def test_project_grid_aligned_density_bit_identical(self, rng, n, resolution):
+        # Every density cell is a union of grid cells, so each one only
+        # touches the grid cells around it.
+        f = random_grid_density(rng, TRIANGLE_T, n)
+        got = D.project_to_grid(f, resolution)
+        want = ulam_oracle.project_to_grid(f, resolution)
+        assert _bits_equal([v for _, v in got.cells], [v for _, v in want.cells])
+
+    def test_touch_only_squares_are_not_clipped(self, monkeypatch):
+        # The per-cell loop clips every candidate square; ulam_oracle's
+        # intersect calls against a grid cell count them.  Its other calls
+        # clip squares to the region and cells to branch domains.
+        m = tent_power(1.0, 1)
+        other = {id(m.region)} | {id(br.domain) for br in m.branches}
+        candidates = 0
+
+        def counting_intersect(a, b):
+            nonlocal candidates
+            candidates += id(b) not in other
+            return geom2d.intersect(a, b)
+
+        monkeypatch.setattr(ulam_oracle, "intersect", counting_intersect)
+        ulam_oracle.build_ulam(m, 64)
+        clipped = 0
+        in_overlay = False
+        overlay, clip_all = D._overlay, D._clip_all
+
+        def counting_overlay(grid, p):
+            nonlocal in_overlay
+            in_overlay = True
+            try:
+                return overlay(grid, p)
+            finally:
+                in_overlay = False
+
+        def counting_clip_all(p, planes):
+            nonlocal clipped
+            clipped += len(p.n) if in_overlay else 0
+            return clip_all(p, planes)
+
+        monkeypatch.setattr(D, "_overlay", counting_overlay)
+        monkeypatch.setattr(D, "_clip_all", counting_clip_all)
+        D.build_ulam(m, 64)
+        assert candidates > 0
+        assert clipped <= 0.4 * candidates, (clipped, candidates)
+
     @pytest.mark.parametrize("chunk", [1, 7, 100])
     def test_chunk_size_does_not_change_results(self, monkeypatch, rng, chunk):
         # short last chunks, chunks of one pair, chunks that split a row
@@ -853,3 +914,57 @@ def test_refine_of_two_grid_partitions_pinned(rng):
     combo = D.add_scaled(f, 0.75, g, -0.5)
     assert float.hex(D.l1_distance(f, g)) == "0x1.8c60bc2a85df2p-1"
     assert (len(combo.cells), _cells_digest(combo)) == (42, "158d1a4658eb95da26ee")
+
+
+def _split_clipping_every_plane(poly, planes):
+    """density._split without its unchanged-poly shortcut: clip the kept
+    side plane by plane, then each outside piece."""
+    rests = [poly.vertices]
+    for nx, ny, off in planes:
+        rest = geom2d._clip_verts(rests[-1], nx, ny, off)
+        if not rest:
+            return geom2d.EMPTY, ()
+        rests.append(rest)
+    inter = ConvexPolygon._wrap(rests[-1])
+    if inter.is_empty:
+        return geom2d.EMPTY, ()
+    pieces = []
+    for (nx, ny, off), rest in zip(planes, rests):
+        outside = geom2d._clip_verts(rest, -nx, -ny, -off)
+        if outside:
+            piece = ConvexPolygon._wrap(outside)
+            if not piece.is_empty:
+                pieces.append(piece)
+    return inter, pieces
+
+
+@st.composite
+def lattice_polygons(draw):
+    """Convex hulls of points on the 1/8 lattice over [0, 2] x [0, 1]: the
+    edge half-planes are exact, so vertices of one polygon often lie
+    exactly on another's edges, with sign d = 0."""
+    points = draw(
+        st.lists(st.tuples(st.integers(0, 16), st.integers(0, 8)), min_size=3, max_size=8)
+    )
+    hull = convex_hull([(i / 8, j / 8) for i, j in points])
+    poly = ConvexPolygon(hull) if len(hull) >= 3 else geom2d.EMPTY
+    return poly if not poly.is_empty else TRIANGLE_T
+
+
+@given(
+    poly=lattice_polygons(),
+    tile=lattice_polygons(),
+    scale=st.sampled_from([1.0, 0.9, TENT_T_MIN]),
+)
+@settings(max_examples=300, deadline=None)
+def test_split_matches_clipping_every_plane(poly, tile, scale):
+    """_split returns what clipping every plane returns: exactly on the
+    lattice (scale 1), and with the near-zero signs of scaled coordinates,
+    whose vertices lie on the other's edges only to rounding."""
+    if scale != 1.0:
+        poly = ConvexPolygon([(scale * x, scale * y) for x, y in poly.vertices])
+        tile = ConvexPolygon([(scale * x, scale * y) for x, y in tile.vertices])
+    planes = tuple(tile.edge_halfplanes())
+    inter, pieces = D._split(poly, planes)
+    want_inter, want_pieces = _split_clipping_every_plane(poly, planes)
+    assert _same_cells([inter, *pieces], [want_inter, *want_pieces])

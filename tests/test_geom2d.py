@@ -302,6 +302,19 @@ def test_area_additivity_under_clipping(poly, h):
     assert abs(total - area(poly)) <= EPS_AREA + 4 * math.ulp(area(poly))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="geom2d._dedup merges the cut's two crossing points, 1e-10 apart "
+    "(EPS_GEOM = 1e-9), and the larger piece loses 1e-10 of area",
+)
+def test_area_additivity_for_a_cut_next_to_a_vertex():
+    # The tent triangle cut at x = 1e-10: the additivity property above,
+    # at a cut its derandomized examples never draw.
+    h = Plane(1.0, 0.0, 1e-10)
+    total = area(clip(TRIANGLE_T, h)) + area(clip(TRIANGLE_T, -h))
+    assert abs(total - area(TRIANGLE_T)) <= EPS_AREA + 4 * math.ulp(area(TRIANGLE_T))
+
+
 @given(
     convex_polygons(),
     st.floats(min_value=-2.0, max_value=2.0),
