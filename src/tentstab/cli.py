@@ -21,7 +21,6 @@ import numpy as np
 
 from .density import (
     UlamGrid,
-    _interleave,
     build_ulam,
     density_csv,
     indicator_density,
@@ -103,8 +102,8 @@ def render_svg(grid: UlamGrid, values: np.ndarray) -> str:
         '<path d="M ' + " L ".join(["%.3f,%.3f"] * k) + ' Z" fill="#%02x%02x%02x"/>'
         for k in range(x.shape[1] + 1)
     ]
-    for count, pxy, r, g, b in grid._rows(_interleave(px, py), *channels):
-        parts.append(templates[count] % (*pxy[: 2 * count], r, g, b))
+    for count, pxy, r, g, b in grid._rows(px, py, *channels):
+        parts.append(templates[count] % (*pxy, r, g, b))
     swatches = 16
     sw = 12.0
     x0 = 12.0

@@ -615,23 +615,27 @@ class UlamGrid:
         y = np.where(valid, y, y[:, :1])
         return x.min(axis=1), y.min(axis=1), x.max(axis=1), y.max(axis=1)
 
-    def _rows(self, *columns):
-        """Each cell as Python values: its vertex count, then its entry of
-        each column, a per-cell array (a value) or a per-vertex array with
-        one row per cell (a list, padded past the cell's vertices).  Rows
+    def _rows(self, x: np.ndarray, y: np.ndarray, *columns):
+        """Each cell as Python values: its vertex count, its vertex list
+        x0, y0, x1, y1, ... from the per-vertex arrays x and y (one row per
+        cell, as self.polys), then its entry of each per-cell column.  Rows
         are converted OVERLAY_CHUNK at a time, so that the tolist()
         temporaries stay small."""
         for lo in range(0, len(self.cell_areas), OVERLAY_CHUNK):
             rows = slice(lo, lo + OVERLAY_CHUNK)
-            yield from zip(self.polys.n[rows].tolist(), *(c[rows].tolist() for c in columns))
+            n = self.polys.n[rows]
+            xy = np.stack((x[rows], y[rows]), axis=-1).reshape(len(n), -1)
+            for count, xy_row, *rest in zip(
+                n.tolist(), xy.tolist(), *(c[rows].tolist() for c in columns)
+            ):
+                yield (count, xy_row[: 2 * count], *rest)
 
     @functools.cached_property
     def cells(self) -> tuple[ConvexPolygon, ...]:
         """The cells as ConvexPolygons, built on first read."""
-        x, y, _ = self.polys
         return tuple(
-            ConvexPolygon._clean(tuple(zip(xs[:count], ys[:count])), area)
-            for count, xs, ys, area in self._rows(x, y, self.cell_areas)
+            ConvexPolygon._clean(tuple(zip(xy[0::2], xy[1::2])), area)
+            for _, xy, area in self._rows(self.polys.x, self.polys.y, self.cell_areas)
         )
 
     def centroids(self) -> tuple[np.ndarray, np.ndarray]:
@@ -962,11 +966,6 @@ def cesaro_fixed_density(
 # ---------------------------------------------------------------------------
 
 
-def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rows x0, y0, x1, y1, ... of two per-vertex arrays."""
-    return np.stack((x, y), axis=-1).reshape(len(x), -1)
-
-
 def density_csv(grid: UlamGrid, values: np.ndarray) -> str:
     """Cell table of the grid density with these cell values: id, area,
     centroid, value, vertex count and coordinates.
@@ -983,9 +982,9 @@ def density_csv(grid: UlamGrid, values: np.ndarray) -> str:
     ]
     lines = [",".join(header)]
     cx, cy = grid.centroids()
-    rows = grid._rows(grid.cell_areas, cx, cy, values, _interleave(grid.polys.x, grid.polys.y))
-    for i, (count, area, x, y, v, xy) in enumerate(rows):
-        lines.append(templates[count] % (i, area, x, y, v, count, *xy[: 2 * count]))
+    rows = grid._rows(grid.polys.x, grid.polys.y, grid.cell_areas, cx, cy, values)
+    for i, (count, xy, area, x, y, v) in enumerate(rows):
+        lines.append(templates[count] % (i, area, x, y, v, count, *xy))
     return "\n".join(lines) + "\n"
 
 
