@@ -995,6 +995,8 @@ def ulam_matrix_csv(matrix) -> str:
     coo = sp.coo_matrix(matrix)
     order = np.lexsort((coo.col, coo.row))
     lines = ["i,j,weight"]
-    entries = zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist())
-    lines += ["%d,%d,%.17g" % e for e in entries]
+    lines.extend(
+        "%d,%d,%.17g" % e
+        for e in zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist())
+    )
     return "\n".join(lines) + "\n"
