@@ -994,9 +994,17 @@ def ulam_matrix_csv(matrix) -> str:
     row-major order."""
     coo = sp.coo_matrix(matrix)
     order = np.lexsort((coo.col, coo.row))
-    lines = ["i,j,weight"]
-    lines.extend(
-        "%d,%d,%.17g" % e
-        for e in zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist())
-    )
-    return "\n".join(lines) + "\n"
+    row, col, data = coo.row[order], coo.col[order], coo.data[order]
+    # Entries are formatted and joined OVERLAY_CHUNK at a time, as
+    # UlamGrid._rows converts cells, so that no per-entry list of Python
+    # values or strings spans the whole matrix.
+    parts = ["i,j,weight\n"]
+    for lo in range(0, len(data), OVERLAY_CHUNK):
+        chunk = slice(lo, lo + OVERLAY_CHUNK)
+        parts.append(
+            "".join(
+                "%d,%d,%.17g\n" % e
+                for e in zip(row[chunk].tolist(), col[chunk].tolist(), data[chunk].tolist())
+            )
+        )
+    return "".join(parts)

@@ -179,6 +179,14 @@ def birkhoff_average(t: float, fname: str, x0, n: int, seed: int = 0) -> float:
     boundary restarts the orbit from a seeded interior point, since capture
     freezes double-precision orbits on a null set (the boundary is invariant,
     and at t = 1 captured orbits die at the fixed point within ~60 steps).
+
+    The first step is ``maps.apply``: x0 has not passed the capture test,
+    so it may lie on an edge or within EPS_GEOM outside, where apply's
+    tolerances and tie-break decide, or further out, where apply raises
+    OutsideRegion.  Every later step starts from a point with y > 0,
+    x > y and x + y < 2, and repeats the float operations apply performs
+    on such a point, so the average is bit for bit that of calling apply
+    on every step.
     """
     if n < 1:
         raise ParameterOutOfRange(f"orbit length must be >= 1, got {n}")
@@ -189,13 +197,40 @@ def birkhoff_average(t: float, fname: str, x0, n: int, seed: int = 0) -> float:
     ax, ay = TEST_FUNCTIONS[fname]
     m = make_tent2d(t)
     rng = np.random.default_rng(seed)
-    x = Point2(float(x0[0]), float(x0[1]))
+    x = float(x0[0])
+    y = float(x0[1])
     total = 0.0
-    for _ in range(n):
-        total += x.x**ax * x.y**ay
-        x = maps_mod.apply(m, x)
-        if x.y <= 0.0 or x.x <= x.y or x.x + x.y >= 2.0:
-            x = Point2(*_reseed_point(rng))
+    total += x**ax * y**ay
+    x, y = maps_mod.apply(m, Point2(x, y))
+    # A point with y > 0, x > y and x + y < 2 (float comparisons, so exact;
+    # together they give y < 1) decides apply's ConvexPolygon.contains
+    # tests by one of them.  contains computes dx*(py - ay) - dy*(px - ax)
+    # per edge and compares it with -tol*|d|.  With the vertices of the
+    # region and of the branch domains, that value is, for every edge but
+    # the two on x = 1, one of: 2.0*y - +0.0 or y - +-0.0, which are > 0;
+    # (x - 1.0) - (y - 1.0), which is >= 0 because rounding is monotone and
+    # x > y; or -y - (x - 2.0), which is >= 0 because x - 2.0 rounds to
+    # -(2.0 - x) and y < 2 - x gives y <= fl(2 - x).  So the region test
+    # passes, and so do those edge tests of both domains.  The left
+    # domain's edge (1,0)->(1,1) computes 0.0*(y - 0.0) - 1.0*(x - 1.0),
+    # that is -(x - 1.0), against -EPS_GEOM*1.0: the branch test below.
+    # The right domain's edge (1,1)->(1,0) computes
+    # 0.0*(y - 1.0) - (-1.0)*(x - 1.0), that is x - 1.0 (y < 1 makes the
+    # product -0.0), which passes wherever the left test fails, so apply's
+    # second tolerance is never reached.  Each step is the branch's
+    # Matrix2.apply, then its shift, in apply's order.
+    nt = -t
+    t2 = 2.0 * t
+    if y <= 0.0 or x <= y or x + y >= 2.0:
+        x, y = _reseed_point(rng)
+    for _ in range(n - 1):
+        total += x**ax * y**ay
+        if -(x - 1.0) >= -EPS_GEOM:
+            x, y = (t * x + t * y) + 0.0, (t * x + nt * y) + 0.0
+        else:
+            x, y = (nt * x + t * y) + t2, (nt * x + nt * y) + t2
+        if y <= 0.0 or x <= y or x + y >= 2.0:
+            x, y = _reseed_point(rng)
     return total / n
 
 

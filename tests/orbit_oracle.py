@@ -1,20 +1,29 @@
-"""Step-by-step tangent arithmetic: the orbit loop ``orbit_stats`` must match.
+"""Step-by-step loops that the package's orbit loops must match.
 
 ``orbit_stats`` below renormalizes the tangent vector on every step: it maps
 the unit vector by the branch's linear part, takes the norm with
 ``math.hypot``, adds its ``log`` to the running total and divides.  This is
 the loop the package ran before it looked the tangent steps up in a table of
-the few float states the tangent vector takes.  Tests compare the package
-with it field by field under ``float.hex``; nothing in the package imports
-this module.
+the few float states the tangent vector takes.
+
+``birkhoff_average`` below maps the point with ``maps.apply`` on every step,
+so each step runs the polygon tests of the region and the branch domains.
+This is the loop the package ran before it repeated apply's arithmetic
+inline after the first step.
+
+Tests compare the package with these loops under ``float.hex``; nothing in
+the package imports this module.
 """
 
 import math
 
 import numpy as np
 
+from tentstab import maps as maps_mod
+from tentstab.errors import ParameterOutOfRange
 from tentstab.experiments import TEST_FUNCTIONS, OrbitStats, _reseed_point
-from tentstab.maps import check_tent_parameter
+from tentstab.geom2d import Point2
+from tentstab.maps import check_tent_parameter, make_tent2d
 
 
 def orbit_stats(t, x0, n, seed):
@@ -54,3 +63,24 @@ def orbit_stats(t, x0, n, seed):
     return OrbitStats(
         t, seed, n, (float(x0[0]), float(x0[1])), log_total / n, birkhoff, reseeds
     )
+
+
+def birkhoff_average(t, fname, x0, n, seed=0):
+    """Time average of a monomial observable, through maps.apply on every step."""
+    if n < 1:
+        raise ParameterOutOfRange(f"orbit length must be >= 1, got {n}")
+    if fname not in TEST_FUNCTIONS:
+        raise ParameterOutOfRange(
+            f"unknown observable {fname!r}; choose from {', '.join(TEST_FUNCTIONS)}"
+        )
+    ax, ay = TEST_FUNCTIONS[fname]
+    m = make_tent2d(t)
+    rng = np.random.default_rng(seed)
+    x = Point2(float(x0[0]), float(x0[1]))
+    total = 0.0
+    for _ in range(n):
+        total += x.x**ax * x.y**ay
+        x = maps_mod.apply(m, x)
+        if x.y <= 0.0 or x.x <= x.y or x.x + x.y >= 2.0:
+            x = Point2(*_reseed_point(rng))
+    return total / n

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +380,25 @@ class TestExports:
         assert lines[0] == "i,j,weight"
         i, j, w = lines[1].split(",")
         assert float(w) > 0.0
+
+    def test_matrix_csv_bytes_match_golden(self):
+        # the matrix of the golden `density --t 0.95 --resolution 16` run
+        op, _ = cached_fixed(0.95, 16)
+        golden = Path(__file__).parent / "golden" / "density_matrix.matrix"
+        assert D.ulam_matrix_csv(op.matrix) == golden.read_text()
+
+    def test_matrix_csv_heap_peak_bounded_by_output(self):
+        # entries are formatted OVERLAY_CHUNK at a time; formatting the
+        # whole matrix at once peaked at 6.7 times the text
+        op = D.build_ulam(tent_power(0.939, 1), 128)
+        tracemalloc.start()
+        try:
+            text = D.ulam_matrix_csv(op.matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 3_000_000
+        assert peak < 3.5 * len(text)
 
     def test_csv_floats_roundtrip(self):
         op, vec = cached_fixed(0.95, 16)

@@ -9,7 +9,7 @@ import pytest
 from tentstab import density as D
 from tentstab import experiments as E
 from tentstab.errors import CellExplosion, OutsideRegion, ParameterOutOfRange
-from tentstab.maps import TENT_T_MIN, NormConvention, certify, tent_power
+from tentstab.maps import TENT_T_MIN, NormConvention, apply, certify, make_tent2d, tent_power
 
 import orbit_oracle
 import ulam_oracle
@@ -189,9 +189,12 @@ def test_orbit_functions_reject_start_outside_region(x0):
         E.birkhoff_average(0.9, "x", x0, 100, 1)
 
 
+# corners and edges within EPS_GEOM are in the region, as for maps.apply
+BOUNDARY_STARTS = ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (0.5, -1e-10), (1.5, 0.5))
+
+
 def test_orbit_functions_accept_start_on_region_boundary():
-    # corners and edges within EPS_GEOM are in the region, as for maps.apply
-    for x0 in ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (0.5, -1e-10), (1.5, 0.5)):
+    for x0 in BOUNDARY_STARTS:
         assert E.orbit_stats(0.9, x0, 50, 1).x0 == x0
         assert math.isfinite(E.birkhoff_average(0.9, "x", x0, 50, 1))
 
@@ -201,11 +204,12 @@ class TestBirkhoff:
         assert E.birkhoff_average(0.93, "1", (0.37, 0.11), 137) == 1.0
 
     def test_orbit_stats_matches_generic_apply_short_horizon(self):
-        # same orbit while no reseed fires and no boundary approach occurs
+        # same orbit while no reseed fires and no boundary approach occurs;
+        # the oracle runs maps.apply on every step
         x0 = (0.377, 0.113)
         st = E.orbit_stats(0.93, x0, 40, seed=5)
         for name in ("x", "y", "x2"):
-            generic = E.birkhoff_average(0.93, name, x0, 40, seed=5)
+            generic = orbit_oracle.birkhoff_average(0.93, name, x0, 40, seed=5)
             assert st.birkhoff[name] == pytest.approx(generic, abs=1e-12)
 
     def test_t1_spatial_averages(self):
@@ -293,7 +297,9 @@ class TestPinnedOrbits:
         assert val == 0.34657359027957302
 
     def test_birkhoff_average_through_reseeds(self):
-        # the generic apply path; 200 reseeds along the way
+        # maps.apply's arithmetic, inline after the first step (the value
+        # of orbit_oracle.birkhoff_average, which runs apply on every
+        # step); 200 reseeds along the way
         val = E.birkhoff_average(1.0, "x", E.seeded_start(1.0, 5), 20000, 5)
         assert val == 0.99902124110991886
 
@@ -336,6 +342,46 @@ class TestOrbitOracle:
         assert _orbit_hex(E.orbit_stats(t, x0, n, seed)) == _orbit_hex(want)
         if t == 1.0 and n == 200000:
             assert want.reseeds > 1000
+
+
+# x on either side of the branch test's EPS_GEOM tie-break at x = 1:
+# x = 1 + 1e-10 goes to the first branch, x = 1 + 2e-9 to the second.
+TIE_BREAK_X = (1.0 - 2e-9, 1.0 - 1e-10, 1.0 + 1e-10, 1.0 + 2e-9)
+
+
+def _left_preimage(t, x, y):
+    """A start that the first branch sends to (x, y) up to rounding."""
+    return ((x + y) / (2.0 * t), (x - y) / (2.0 * t))
+
+
+class TestBirkhoffOracle:
+    """birkhoff_average against maps.apply on every step, under float.hex."""
+
+    @pytest.mark.parametrize(
+        "t,seed,n", ORACLE_CASES, ids=[f"t{t!r}-seed{s}-n{n}" for t, s, n in ORACLE_CASES]
+    )
+    def test_matches_apply_every_step(self, t, seed, n):
+        x0 = E.seeded_start(t, seed)
+        for name in E.TEST_FUNCTIONS:
+            want = orbit_oracle.birkhoff_average(t, name, x0, n, seed)
+            assert E.birkhoff_average(t, name, x0, n, seed).hex() == want.hex(), name
+
+    @pytest.mark.parametrize("t", [0.9, 1.0])
+    def test_boundary_and_tie_break_starts(self, t):
+        # The first step is apply itself at the tie-break starts; the left
+        # preimages put the second point there, where the inline branch
+        # test decides.
+        preimages = [_left_preimage(t, x, 0.3) for x in TIE_BREAK_X]
+        m = make_tent2d(t)
+        for p, x in zip(preimages, TIE_BREAK_X):
+            assert abs(apply(m, p).x - x) <= 1e-15
+        starts = [*BOUNDARY_STARTS, *((x, 0.3) for x in TIE_BREAK_X), *preimages]
+        for x0 in starts:
+            for name in E.TEST_FUNCTIONS:
+                for n in (1, 2, 50):
+                    want = orbit_oracle.birkhoff_average(t, name, x0, n, 1)
+                    got = E.birkhoff_average(t, name, x0, n, 1)
+                    assert got.hex() == want.hex(), (x0, name, n)
 
 
 def _tent1d_matrix_loop(a, n_cells):
