@@ -85,77 +85,48 @@ def _split(poly: ConvexPolygon, planes):
     only once the intersection is known to be nonempty: when it is Empty,
     the result is (EMPTY, ()), since no caller has a use for the pieces.
 
-    A clip returns its vertex list unchanged only when no vertex lies
-    outside its line by more than rounding.  So when the kept side comes
-    out as poly's own vertex list, each outside clip would leave at most
-    a sliver along its line, which _wrap empties, and the result is
-    (poly, ()) without the outside clips.
+    Only the planes that cut are clipped: a plane with no vertex of the
+    current vertex list outside it, by the clip's own sign test, would
+    return that list unchanged, and its outside piece would be at most a
+    segment on its line, which _wrap empties.  So a cell inside the
+    clipper costs no clip and comes back as (poly, ()), and a cell cut by
+    one plane costs two.
     """
     clip = geom2d._clip_verts
-    rests = [poly.vertices]
+    verts = poly.vertices
+    cuts = []
     for nx, ny, off in planes:
-        rest = clip(rests[-1], nx, ny, off)
-        if not rest:
+        for x, y in verts:
+            if off - (nx * x + ny * y) < 0.0:
+                break
+        else:
+            continue
+        cuts.append((nx, ny, off, verts))
+        verts = clip(verts, nx, ny, off)
+        if not verts:
             return EMPTY, ()
-        rests.append(rest)
-    if len(rests[-1]) == len(poly.vertices) and tuple(rests[-1]) == poly.vertices:
+    if not cuts:
         return poly, ()
-    inter = ConvexPolygon._wrap(rests[-1])
+    inter = ConvexPolygon._wrap(verts)
     if inter.is_empty:
         return EMPTY, ()
     pieces = []
-    for (nx, ny, off), rest in zip(planes, rests):
-        outside = clip(rest, -nx, -ny, -off)
-        if outside:
-            piece = ConvexPolygon._wrap(outside)
-            if not piece.is_empty:
-                pieces.append(piece)
+    for nx, ny, off, rest in cuts:
+        piece = ConvexPolygon._wrap(clip(rest, -nx, -ny, -off))
+        if not piece.is_empty:
+            pieces.append(piece)
     return inter, pieces
 
 
-class _CellStore:
-    """Growable cell partition with a lazy uniform-bin spatial index;
-    ``boxes[i]`` is the bounding box of ``polys[i]``."""
-
-    nbins = 48
-
-    def __init__(self, region: ConvexPolygon):
-        xmin, ymin, xmax, ymax = region.bbox()
-        self.x0 = xmin
-        self.y0 = ymin
-        self.sx = max((xmax - xmin) / self.nbins, 1e-300)
-        self.sy = max((ymax - ymin) / self.nbins, 1e-300)
-        self.polys: list[ConvexPolygon] = []
-        self.boxes: list[tuple[float, float, float, float]] = []
-        self.values: list[float] = []
-        self.bins: dict[tuple[int, int], list[int]] = {}
-        self.add(region, 0.0)
-
-    def _bin_span(self, bbox):
-        bx0 = min(max(int((bbox[0] - self.x0) / self.sx), 0), self.nbins - 1)
-        by0 = min(max(int((bbox[1] - self.y0) / self.sy), 0), self.nbins - 1)
-        bx1 = min(max(int((bbox[2] - self.x0) / self.sx), 0), self.nbins - 1)
-        by1 = min(max(int((bbox[3] - self.y0) / self.sy), 0), self.nbins - 1)
-        return bx0, by0, bx1, by1
-
-    def add(self, poly: ConvexPolygon, value: float) -> None:
-        idx = len(self.polys)
-        box = poly.bbox()
-        self.polys.append(poly)
-        self.boxes.append(box)
-        self.values.append(value)
-        bx0, by0, bx1, by1 = self._bin_span(box)
-        for bx in range(bx0, bx1 + 1):
-            for by in range(by0, by1 + 1):
-                self.bins.setdefault((bx, by), []).append(idx)
-
-    def candidates(self, bbox) -> list[int]:
-        bx0, by0, bx1, by1 = self._bin_span(bbox)
-        seen = set()
-        for bx in range(bx0, bx1 + 1):
-            for by in range(by0, by1 + 1):
-                seen.update(self.bins.get((bx, by), ()))
-        return sorted(seen)
+def _box(poly: ConvexPolygon) -> tuple[float, ...]:
+    """The bounding box and the diagonal box of poly, as the minima of x,
+    y, u = x + y and v = x - y over its vertices, then the negated maxima."""
+    verts = poly.vertices
+    xs = [p[0] for p in verts]
+    ys = [p[1] for p in verts]
+    us = [x + y for x, y in verts]
+    vs = [x - y for x, y in verts]
+    return (min(xs), min(ys), min(us), min(vs), -max(xs), -max(ys), -max(us), -max(vs))
 
 
 def _refine(
@@ -169,34 +140,47 @@ def _refine(
     are returned sorted by snapped centroid for deterministic downstream
     output.
     """
-    store = _CellStore(region)
+    polys = [region]
+    values = [0.0]
+    # Column i holds _box(polys[i]).  A tile's _box with its halves
+    # swapped and negated, (maxima, -minima), exceeds a column in every
+    # entry exactly when both boxes of cell and tile overlap strictly.
+    boxes = np.empty((8, 64))
+    boxes[:, 0] = _box(region)
     for tile, tv in tiles:
         if tile.is_empty or tv == 0.0:
             continue
-        tb = tile.bbox()
+        box = _box(tile)
+        key = np.negative(box[4:] + box[:4])[:, None]
+        # Boxes that at most touch: the split leaves a sliver along one
+        # line, which _wrap empties.  The same holds for the diagonal
+        # boxes: when the fl(x + y) or fl(x - y) ranges of cell and tile
+        # at most touch, the two polygons overlap in a strip a few ulp
+        # wide, whose area is orders of magnitude below EPS_AREA, so the
+        # skipped _split would have returned (EMPTY, ()).
+        hits = np.flatnonzero((boxes[:, : len(polys)] < key).all(axis=0)).tolist()
         planes = tuple(tile.edge_halfplanes())
-        for idx in store.candidates(tb):
-            pb = store.boxes[idx]
-            # Boxes that at most touch: the split leaves a sliver along
-            # one line, which _wrap empties.
-            if pb[0] >= tb[2] or pb[2] <= tb[0] or pb[1] >= tb[3] or pb[3] <= tb[1]:
-                continue
-            inter, outside = _split(store.polys[idx], planes)
+        for idx in hits:
+            inter, outside = _split(polys[idx], planes)
             if inter.is_empty:
                 continue
+            values[idx] += tv
             if not outside:
-                store.values[idx] += tv
                 continue
-            store.polys[idx] = inter
-            store.boxes[idx] = inter.bbox()
-            store.values[idx] += tv
+            polys[idx] = inter
+            boxes[:, idx] = _box(inter)
+            value = values[idx] - tv
             for piece in outside:
-                store.add(piece, store.values[idx] - tv)
-            if len(store.polys) > MAX_CELLS:
+                if len(polys) == boxes.shape[1]:
+                    boxes = np.concatenate([boxes, np.empty_like(boxes)], axis=1)
+                boxes[:, len(polys)] = _box(piece)
+                polys.append(piece)
+                values.append(value)
+            if len(polys) > MAX_CELLS:
                 raise CellExplosion(
                     f"overlay arrangement exceeded {MAX_CELLS} cells"
                 )
-    cells = sorted(zip(store.polys, store.values), key=lambda cv: snap_key(cv[0].centroid()))
+    cells = sorted(zip(polys, values), key=lambda cv: snap_key(cv[0].centroid()))
     return tuple(cells)
 
 

@@ -9,7 +9,9 @@ the few float states the tangent vector takes.
 ``birkhoff_average`` below maps the point with ``maps.apply`` on every step,
 so each step runs the polygon tests of the region and the branch domains.
 This is the loop the package ran before it repeated apply's arithmetic
-inline after the first step.
+inline after the first step.  ``birkhoff_averages`` walks the same orbit
+once for all six observables, each with its own running total of the same
+terms in the same order.
 
 Tests compare the package with these loops under ``float.hex``; nothing in
 the package imports this module.
@@ -84,3 +86,22 @@ def birkhoff_average(t, fname, x0, n, seed=0):
         if x.y <= 0.0 or x.x <= x.y or x.x + x.y >= 2.0:
             x = Point2(*_reseed_point(rng))
     return total / n
+
+
+def birkhoff_averages(t, x0, n, seed=0):
+    """birkhoff_average of every observable in TEST_FUNCTIONS, from one walk
+    of the orbit (the orbit and its reseeds do not depend on the observable)."""
+    if n < 1:
+        raise ParameterOutOfRange(f"orbit length must be >= 1, got {n}")
+    powers = list(TEST_FUNCTIONS.items())
+    m = make_tent2d(t)
+    rng = np.random.default_rng(seed)
+    x = Point2(float(x0[0]), float(x0[1]))
+    totals = [0.0] * len(powers)
+    for _ in range(n):
+        for k, (_, (ax, ay)) in enumerate(powers):
+            totals[k] += x.x**ax * x.y**ay
+        x = maps_mod.apply(m, x)
+        if x.y <= 0.0 or x.x <= x.y or x.x + x.y >= 2.0:
+            x = Point2(*_reseed_point(rng))
+    return {name: total / n for (name, _), total in zip(powers, totals)}

@@ -1,0 +1,122 @@
+"""The arrangement refinement as it ran with a uniform-bin cell index: the
+reference the package's ``density._refine`` and ``density._split`` must
+match bit for bit.
+
+``refine`` finds a tile's candidate cells in a 48 x 48 grid of bins over
+the region's bounding box, keeps those whose bounding box overlaps the
+tile's, and splits each with ``split``, which clips the kept side by every
+tile plane and peels an outside piece off every plane.  Tests compare the
+package with these loops; nothing in the package imports this module.
+"""
+
+from typing import Iterable
+
+from tentstab import density, geom2d
+from tentstab.errors import CellExplosion
+from tentstab.geom2d import EMPTY, ConvexPolygon, snap_key
+
+
+def split(poly: ConvexPolygon, planes):
+    """(poly ∩ clipper, convex pieces of poly \\ clipper), clipping the
+    kept side by every plane; (poly, ()) when every clip kept poly's own
+    vertex list."""
+    clip = geom2d._clip_verts
+    rests = [poly.vertices]
+    for nx, ny, off in planes:
+        rest = clip(rests[-1], nx, ny, off)
+        if not rest:
+            return EMPTY, ()
+        rests.append(rest)
+    if len(rests[-1]) == len(poly.vertices) and tuple(rests[-1]) == poly.vertices:
+        return poly, ()
+    inter = ConvexPolygon._wrap(rests[-1])
+    if inter.is_empty:
+        return EMPTY, ()
+    pieces = []
+    for (nx, ny, off), rest in zip(planes, rests):
+        outside = clip(rest, -nx, -ny, -off)
+        if outside:
+            piece = ConvexPolygon._wrap(outside)
+            if not piece.is_empty:
+                pieces.append(piece)
+    return inter, pieces
+
+
+class CellStore:
+    """Growable cell partition with a lazy uniform-bin spatial index;
+    ``boxes[i]`` is the bounding box of ``polys[i]``."""
+
+    nbins = 48
+
+    def __init__(self, region: ConvexPolygon):
+        xmin, ymin, xmax, ymax = region.bbox()
+        self.x0 = xmin
+        self.y0 = ymin
+        self.sx = max((xmax - xmin) / self.nbins, 1e-300)
+        self.sy = max((ymax - ymin) / self.nbins, 1e-300)
+        self.polys: list[ConvexPolygon] = []
+        self.boxes: list[tuple[float, float, float, float]] = []
+        self.values: list[float] = []
+        self.bins: dict[tuple[int, int], list[int]] = {}
+        self.add(region, 0.0)
+
+    def _bin_span(self, bbox):
+        bx0 = min(max(int((bbox[0] - self.x0) / self.sx), 0), self.nbins - 1)
+        by0 = min(max(int((bbox[1] - self.y0) / self.sy), 0), self.nbins - 1)
+        bx1 = min(max(int((bbox[2] - self.x0) / self.sx), 0), self.nbins - 1)
+        by1 = min(max(int((bbox[3] - self.y0) / self.sy), 0), self.nbins - 1)
+        return bx0, by0, bx1, by1
+
+    def add(self, poly: ConvexPolygon, value: float) -> None:
+        idx = len(self.polys)
+        box = poly.bbox()
+        self.polys.append(poly)
+        self.boxes.append(box)
+        self.values.append(value)
+        bx0, by0, bx1, by1 = self._bin_span(box)
+        for bx in range(bx0, bx1 + 1):
+            for by in range(by0, by1 + 1):
+                self.bins.setdefault((bx, by), []).append(idx)
+
+    def candidates(self, bbox) -> list[int]:
+        bx0, by0, bx1, by1 = self._bin_span(bbox)
+        seen = set()
+        for bx in range(bx0, bx1 + 1):
+            for by in range(by0, by1 + 1):
+                seen.update(self.bins.get((bx, by), ()))
+        return sorted(seen)
+
+
+def refine(
+    region: ConvexPolygon,
+    tiles: Iterable[tuple[ConvexPolygon, float]],
+) -> tuple[tuple[ConvexPolygon, float], ...]:
+    """Partition region by a sequence of value-carrying convex tiles, cells
+    sorted by snapped centroid (density._refine's contract)."""
+    store = CellStore(region)
+    for tile, tv in tiles:
+        if tile.is_empty or tv == 0.0:
+            continue
+        tb = tile.bbox()
+        planes = tuple(tile.edge_halfplanes())
+        for idx in store.candidates(tb):
+            pb = store.boxes[idx]
+            if pb[0] >= tb[2] or pb[2] <= tb[0] or pb[1] >= tb[3] or pb[3] <= tb[1]:
+                continue
+            inter, outside = split(store.polys[idx], planes)
+            if inter.is_empty:
+                continue
+            if not outside:
+                store.values[idx] += tv
+                continue
+            store.polys[idx] = inter
+            store.boxes[idx] = inter.bbox()
+            store.values[idx] += tv
+            for piece in outside:
+                store.add(piece, store.values[idx] - tv)
+            if len(store.polys) > density.MAX_CELLS:
+                raise CellExplosion(
+                    f"overlay arrangement exceeded {density.MAX_CELLS} cells"
+                )
+    cells = sorted(zip(store.polys, store.values), key=lambda cv: snap_key(cv[0].centroid()))
+    return tuple(cells)

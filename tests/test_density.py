@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import refine_oracle
 import ulam_oracle
 from tentstab import density as D, geom2d
 from tentstab.errors import (
@@ -985,3 +986,70 @@ def test_split_matches_clipping_every_plane(poly, tile, scale):
     inter, pieces = D._split(poly, planes)
     want_inter, want_pieces = _split_clipping_every_plane(poly, planes)
     assert _same_cells([inter, *pieces], [want_inter, *want_pieces])
+
+
+def test_split_clips_only_the_planes_that_cut(monkeypatch):
+    clip = geom2d._clip_verts
+    calls = []
+
+    def counting_clip(*args):
+        calls.append(args)
+        return clip(*args)
+
+    monkeypatch.setattr(geom2d, "_clip_verts", counting_clip)
+    inner = ConvexPolygon(((0.9, 0.1), (1.1, 0.1), (1.0, 0.3)))
+    assert D._split(inner, tuple(TRIANGLE_T.edge_halfplanes())) == (inner, ())
+    assert calls == []
+    # Only LEFT_HALF's x <= 1 edge cuts the box: one clip for the kept
+    # side, one for the outside piece.
+    cell = box(0.8, 0.1, 1.2, 0.3)
+    inter, pieces = D._split(cell, tuple(LEFT_HALF.edge_halfplanes()))
+    assert len(calls) == 2
+    assert inter.area == pytest.approx(0.04) and len(pieces) == 1
+
+
+def _scaled(poly, scale):
+    return ConvexPolygon([(scale * x, scale * y) for x, y in poly.vertices])
+
+
+def _same_arrangement(got, want) -> bool:
+    """Cells equal under _same_cells, values equal under float.hex."""
+    return _same_cells([c for c, _ in got], [c for c, _ in want]) and [
+        v.hex() for _, v in got
+    ] == [v.hex() for _, v in want]
+
+
+@given(
+    tiles=st.lists(
+        st.tuples(lattice_polygons(), st.sampled_from([1.0, -0.5, 0.1, 1.0 / 3.0, 0.0])),
+        min_size=1,
+        max_size=6,
+    ),
+    scale=st.sampled_from([1.0, 0.9, TENT_T_MIN]),
+)
+@settings(max_examples=200, deadline=None)
+def test_refine_matches_the_bin_index_oracle(tiles, scale):
+    """_refine against the bin-index refinement that clips every plane:
+    lattice tiles meet the cells along x, y, x + y and x - y lines exactly
+    (scale 1) and to rounding (the scaled copies)."""
+    region = _scaled(TRIANGLE_T, scale)
+    tiles = [(_scaled(tile, scale), v) for tile, v in tiles]
+    got = D._refine(region, tiles)
+    want = refine_oracle.refine(region, tiles)
+    assert _same_arrangement(got, want)
+
+
+def test_lycheck_chain_matches_the_bin_index_oracle(monkeypatch):
+    # lycheck's arrangement at power 3: pushforward iterates 1..5 of the
+    # uniform density.
+    m = tent_power(0.94187, 3)
+    got = [D.uniform_density(m.region)]
+    for _ in range(5):
+        got.append(D.push_forward(m, got[-1]))
+    monkeypatch.setattr(D, "_refine", refine_oracle.refine)
+    want = [D.uniform_density(m.region)]
+    for _ in range(5):
+        want.append(D.push_forward(m, want[-1]))
+    assert len(got[-1].cells) > 1000
+    for g, w in zip(got[1:], want[1:]):
+        assert _same_arrangement(g.cells, w.cells)

@@ -362,9 +362,16 @@ class TestBirkhoffOracle:
     )
     def test_matches_apply_every_step(self, t, seed, n):
         x0 = E.seeded_start(t, seed)
-        for name in E.TEST_FUNCTIONS:
-            want = orbit_oracle.birkhoff_average(t, name, x0, n, seed)
+        wants = orbit_oracle.birkhoff_averages(t, x0, n, seed)
+        assert list(wants) == list(E.TEST_FUNCTIONS)
+        for name, want in wants.items():
             assert E.birkhoff_average(t, name, x0, n, seed).hex() == want.hex(), name
+
+    def test_one_pass_oracle_matches_per_observable_oracle(self):
+        x0 = E.seeded_start(1.0, 2)
+        wants = orbit_oracle.birkhoff_averages(1.0, x0, 3000, 2)
+        for name, want in wants.items():
+            assert orbit_oracle.birkhoff_average(1.0, name, x0, 3000, 2).hex() == want.hex()
 
     @pytest.mark.parametrize("t", [0.9, 1.0])
     def test_boundary_and_tie_break_starts(self, t):
