@@ -169,7 +169,7 @@ def _refine(
                 continue
             polys[idx] = inter
             boxes[:, idx] = _box(inter)
-            value = values[idx] - tv
+            value = values[idx] - tv  # fl(fl(v + tv) - tv), not v: pinned
             for piece in outside:
                 if len(polys) == boxes.shape[1]:
                     boxes = np.concatenate([boxes, np.empty_like(boxes)], axis=1)
