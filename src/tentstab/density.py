@@ -129,6 +129,23 @@ def _box(poly: ConvexPolygon) -> tuple[float, ...]:
     return (min(xs), min(ys), min(us), min(vs), -max(xs), -max(ys), -max(us), -max(vs))
 
 
+def _meets(boxes: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Whether both boxes of each column of boxes overlap both boxes of the
+    matching column of other strictly, for arrays of _box columns that
+    broadcast against each other.
+
+    The other's columns with their halves swapped and negated, (maxima,
+    -minima), exceed a column in every entry exactly when the boxes overlap
+    strictly.  Boxes that at most touch need no clip: when the fl(x), fl(y),
+    fl(x + y) or fl(x - y) ranges of two polygons at most touch, the two
+    overlap in a strip a few ulp wide along one line, whose area is orders
+    of magnitude below EPS_AREA.  ConvexPolygon._wrap and _finish empty
+    what clipping one by the other leaves of it, so the skipped clip would
+    have given Empty, or an overlap of area 0.
+    """
+    return (boxes < -np.concatenate((other[4:], other[:4]))).all(axis=0)
+
+
 def _refine(
     region: ConvexPolygon,
     tiles: Iterable[tuple[ConvexPolygon, float]],
@@ -142,23 +159,15 @@ def _refine(
     """
     polys = [region]
     values = [0.0]
-    # Column i holds _box(polys[i]).  A tile's _box with its halves
-    # swapped and negated, (maxima, -minima), exceeds a column in every
-    # entry exactly when both boxes of cell and tile overlap strictly.
+    # Column i holds _box(polys[i]); a cell that _meets rejects would
+    # have come back from _split as (EMPTY, ()).
     boxes = np.empty((8, 64))
     boxes[:, 0] = _box(region)
     for tile, tv in tiles:
         if tile.is_empty or tv == 0.0:
             continue
-        box = _box(tile)
-        key = np.negative(box[4:] + box[:4])[:, None]
-        # Boxes that at most touch: the split leaves a sliver along one
-        # line, which _wrap empties.  The same holds for the diagonal
-        # boxes: when the fl(x + y) or fl(x - y) ranges of cell and tile
-        # at most touch, the two polygons overlap in a strip a few ulp
-        # wide, whose area is orders of magnitude below EPS_AREA, so the
-        # skipped _split would have returned (EMPTY, ()).
-        hits = np.flatnonzero((boxes[:, : len(polys)] < key).all(axis=0)).tolist()
+        box = np.array(_box(tile))[:, None]
+        hits = np.flatnonzero(_meets(boxes[:, : len(polys)], box)).tolist()
         planes = tuple(tile.edge_halfplanes())
         for idx in hits:
             inter, outside = _split(polys[idx], planes)
@@ -192,12 +201,14 @@ def push_forward(m: PiecewiseMap, f: PiecewisePolyDensity) -> PiecewisePolyDensi
     partition of the region with contributions summed where images overlap.
     """
     _check_same_region(f.region, m.region)
+    live = [(poly, v) for poly, v in f.cells if v != 0.0 and not poly.is_empty]
+    boxes = np.array([_box(poly) for poly, _ in live]).reshape(-1, 8).T
     tiles = []
     for branch in m.branches:
         inv_jac = 1.0 / branch.jacobian_abs
-        for poly, v in f.cells:
-            if v == 0.0:
-                continue
+        hits = _meets(boxes, np.array(_box(branch.domain))[:, None])
+        for idx in np.flatnonzero(hits).tolist():
+            poly, v = live[idx]
             piece = intersect(poly, branch.domain)
             if piece.is_empty:
                 continue
@@ -462,9 +473,63 @@ def _clip_all(p: _Polys, planes) -> _Polys:
     return p
 
 
+def _row_boxes(p: _Polys) -> np.ndarray:
+    """_box of every row, as the columns of an (8, rows) array; the columns
+    of Empty rows are meaningless."""
+    valid = np.arange(p.x.shape[1]) < p.n[:, None]
+    x = np.where(valid, p.x, p.x[:, :1])
+    y = np.where(valid, p.y, p.y[:, :1])
+    coords = (x, y, x + y, x - y)
+    lo = [c.min(axis=1, initial=np.inf) for c in coords]
+    return np.stack(lo + [-c.max(axis=1, initial=-np.inf) for c in coords])
+
+
+def _close_rows(p: _Polys) -> np.ndarray:
+    """The rows with a pair of cyclically consecutive vertices, the last
+    and the first included, within EPS_GEOM by geom2d._dedup's own test
+    (the vertex minus its predecessor, squared and summed): _dedup leaves
+    every other row as it is.  The squares are formed in place, so that
+    a grid-sized batch costs two temporaries."""
+    x, y, n = p
+    d2 = _cyclic(x, n, -1)
+    np.subtract(x, d2, out=d2)
+    d2 *= d2
+    dy2 = _cyclic(y, n, -1)
+    np.subtract(y, dy2, out=dy2)
+    dy2 *= dy2
+    d2 += dy2
+    valid = np.arange(x.shape[1]) < n[:, None]
+    return np.flatnonzero((valid & (d2 <= EPS_GEOM * EPS_GEOM)).any(axis=1))
+
+
 def _finish(p: _Polys) -> tuple[_Polys, np.ndarray]:
     """ConvexPolygon._wrap on every row: geom2d._dedup, then Empty below
-    three vertices or EPS_AREA; returns the rows and their areas."""
+    three vertices or EPS_AREA; returns the rows and their areas.  Only
+    the _close_rows go through the vertex merge."""
+    x, y, n = p
+    close = _close_rows(p)
+    if close.size:
+        merged = _dedup(p.take(close))
+        n = n.copy()
+        n[close] = merged.n
+    valid = np.arange(x.shape[1]) < n[:, None]
+    p = _Polys(np.where(valid, x, 0.0), np.where(valid, y, 0.0), n)
+    if close.size:
+        p.x[close, : merged.x.shape[1]] = merged.x
+        p.y[close, : merged.y.shape[1]] = merged.y
+    terms = np.where(valid, p.x * _cyclic(p.y, n, 1) - _cyclic(p.x, n, 1) * p.y, 0.0)
+    s = 0.5 * _sequential_sum(terms)
+    empty = (n < 3) | (np.abs(s) < EPS_AREA)
+    n = np.where(empty, 0, n)
+    width = n.max(initial=0)
+    p = _Polys(p.x[:, :width], p.y[:, :width], n)
+    return p, np.where(empty, 0.0, np.maximum(s, 0.0))
+
+
+def _dedup(p: _Polys) -> _Polys:
+    """geom2d._dedup on every row: each vertex within EPS_GEOM of the last
+    one kept is dropped, then the last vertex while it is within EPS_GEOM
+    of the first."""
     x, y, n = p
     eps2 = EPS_GEOM * EPS_GEOM
     keep = np.zeros(x.shape, dtype=bool)
@@ -491,14 +556,7 @@ def _finish(p: _Polys) -> tuple[_Polys, np.ndarray]:
                 break
             n = n - drop
     valid = np.arange(x.shape[1]) < n[:, None]
-    p = _Polys(np.where(valid, x, 0.0), np.where(valid, y, 0.0), n)
-    terms = np.where(valid, p.x * _cyclic(p.y, n, 1) - _cyclic(p.x, n, 1) * p.y, 0.0)
-    s = 0.5 * _sequential_sum(terms)
-    empty = (n < 3) | (np.abs(s) < EPS_AREA)
-    n = np.where(empty, 0, n)
-    width = n.max(initial=0)
-    p = _Polys(p.x[:, :width], p.y[:, :width], n)
-    return p, np.where(empty, 0.0, np.maximum(s, 0.0))
+    return _Polys(np.where(valid, x, 0.0), np.where(valid, y, 0.0), n)
 
 
 # ---------------------------------------------------------------------------
@@ -590,15 +648,6 @@ class UlamGrid:
             region, resolution, polys.take(hit), areas[hit], lookup.reshape(ny, nx), (ix0, iy0)
         )
 
-    @functools.cached_property
-    def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(xmin, ymin, xmax, ymax) arrays: every cell's bounding box."""
-        x, y, n = self.polys
-        valid = np.arange(x.shape[1]) < n[:, None]
-        x = np.where(valid, x, x[:, :1])
-        y = np.where(valid, y, y[:, :1])
-        return x.min(axis=1), y.min(axis=1), x.max(axis=1), y.max(axis=1)
-
     def _rows(self, x: np.ndarray, y: np.ndarray, *columns):
         """Each cell as Python values: its vertex count, its vertex list
         x0, y0, x1, y1, ... from the per-vertex arrays x and y (one row per
@@ -663,17 +712,16 @@ class UlamGrid:
         return out
 
 
-def _overlay(grid: UlamGrid, p: _Polys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _overlay(
+    grid: UlamGrid, cell_boxes: np.ndarray, p: _Polys
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(k, j, area of row k ∩ cell j) for every pair with positive area,
-    ordered by k and then by j.
+    ordered by k and then by j; cell_boxes is _row_boxes(grid.polys).
 
     Row k meets the squares from floor(bbox * resolution -/+ SNAP), taken
     in row-major order.  Candidate (row, square) pairs are made
-    OVERLAY_CHUNK at a time.  A pair whose bounding boxes at most touch is
-    dropped: the two polygons then share at most a segment of one line,
-    so the clip would leave a sliver within rounding of that line, which
-    _finish empties.  The pairs left are clipped in batches of
-    OVERLAY_CHUNK.
+    OVERLAY_CHUNK at a time.  A pair that _meets rejects is dropped, and
+    the pairs left are clipped in batches of OVERLAY_CHUNK.
     """
     parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
     if not p.x.size:  # no rows, or every row Empty
@@ -681,14 +729,12 @@ def _overlay(grid: UlamGrid, p: _Polys) -> tuple[np.ndarray, np.ndarray, np.ndar
     res = grid.resolution
     ix0, iy0 = grid.origin
     ny, nx = grid.lookup.shape
-    x = np.where(np.arange(p.x.shape[1]) < p.n[:, None], p.x, p.x[:, :1])
-    y = np.where(np.arange(p.y.shape[1]) < p.n[:, None], p.y, p.y[:, :1])
-    xmin, ymin, xmax, ymax = x.min(axis=1), y.min(axis=1), x.max(axis=1), y.max(axis=1)
+    boxes = _row_boxes(p)
+    xmin, ymin, xmax, ymax = boxes[0], boxes[1], -boxes[4], -boxes[5]
     lo_x = np.maximum(np.floor(xmin * res - SNAP).astype(np.intp) - ix0, 0)
     hi_x = np.minimum(np.floor(xmax * res + SNAP).astype(np.intp) - ix0, nx - 1)
     lo_y = np.maximum(np.floor(ymin * res - SNAP).astype(np.intp) - iy0, 0)
     hi_y = np.minimum(np.floor(ymax * res + SNAP).astype(np.intp) - iy0, ny - 1)
-    cx0, cy0, cx1, cy1 = grid.bounds
     width = np.maximum(hi_x - lo_x + 1, 0)
     count = np.where(p.n > 0, width * np.maximum(hi_y - lo_y + 1, 0), 0)
     ends = np.cumsum(count)
@@ -699,8 +745,7 @@ def _overlay(grid: UlamGrid, p: _Polys) -> tuple[np.ndarray, np.ndarray, np.ndar
         k = np.searchsorted(ends, pos, side="right")
         dy, dx = np.divmod(pos - (ends[k] - count[k]), width[k])
         j = grid.lookup[lo_y[k] + dy, lo_x[k] + dx]
-        meets = (j >= 0) & (cx0[j] < xmax[k]) & (cx1[j] > xmin[k])
-        meets &= (cy0[j] < ymax[k]) & (cy1[j] > ymin[k])
+        meets = (j >= 0) & _meets(cell_boxes[:, j], boxes[:, k])
         held_k = np.concatenate([held_k, k[meets]])
         held_j = np.concatenate([held_j, j[meets]])
         last = start + OVERLAY_CHUNK >= total
@@ -742,8 +787,12 @@ def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
     appended them.
     """
     grid = UlamGrid.build(m.region, resolution)
+    # Not kept on the grid: callers that hold grids, as the sweep does,
+    # would hold every grid's boxes.
+    cell_boxes = _row_boxes(grid.polys)
     nb = len(m.branches)
     domains = _halfplanes(_pack([br.domain for br in m.branches]))
+    domain_boxes = np.array([_box(br.domain) for br in m.branches]).T
     lin = np.array([br.map.linear for br in m.branches])
     shift = np.array([br.map.shift for br in m.branches])
     jac = np.array([br.jacobian_abs for br in m.branches])
@@ -753,6 +802,8 @@ def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
     cols, data = [np.zeros(0, np.int32)], [np.zeros(0)]
     for lo in range(0, n * nb, OVERLAY_CHUNK):
         i, b = np.divmod(np.arange(lo, min(lo + OVERLAY_CHUNK, n * nb)), nb)
+        meets = _meets(cell_boxes[:, i], domain_boxes[:, b])
+        i, b = i[meets], b[meets]
         piece, _ = _finish(_clip_all(grid.polys.take(i), [h[b] for h in domains]))
         i, b, piece = i[piece.n > 0], b[piece.n > 0], piece.take(piece.n > 0)
         singular = np.abs(det[b]) <= EPS_GEOM
@@ -771,7 +822,7 @@ def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
         )
         ok = image.n > 0
         i, b, image, image_area = i[ok], b[ok], image.take(ok), image_area[ok]
-        src, j, w = _overlay(grid, image)
+        src, j, w = _overlay(grid, cell_boxes, image)
         lost = image_area - np.bincount(src, weights=w, minlength=len(i))
         bad = np.flatnonzero(lost > 1e-9)
         if bad.size:
@@ -858,7 +909,7 @@ def density_from_vector(grid: UlamGrid, vec: DensityVector) -> PiecewisePolyDens
 def _grid_values(grid: UlamGrid, f: PiecewisePolyDensity) -> np.ndarray:
     """Cell averages of f on the grid: the cell values of project_to_grid."""
     tiles = [(poly, v) for poly, v in f.cells if v != 0.0 and not poly.is_empty]
-    src, j, w = _overlay(grid, _pack([poly for poly, _ in tiles]))
+    src, j, w = _overlay(grid, _row_boxes(grid.polys), _pack([poly for poly, _ in tiles]))
     values = np.array([v for _, v in tiles], dtype=float)
     acc = np.bincount(j, weights=values[src] * w, minlength=len(grid.cell_areas))
     return acc / grid.cell_areas
@@ -950,26 +1001,45 @@ def cesaro_fixed_density(
 # ---------------------------------------------------------------------------
 
 
+def _spelled(a: np.ndarray) -> np.ndarray:
+    """'%.17g' % v for every entry v of the float array a, as an object
+    array of its shape.  Each distinct float is formatted once, keyed by
+    its bit pattern, so that -0.0 keeps its own spelling."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    keys, inverse = np.unique(a.view(np.uint64), return_inverse=True)
+    words = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()], dtype=object)
+    # the inverse's shape differs between numpy releases
+    return words[inverse.reshape(a.shape)]
+
+
 def density_csv(grid: UlamGrid, values: np.ndarray) -> str:
     """Cell table of the grid density with these cell values: id, area,
     centroid, value, vertex count and coordinates.
 
-    Each row is written from one %-template per vertex count: '%.17g' % x
-    spells a float as ioutil.fmt(x) does."""
-    max_verts = int(grid.polys.n.max(initial=0))
+    Rows are written OVERLAY_CHUNK at a time, from the _spelled floats of
+    the chunk ('%.17g' % x spells a float as ioutil.fmt(x) does), with
+    empty fields after the last vertex."""
+    x, y, n = grid.polys
+    max_verts = int(n.max(initial=0))
     header = ["cell_id", "area", "centroid_x", "centroid_y", "value", "n_vertices"]
     for k in range(max_verts):
         header += [f"v{k}x", f"v{k}y"]
-    templates = [
-        "%d,%.17g,%.17g,%.17g,%.17g,%d" + ",%.17g,%.17g" * k + ",," * (max_verts - k)
-        for k in range(max_verts + 1)
-    ]
-    lines = [",".join(header)]
+    counts = np.array([str(k) for k in range(max_verts + 1)], dtype=object)
     cx, cy = grid.centroids()
-    rows = grid._rows(grid.polys.x, grid.polys.y, grid.cell_areas, cx, cy, values)
-    for i, (count, xy, area, x, y, v) in enumerate(rows):
-        lines.append(templates[count] % (i, area, x, y, v, count, *xy))
-    return "\n".join(lines) + "\n"
+
+    def chunks():  # its temporaries are gone before the final join
+        for lo in range(0, len(n), OVERLAY_CHUNK):
+            rows = slice(lo, lo + OVERLAY_CHUNK)
+            count = n[rows]
+            xy = np.stack((x[rows, :max_verts], y[rows, :max_verts]), axis=-1)
+            floats = (grid.cell_areas[rows], cx[rows], cy[rows], values[rows])
+            words = _spelled(np.column_stack((*floats, xy.reshape(len(count), -1))))
+            words[:, 4:][np.arange(2 * max_verts) >= 2 * count[:, None]] = ""
+            ids = np.array([str(i) for i in range(lo, lo + len(count))], dtype=object)
+            table = np.column_stack((ids, words[:, :4], counts[count], words[:, 4:]))
+            yield "\n".join(map(",".join, table.tolist()))
+
+    return "\n".join([",".join(header), *chunks(), ""])
 
 
 def ulam_matrix_csv(matrix) -> str:
@@ -980,15 +1050,11 @@ def ulam_matrix_csv(matrix) -> str:
     order = np.lexsort((coo.col, coo.row))
     row, col, data = coo.row[order], coo.col[order], coo.data[order]
     # Entries are formatted and joined OVERLAY_CHUNK at a time, as
-    # UlamGrid._rows converts cells, so that no per-entry list of Python
-    # values or strings spans the whole matrix.
+    # density_csv writes cells, so that no per-entry list of Python values
+    # or strings spans the whole matrix.
     parts = ["i,j,weight\n"]
     for lo in range(0, len(data), OVERLAY_CHUNK):
         chunk = slice(lo, lo + OVERLAY_CHUNK)
-        parts.append(
-            "".join(
-                "%d,%d,%.17g\n" % e
-                for e in zip(row[chunk].tolist(), col[chunk].tolist(), data[chunk].tolist())
-            )
-        )
+        entries = zip(row[chunk].tolist(), col[chunk].tolist(), _spelled(data[chunk]).tolist())
+        parts.append("".join(map("%d,%d,%s\n".__mod__, entries)))
     return "".join(parts)

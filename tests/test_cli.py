@@ -109,6 +109,31 @@ class TestDensity:
         assert D.density_csv(op.grid, vec.values) == ulam_oracle.density_csv(dens)
         assert render_svg(op.grid, vec.values) == ulam_oracle.render_svg(dens.cells)
 
+    def test_outputs_match_per_polygon_writers_at_resolution_128(self):
+        self.test_outputs_match_per_polygon_writers(128, 1, 0.939)
+
+    def test_csv_spells_each_value_as_the_per_polygon_writer(self):
+        # repeated values, both zeros, the least subnormal and a huge value
+        grid = D.UlamGrid.build(tent_power(0.95, 1).region, 16)
+        spread = [0.25, -0.0, 0.0, 5e-324, 1e300, 1.0 / 3.0, 0.25, 5e-324]
+        values = np.resize(spread, len(grid.cell_areas))
+        dens = D.density_from_vector(grid, D.DensityVector(values))
+        text = D.density_csv(grid, values)
+        assert text == ulam_oracle.density_csv(dens)
+        assert ",-0," in text and ",0," in text and ",4.9406564584124654e-324," in text
+
+    def test_csv_heap_peak_at_resolution_128(self):
+        op = D.build_ulam(tent_power(0.939, 1), 128)
+        vec = D.ulam_fixed(op)
+        D.density_csv(op.grid, vec.values)  # first-call imports stay out of the peak
+        tracemalloc.start()
+        try:
+            D.density_csv(op.grid, vec.values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_500_000, f"peak {peak / 1e6:.2f} MB"
+
 
 class TestSweep:
     def test_rows_and_validation(self, tmp_path):

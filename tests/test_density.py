@@ -20,7 +20,7 @@ from tentstab.errors import (
     SingularMatrix,
     ZeroVariation,
 )
-from tentstab.geom2d import EPS_AREA, AffineMap2, ConvexPolygon, Matrix2, box, perimeter
+from tentstab.geom2d import EPS_AREA, EPS_GEOM, AffineMap2, ConvexPolygon, Matrix2, box, perimeter
 from tentstab.maps import TENT_T_MIN, Branch, PiecewiseMap, make_tent2d, power, tent_power
 
 from conftest import (
@@ -438,6 +438,30 @@ def _same_cells(got, want) -> bool:
     )
 
 
+def _count_clipped_rows(monkeypatch) -> dict:
+    """Counts of the rows that D._clip_all clips from now on, under
+    "overlay" inside D._overlay and under "other" elsewhere."""
+    clipped = {"overlay": 0, "other": 0}
+    depth = 0
+    overlay, clip_all = D._overlay, D._clip_all
+
+    def counting_overlay(*args):
+        nonlocal depth
+        depth += 1
+        try:
+            return overlay(*args)
+        finally:
+            depth -= 1
+
+    def counting_clip_all(p, planes):
+        clipped["overlay" if depth else "other"] += len(p.n)
+        return clip_all(p, planes)
+
+    monkeypatch.setattr(D, "_overlay", counting_overlay)
+    monkeypatch.setattr(D, "_clip_all", counting_clip_all)
+    return clipped
+
+
 class TestOverlayKernel:
     """The batched kernel against the per-cell loops in ulam_oracle."""
 
@@ -558,28 +582,36 @@ class TestOverlayKernel:
 
         monkeypatch.setattr(ulam_oracle, "intersect", counting_intersect)
         ulam_oracle.build_ulam(m, 64)
-        clipped = 0
-        in_overlay = False
-        overlay, clip_all = D._overlay, D._clip_all
-
-        def counting_overlay(grid, p):
-            nonlocal in_overlay
-            in_overlay = True
-            try:
-                return overlay(grid, p)
-            finally:
-                in_overlay = False
-
-        def counting_clip_all(p, planes):
-            nonlocal clipped
-            clipped += len(p.n) if in_overlay else 0
-            return clip_all(p, planes)
-
-        monkeypatch.setattr(D, "_overlay", counting_overlay)
-        monkeypatch.setattr(D, "_clip_all", counting_clip_all)
+        clipped = _count_clipped_rows(monkeypatch)
         D.build_ulam(m, 64)
         assert candidates > 0
-        assert clipped <= 0.4 * candidates, (clipped, candidates)
+        assert clipped["overlay"] <= 0.4 * candidates, (clipped, candidates)
+
+    def test_clips_skip_pairs_whose_boxes_touch(self, monkeypatch):
+        # At this t the images of grid squares and the branch domains have
+        # diagonal edges: with the axis boxes alone, _overlay clipped
+        # 135,142 rows for 106,610 entries and 33,534 rows were clipped
+        # outside it, 510 of them grid squares and half of the others
+        # (cell, branch domain) pairs that came out Empty.
+        clipped = _count_clipped_rows(monkeypatch)
+        op = D.build_ulam(tent_power(0.9393716769023954, 1), 128)
+        assert op.matrix.nnz > 100_000
+        assert clipped["overlay"] <= 1.02 * op.matrix.nnz, (clipped, op.matrix.nnz)
+        assert clipped["other"] <= 17_100, clipped
+
+    @pytest.mark.parametrize("resolution", [24, 41])
+    @pytest.mark.parametrize("pw", [1, 2, 3])
+    @pytest.mark.parametrize("t", [TAU, 0.939, 0.99999, 0.9999999987175887])
+    def test_ulam_where_slivers_are_thin_bit_identical(self, t, pw, resolution):
+        # Near t = 1 cells meet branch domains and images meet squares in
+        # slivers across diagonal lines, which the box tests drop unclipped;
+        # 1 - 1.3e-9 is the pinned case where they are thinnest.
+        m = tent_power(t, pw)
+        op = D.build_ulam(m, resolution)
+        _, matrix = ulam_oracle.build_ulam(m, resolution)
+        assert _bits_equal(op.matrix.data, matrix.data)
+        assert _bits_equal(op.matrix.indices, matrix.indices)
+        assert _bits_equal(op.matrix.indptr, matrix.indptr)
 
     @pytest.mark.parametrize("chunk", [1, 7, 100])
     def test_chunk_size_does_not_change_results(self, monkeypatch, rng, chunk):
@@ -622,6 +654,48 @@ class TestOverlayKernel:
                 tracemalloc.stop()
         kernel, oracle = peaks
         assert kernel <= oracle, f"kernel {kernel / 1e6:.1f} MB > oracle {oracle / 1e6:.1f} MB"
+
+
+@st.composite
+def rows_with_close_vertices(draw):
+    """A convex hull of up to seven points, with vertices injected within
+    about EPS_GEOM of their predecessors, and sometimes a last vertex
+    within about EPS_GEOM of the first: rows that geom2d._dedup merges,
+    and rows it leaves as they are."""
+    points = draw(
+        st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 1.0)), max_size=7)
+    )
+    near = st.floats(-EPS_GEOM, EPS_GEOM)
+    row = []
+    for vertex in convex_hull(points):
+        row.append(vertex)
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            x, y = row[-1]
+            row.append((x + draw(near), y + draw(near)))
+    if row and draw(st.booleans()):
+        row.append((row[0][0] + draw(near), row[0][1] + draw(near)))
+    return row
+
+
+@given(rows=st.lists(rows_with_close_vertices(), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_finish_matches_wrap_row_by_row(rows):
+    """_finish merges only the rows with a close vertex pair, and gives
+    each row the vertices and area that ConvexPolygon._wrap gives it."""
+    n = np.array([len(row) for row in rows])
+    x = np.zeros((len(rows), n.max()))
+    y = np.zeros((len(rows), n.max()))
+    for k, row in enumerate(rows):
+        x[k, : n[k]] = [v[0] for v in row]
+        y[k, : n[k]] = [v[1] for v in row]
+    got, areas = D._finish(D._Polys(x, y, n))
+    for k, row in enumerate(rows):
+        want = ConvexPolygon._wrap(row)
+        verts = zip(got.x[k, : got.n[k]].tolist(), got.y[k, : got.n[k]].tolist())
+        assert [(a.hex(), b.hex()) for a, b in verts] == [
+            (a.hex(), b.hex()) for a, b in want.vertices
+        ]
+        assert float(areas[k]).hex() == want.area.hex()
 
 
 def _shifted_square_map(shift: float) -> PiecewiseMap:
@@ -1037,6 +1111,28 @@ def test_refine_matches_the_bin_index_oracle(tiles, scale):
     got = D._refine(region, tiles)
     want = refine_oracle.refine(region, tiles)
     assert _same_arrangement(got, want)
+
+
+def test_push_forward_intersects_only_cells_whose_boxes_meet_a_domain(monkeypatch):
+    # Iterate 5 of lycheck's chain at power 3: intersecting every live
+    # cell with every branch domain made 3,544 calls, 2,977 of them Empty.
+    m = tent_power(0.94187, 3)
+    f = D.uniform_density(m.region)
+    for _ in range(4):
+        f = D.push_forward(m, f)
+    calls = hits = 0
+
+    def counting_intersect(a, b):
+        nonlocal calls, hits
+        piece = geom2d.intersect(a, b)
+        calls += 1
+        hits += not piece.is_empty
+        return piece
+
+    monkeypatch.setattr(D, "intersect", counting_intersect)
+    D.push_forward(m, f)
+    assert hits > 400
+    assert calls <= 1.1 * hits, (calls, hits)
 
 
 def test_lycheck_chain_matches_the_bin_index_oracle(monkeypatch):
