@@ -30,12 +30,11 @@ from .errors import (
     ZeroVariation,
 )
 from .geom2d import (
-    EMPTY,
     EPS_AREA,
     EPS_GEOM,
     SNAP,
     ConvexPolygon,
-    affine_image,
+    _kept,
     intersect,
     snap_key,
 )
@@ -74,26 +73,28 @@ def _check_same_region(a: ConvexPolygon, b: ConvexPolygon) -> None:
         raise RegionMismatch("operands are defined over different regions")
 
 
-def _split(poly: ConvexPolygon, planes):
-    """Split poly by a convex clipper given as its edge half-planes:
-    (poly ∩ clipper, convex pieces of poly \\ clipper).
+def _split(cell, planes):
+    """Split a cell, (vertices, area) as geom2d._kept returns them, by
+    a convex clipper given as its edge half-planes: (cell ∩ clipper, the
+    convex pieces of cell \\ clipper), as cells.
 
     Peeling the complement edge by edge keeps every piece convex and makes
-    the piece areas sum to area(poly) to floating-point accuracy, because
-    each step clips against a line and its exact complement.  The kept
-    side is clipped first, and the outside pieces are clipped and wrapped
-    only once the intersection is known to be nonempty: when it is Empty,
-    the result is (EMPTY, ()), since no caller has a use for the pieces.
+    the piece areas sum to the cell's area to floating-point accuracy,
+    because each step clips against a line and its exact complement.  The
+    kept side is clipped first, and the outside pieces are clipped and
+    merged only once the intersection is known to be nonempty: when it is
+    Empty, the result is (None, ()), since no caller has a use for the
+    pieces.
 
     Only the planes that cut are clipped: a plane with no vertex of the
     current vertex list outside it, by the clip's own sign test, would
     return that list unchanged, and its outside piece would be at most a
-    segment on its line, which _wrap empties.  So a cell inside the
-    clipper costs no clip and comes back as (poly, ()), and a cell cut by
+    segment on its line, which _kept empties.  So a cell inside the
+    clipper costs no clip and comes back as (cell, ()), and a cell cut by
     one plane costs two.
     """
     clip = geom2d._clip_verts
-    verts = poly.vertices
+    verts = cell[0]
     cuts = []
     for nx, ny, off in planes:
         for x, y in verts:
@@ -104,29 +105,48 @@ def _split(poly: ConvexPolygon, planes):
         cuts.append((nx, ny, off, verts))
         verts = clip(verts, nx, ny, off)
         if not verts:
-            return EMPTY, ()
+            return None, ()
     if not cuts:
-        return poly, ()
-    inter = ConvexPolygon._wrap(verts)
-    if inter.is_empty:
-        return EMPTY, ()
+        return cell, ()
+    inter = _kept(verts)
+    if inter is None:
+        return None, ()
     pieces = []
     for nx, ny, off, rest in cuts:
-        piece = ConvexPolygon._wrap(clip(rest, -nx, -ny, -off))
-        if not piece.is_empty:
+        piece = _kept(clip(rest, -nx, -ny, -off))
+        if piece is not None:
             pieces.append(piece)
     return inter, pieces
 
 
-def _box(poly: ConvexPolygon) -> tuple[float, ...]:
-    """The bounding box and the diagonal box of poly, as the minima of x,
-    y, u = x + y and v = x - y over its vertices, then the negated maxima."""
-    verts = poly.vertices
-    xs = [p[0] for p in verts]
-    ys = [p[1] for p in verts]
-    us = [x + y for x, y in verts]
-    vs = [x - y for x, y in verts]
-    return (min(xs), min(ys), min(us), min(vs), -max(xs), -max(ys), -max(us), -max(vs))
+def _box(verts) -> tuple[float, ...]:
+    """The bounding box and the diagonal box of a vertex list, as the
+    minima of x, y, u = x + y and v = x - y over it, then the negated
+    maxima."""
+    (xlo, ylo), *rest = verts
+    xhi, yhi = xlo, ylo
+    ulo = uhi = xlo + ylo
+    vlo = vhi = xlo - ylo
+    for x, y in rest:
+        if x < xlo:
+            xlo = x
+        elif x > xhi:
+            xhi = x
+        if y < ylo:
+            ylo = y
+        elif y > yhi:
+            yhi = y
+        u = x + y
+        if u < ulo:
+            ulo = u
+        elif u > uhi:
+            uhi = u
+        v = x - y
+        if v < vlo:
+            vlo = v
+        elif v > vhi:
+            vhi = v
+    return (xlo, ylo, ulo, vlo, -xhi, -yhi, -uhi, -vhi)
 
 
 def _meets(boxes: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -157,40 +177,52 @@ def _refine(
     are returned sorted by snapped centroid for deterministic downstream
     output.
     """
-    polys = [region]
+    # The arrangement is kept as cells, (vertices, area) pairs as _kept
+    # returns them, and only the output cells become ConvexPolygons.
+    cells = [(region.vertices, region.area)]
     values = [0.0]
-    # Column i holds _box(polys[i]); a cell that _meets rejects would
-    # have come back from _split as (EMPTY, ()).
+    # Column i holds _box(cells[i][0]); a cell that _meets rejects would
+    # have come back from _split as (None, ()).
     boxes = np.empty((8, 64))
-    boxes[:, 0] = _box(region)
+    boxes[:, 0] = region_box = _box(region.vertices)
+    # Each tile's boxes are shrunk by margin on every side.  Where the x,
+    # y, x + y or x - y ranges of a cell and a tile overlap by less than
+    # margin, cell ∩ tile lies in a strip that narrow across the region's
+    # box, of area below EPS_AREA / 4, and _split returns (None, ()).  A
+    # nonempty cell ∩ tile has area at least EPS_AREA, so each of its
+    # ranges is at least 4 margins wide and it is never skipped.
+    width = -region_box[4] - region_box[0]
+    height = -region_box[5] - region_box[1]
+    margin = EPS_AREA / (4.0 * math.hypot(width, height))
     for tile, tv in tiles:
         if tile.is_empty or tv == 0.0:
             continue
-        box = np.array(_box(tile))[:, None]
-        hits = np.flatnonzero(_meets(boxes[:, : len(polys)], box)).tolist()
+        box = np.array(_box(tile.vertices))[:, None] + margin
+        hits = np.flatnonzero(_meets(boxes[:, : len(cells)], box)).tolist()
         planes = tuple(tile.edge_halfplanes())
         for idx in hits:
-            inter, outside = _split(polys[idx], planes)
-            if inter.is_empty:
+            inter, outside = _split(cells[idx], planes)
+            if inter is None:
                 continue
             values[idx] += tv
             if not outside:
                 continue
-            polys[idx] = inter
-            boxes[:, idx] = _box(inter)
+            cells[idx] = inter
+            boxes[:, idx] = _box(inter[0])
             value = values[idx] - tv  # fl(fl(v + tv) - tv), not v: pinned
             for piece in outside:
-                if len(polys) == boxes.shape[1]:
+                if len(cells) == boxes.shape[1]:
                     boxes = np.concatenate([boxes, np.empty_like(boxes)], axis=1)
-                boxes[:, len(polys)] = _box(piece)
-                polys.append(piece)
+                boxes[:, len(cells)] = _box(piece[0])
+                cells.append(piece)
                 values.append(value)
-            if len(polys) > MAX_CELLS:
+            if len(cells) > MAX_CELLS:
                 raise CellExplosion(
                     f"overlay arrangement exceeded {MAX_CELLS} cells"
                 )
-    cells = sorted(zip(polys, values), key=lambda cv: snap_key(cv[0].centroid()))
-    return tuple(cells)
+    out = [(ConvexPolygon._clean(*cell), value) for cell, value in zip(cells, values)]
+    out.sort(key=lambda cv: snap_key(cv[0].centroid()))
+    return tuple(out)
 
 
 def push_forward(m: PiecewiseMap, f: PiecewisePolyDensity) -> PiecewisePolyDensity:
@@ -202,19 +234,28 @@ def push_forward(m: PiecewiseMap, f: PiecewisePolyDensity) -> PiecewisePolyDensi
     """
     _check_same_region(f.region, m.region)
     live = [(poly, v) for poly, v in f.cells if v != 0.0 and not poly.is_empty]
-    boxes = np.array([_box(poly) for poly, _ in live]).reshape(-1, 8).T
+    boxes = np.array([_box(poly.vertices) for poly, _ in live]).reshape(-1, 8).T
     tiles = []
     for branch in m.branches:
+        (a, b, c, d), (sx, sy) = branch.map
+        det = a * d - b * c
+        if abs(det) <= EPS_GEOM:
+            raise SingularMatrix(f"affine map with |det| = {abs(det)!r} is not a bijection")
         inv_jac = 1.0 / branch.jacobian_abs
-        hits = _meets(boxes, np.array(_box(branch.domain))[:, None])
+        hits = _meets(boxes, np.array(_box(branch.domain.vertices))[:, None])
         for idx in np.flatnonzero(hits).tolist():
             poly, v = live[idx]
             piece = intersect(poly, branch.domain)
             if piece.is_empty:
                 continue
-            image = affine_image(branch.map, piece)
-            if not image.is_empty:
-                tiles.append((image, v * inv_jac))
+            # geom2d.affine_image on tuples: vertex-wise map, order
+            # reversed when det < 0
+            image = [(a * x + b * y + sx, c * x + d * y + sy) for x, y in piece.vertices]
+            if det < 0.0:
+                image.reverse()
+            kept = _kept(image)
+            if kept is not None:
+                tiles.append((ConvexPolygon._clean(*kept), v * inv_jac))
     cells = _refine(f.region, tiles)
     return PiecewisePolyDensity(f.region, cells, f.signed)
 
@@ -267,9 +308,9 @@ def _same_partition(f: PiecewisePolyDensity, g: PiecewisePolyDensity) -> bool:
 
 
 def lp_norm(f: PiecewisePolyDensity, p: float = 1.0) -> float:
-    """(sum |v|^p * area)^(1/p); p = 1 is the L1 norm."""
-    if p < 1.0:
-        raise ParameterOutOfRange(f"lp_norm needs p >= 1, got {p!r}")
+    """(sum |v|^p * area)^(1/p) for finite p >= 1; p = 1 is the L1 norm."""
+    if not 1.0 <= p < math.inf:
+        raise ParameterOutOfRange(f"lp_norm needs finite p >= 1, got {p!r}")
     if p == 1.0:
         return sum(abs(v) * poly.area for poly, v in f.cells)
     total = sum(abs(v) ** p * poly.area for poly, v in f.cells)
@@ -792,7 +833,7 @@ def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
     cell_boxes = _row_boxes(grid.polys)
     nb = len(m.branches)
     domains = _halfplanes(_pack([br.domain for br in m.branches]))
-    domain_boxes = np.array([_box(br.domain) for br in m.branches]).T
+    domain_boxes = np.array([_box(br.domain.vertices) for br in m.branches]).T
     lin = np.array([br.map.linear for br in m.branches])
     shift = np.array([br.map.shift for br in m.branches])
     jac = np.array([br.jacobian_abs for br in m.branches])

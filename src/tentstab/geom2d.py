@@ -119,6 +119,20 @@ def _shoelace(verts) -> float:
     return 0.5 * s
 
 
+def _kept(verts):
+    """What ConvexPolygon keeps of a vertex list: (the vertices merged by
+    _dedup, their area), or None where fewer than three vertices remain or
+    their shoelace sum is below EPS_AREA in absolute value.  The area is
+    the shoelace sum, or 0 where that is negative."""
+    verts = _dedup(verts)
+    if len(verts) < 3:
+        return None
+    a = _shoelace(verts)
+    if abs(a) < EPS_AREA:
+        return None
+    return verts, max(0.0, a)
+
+
 class ConvexPolygon:
     """Immutable convex polygon with CCW vertices; may be Empty.
 
@@ -132,11 +146,10 @@ class ConvexPolygon:
     __slots__ = ("vertices", "_area", "_edge_data")
 
     def __init__(self, vertices: Iterable = (), validate: bool = True):
-        verts = _dedup([(float(p[0]), float(p[1])) for p in vertices])
-        if len(verts) < 3 or abs(_shoelace(verts)) < EPS_AREA:
-            verts = ()
+        kept = _kept([(float(p[0]), float(p[1])) for p in vertices])
+        verts, area = kept if kept else ((), 0.0)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "_area", None)
+        object.__setattr__(self, "_area", area)
         if validate and verts:
             for v in verts:
                 if not (math.isfinite(v[0]) and math.isfinite(v[1])):
@@ -164,7 +177,8 @@ class ConvexPolygon:
     @staticmethod
     def _clean(verts: tuple, area: float) -> "ConvexPolygon":
         """Constructor for vertices that _wrap keeps as they are (merged,
-        convex CCW, above EPS_AREA), given with their area."""
+        convex CCW, above EPS_AREA), given with their area, as _kept
+        returns them."""
         poly = object.__new__(ConvexPolygon)
         object.__setattr__(poly, "vertices", verts)
         object.__setattr__(poly, "_area", area)
@@ -176,11 +190,7 @@ class ConvexPolygon:
 
     @property
     def area(self) -> float:
-        a = self._area
-        if a is None:
-            a = max(0.0, _shoelace(self.vertices)) if self.vertices else 0.0
-            object.__setattr__(self, "_area", a)
-        return a
+        return self._area
 
     def bbox(self) -> tuple[float, float, float, float]:
         xs = [v[0] for v in self.vertices]
@@ -225,7 +235,8 @@ class ConvexPolygon:
         verts = self.vertices
         if not verts:
             raise DegeneratePolygon("centroid of empty polygon")
-        a = _shoelace(verts)
+        # The stored area is the shoelace sum wherever that is >= EPS_AREA.
+        a = self.area
         if a < EPS_AREA:
             xs = sum(v[0] for v in verts) / len(verts)
             ys = sum(v[1] for v in verts) / len(verts)
