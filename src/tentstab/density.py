@@ -6,14 +6,15 @@ piecewise constant, and is computed exactly: branch images are overlaid
 into a common convex partition by iterated refinement, with contributions
 summed per overlay cell.  Variation, L^p norms, L1 distances and exact
 Cesaro averaging are built on that arrangement.  The Ulam discretization
-and grid projections overlay polygons on a square grid with a batched
-numpy kernel, and coarsened Cesaro averaging runs on the Ulam matrix.
+and grid projections overlay octagons on a square grid in batched numpy,
+and coarsened Cesaro averaging runs on the Ulam matrix.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -23,6 +24,7 @@ import scipy.sparse as sp
 from . import geom2d
 from .errors import (
     CellExplosion,
+    NotOctilinear,
     ParameterOutOfRange,
     RegionMismatch,
     ResolutionTooLow,
@@ -33,6 +35,7 @@ from .geom2d import (
     EPS_AREA,
     EPS_GEOM,
     SNAP,
+    AffineMap2,
     ConvexPolygon,
     _kept,
     intersect,
@@ -156,12 +159,10 @@ def _meets(boxes: np.ndarray, other: np.ndarray) -> np.ndarray:
 
     The other's columns with their halves swapped and negated, (maxima,
     -minima), exceed a column in every entry exactly when the boxes overlap
-    strictly.  Boxes that at most touch need no clip: when the fl(x), fl(y),
-    fl(x + y) or fl(x - y) ranges of two polygons at most touch, the two
-    overlap in a strip a few ulp wide along one line, whose area is orders
-    of magnitude below EPS_AREA.  ConvexPolygon._wrap and _finish empty
-    what clipping one by the other leaves of it, so the skipped clip would
-    have given Empty, or an overlap of area 0.
+    strictly.  Two polygons whose fl(x), fl(y), fl(x + y) or fl(x - y)
+    ranges at most touch overlap in a strip a few ulp wide along one line:
+    clipping leaves Empty or a sliver far below EPS_AREA, which
+    ConvexPolygon empties, and two octagons meet in a flat one of area 0.
     """
     return (boxes < -np.concatenate((other[4:], other[:4]))).all(axis=0)
 
@@ -378,75 +379,128 @@ def sobolev_ratio(f: PiecewisePolyDensity) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Batched grid overlay
+# Ulam discretization on octagons
 # ---------------------------------------------------------------------------
 #
-# The Ulam matrix, the grid itself and grid projections all overlay convex
-# polygons on the square grid.  The kernel below does that for whole
-# batches of polygons with numpy, repeating geom2d's scalar operations in
-# the same order (the same edge half-planes, the same crossing parameter,
-# the same cyclic vertex merge, sliver rule and sequential shoelace sum),
-# so every area and vertex is bit-identical to ConvexPolygon, intersect and
-# affine_image.
+# The tent family's region, branch domains and images, the grid squares and
+# their intersections all have edges along x, y, x + y and x - y: each is an
+# octagon {x in [xl, xh], y in [yl, yh], x + y in [ul, uh], x - y in [vl, vh]}
+# (Mine, "The octagon abstract domain", HOSC 19, 2006), held as a column in
+# _box's layout, whose row k bounds the form _FORMS[k] from below.  Two
+# octagons meet in the entrywise maximum of their columns.
 
-OVERLAY_CHUNK = 2048  # (polygon, half-plane set) pairs clipped per numpy batch
-
-
-class _Polys(NamedTuple):
-    """Convex polygons as a padded vertex batch: row k holds n[k] vertices
-    in x[k, :n[k]] and y[k, :n[k]], and what follows is padding; n[k] = 0
-    is Empty."""
-
-    x: np.ndarray
-    y: np.ndarray
-    n: np.ndarray
-
-    def take(self, rows) -> "_Polys":
-        return _Polys(self.x[rows], self.y[rows], self.n[rows])
+OVERLAY_CHUNK = 2048  # grid squares, candidate pairs or rows per numpy batch
+OCTILINEAR_TOL = 1e-9  # relative area between a polygon and its _box octagon
+_FORMS = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [-1, 0], [0, -1], [-1, -1], [-1, 1]], float)
 
 
-def _pack(polys) -> _Polys:
-    n = np.array([len(p.vertices) for p in polys], dtype=np.intp)
-    slots = np.arange(n.max(initial=0)) < n[:, None]
-    x = np.zeros(slots.shape)
-    y = np.zeros(slots.shape)
-    if slots.any():
-        xy = np.array([v for p in polys for v in p.vertices])
-        x[slots] = xy[:, 0]
-        y[slots] = xy[:, 1]
-    return _Polys(x, y, n)
+def _tight(x, y, u, v, nx, ny, nu, nv) -> tuple[np.ndarray, ...]:
+    """The best lower bounds of x, y, x + y and x - y that the rows of a
+    column give, each by itself or as a sum of two others: by LP duality in
+    the plane, the forms' minima over a nonempty octagon."""
+    return (
+        np.maximum(np.maximum(x, 0.5 * (u + v)), np.maximum(u + ny, v + y)),
+        np.maximum(np.maximum(y, 0.5 * (u + nv)), np.maximum(u + nx, x + nv)),
+        np.maximum(np.maximum(u, x + y), np.maximum(2.0 * x + nv, 2.0 * y + v)),
+        np.maximum(np.maximum(v, x + ny), np.maximum(2.0 * x + nu, u + 2.0 * ny)),
+    )
 
 
-def _compact(keep: np.ndarray, x: np.ndarray, y: np.ndarray) -> _Polys:
-    """The kept entries of each row, moved to the front in order."""
-    n = keep.sum(axis=1)
-    slots = np.arange(n.max(initial=0)) < n[:, None]
-    out_x = np.zeros(slots.shape)
-    out_y = np.zeros(slots.shape)
-    out_x[slots] = x[keep]
-    out_y[slots] = y[keep]
-    return _Polys(out_x, out_y, n)
+def _close(b: np.ndarray) -> np.ndarray:
+    """Each column of b with every bound tightened to its form's minimum."""
+    return np.array(_tight(*b) + _tight(*b[4:], *b[:4]))
 
 
-def _widen(p: _Polys, width: int) -> _Polys:
-    pad = ((0, 0), (0, width - p.x.shape[1]))
-    return _Polys(np.pad(p.x, pad), np.pad(p.y, pad), p.n)
+def _depths(b: np.ndarray) -> list[np.ndarray]:
+    """The legs of the isosceles triangles that the diagonal bounds of each
+    closed column cut off its bounding box, at the bottom left, bottom
+    right, top right and top left corners; 0 where a corner is uncut."""
+    x, y, u, v, nx, ny, nu, nv = b
+    cuts = (u - (x + y), nv - (nx + y), nu - (nx + ny), v - (x + ny))
+    return [np.maximum(c, 0.0) for c in cuts]
 
 
-def _cyclic(a: np.ndarray, n: np.ndarray, step: int) -> np.ndarray:
-    """Each row's predecessor (step -1) or successor (step 1) entries,
-    wrapping around at the row's count n."""
-    out = np.zeros_like(a)
-    if a.shape[1]:
-        rows = np.arange(len(n))
-        last = np.maximum(n - 1, 0)
-        if step < 0:
-            out[:, 1:] = a[:, :-1]
-            out[:, 0] = a[rows, last]
-        else:
-            out[:, :-1] = a[:, 1:]
-            out[rows, last] = a[:, 0]
-    return out
+def _area(b: np.ndarray) -> np.ndarray:
+    """The area of each closed column of b: its bounding box less the four
+    corner triangles, and 0 where some range is empty or a point."""
+    area = (b[0] + b[4]) * (b[1] + b[5])
+    for depth in _depths(b):
+        area -= 0.5 * (depth * depth)
+    flat = (b[:4] + b[4:] >= 0.0).any(axis=0)
+    return np.where(flat | ~(area > 0.0), 0.0, area)
+
+
+def _vertices(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The corners of each closed column of b, counter-clockwise from the
+    bottom left, as a padded batch (x, y, n): row k holds n[k] vertices in
+    x[k, :n[k]] and y[k, :n[k]], the first of them again, then zeros.
+
+    A box corner cut by at most EPS_GEOM, as closing can cut one by
+    rounding alone, is a vertex as it is, so a grid cell keeps the uncut
+    corners of its closed box.  A corner cut deeper gives the two ends of
+    its diagonal edge.  Of an axis edge at most EPS_GEOM long, the end
+    that is a cut point is left out, as geom2d._dedup merged such vertices.
+    """
+    xl, yl, ul, vl = b[:4]
+    xh, yh, uh, vh = -b[4:]
+    bl, br, tr, tl = cut = np.array(_depths(b)) > EPS_GEOM
+    # Two points per corner, both the corner where it is uncut.
+    x = np.array([xl, np.where(bl, ul - yl, xl), np.where(br, vh + yl, xh), xh,
+                  xh, np.where(tr, uh - yh, xh), np.where(tl, vl + yh, xl), xl])
+    y = np.array([np.where(bl, ul - xl, yl), yl, yl, np.where(br, xh - vh, yl),
+                  np.where(tr, uh - xh, yh), yh, yh, np.where(tl, xl - vl, yh)])
+    ends = [2, 4, 6, 0]  # the axis edge after corner c runs from 2c + 1 to ends[c]
+    short = np.abs(x[ends] - x[1::2]) + np.abs(y[ends] - y[1::2]) <= EPS_GEOM
+    keep = np.ones(x.shape, dtype=bool)
+    keep[1::2] = cut & ~short
+    keep[ends] &= ~(short & ~cut)
+    n = keep.sum(axis=0)
+    slots = np.arange(n.max(initial=0) + 1) < n[:, None]
+    out_x, out_y = np.zeros(slots.shape), np.zeros(slots.shape)
+    out_x[slots], out_y[slots] = x.T[keep.T], y.T[keep.T]
+    rows = np.arange(len(n))
+    out_x[rows, n], out_y[rows, n] = out_x[:, 0], out_y[:, 0]
+    return out_x, out_y, n
+
+
+def _octagons(polys, what: str) -> np.ndarray:
+    """The _box columns of nonempty convex polygons as an (8, n) array, once
+    each polygon is checked to be its octagon: NotOctilinear where their
+    areas differ by more than OCTILINEAR_TOL relative."""
+    b = np.array([_box(p.vertices) for p in polys], dtype=float).reshape(-1, 8).T
+    areas = np.array([p.area for p in polys], dtype=float)
+    bad = np.flatnonzero(~(np.abs(_area(b) - areas) <= OCTILINEAR_TOL * areas))
+    if bad.size:
+        k = bad[0]
+        raise NotOctilinear(f"{what} {k} has edges off the directions x, y, x + y and x - y "
+                            f"(area {areas[k]:.17g}, its octagon's {_area(b)[k]:.17g})")
+    return b
+
+
+def _image_plan(amap: AffineMap2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(perm, scale, shift) with f_k(amap(p)) = scale[k] * f_perm[k](p) +
+    shift[k] for the forms f_k of _FORMS: amap sends the octagon of a column
+    b onto that of scale * b[perm] + shift.  SingularMatrix where the linear
+    part is singular, NotOctilinear where it mixes the four directions."""
+    det = amap.linear.det()
+    if abs(det) <= EPS_GEOM:
+        raise SingularMatrix(f"affine map with |det| = {abs(det)!r} is not a bijection")
+    grads = _FORMS @ np.reshape(amap.linear, (2, 2))
+    dots = grads @ _FORMS.T
+    perm = np.argmax(dots / np.hypot(*_FORMS.T), axis=1)
+    scale = dots[np.arange(8), perm] / (_FORMS[perm] ** 2).sum(axis=1)
+    off = np.abs(grads - scale[:, None] * _FORMS[perm]).max(axis=1)
+    if not (off <= OCTILINEAR_TOL * scale).all():
+        raise NotOctilinear(
+            f"linear part {tuple(amap.linear)} does not map the directions x, y, "
+            "x + y and x - y onto each other, as the Ulam layer needs"
+        )
+    return perm, scale, _FORMS @ np.asarray(amap.shift, dtype=float)
+
+
+def _check_resolution(name: str, value) -> None:
+    if not (isinstance(value, numbers.Integral) and value >= 2):
+        raise ParameterOutOfRange(f"{name} must be an integer >= 2, got {value!r}")
 
 
 def _sequential_sum(terms: np.ndarray) -> np.ndarray:
@@ -458,192 +512,30 @@ def _sequential_sum(terms: np.ndarray) -> np.ndarray:
     return s
 
 
-def _halfplanes(p: _Polys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ConvexPolygon.edge_halfplanes of every row as (nx, ny, off) arrays,
-    padded with the half-plane 0 <= 1, which clips nothing."""
-    valid = np.arange(p.x.shape[1]) < p.n[:, None]
-    dx = _cyclic(p.x, p.n, 1) - p.x
-    dy = _cyclic(p.y, p.n, 1) - p.y
-    return (
-        np.where(valid, dy, 0.0),
-        np.where(valid, -dx, 0.0),
-        np.where(valid, dy * p.x - dx * p.y, 1.0),
-    )
-
-
-def _clip(p: _Polys, nx, ny, off) -> _Polys:
-    """geom2d._clip_verts on every row, each against its own half-plane
-    {nx*x + ny*y <= off}: each vertex emits the crossing point of the edge
-    that ends at it, then itself if inside."""
-    x, y, n = p
-    width = x.shape[1]
-    valid = np.arange(width) < n[:, None]
-    d = off[:, None] - (nx[:, None] * x + ny[:, None] * y)
-    dprev = _cyclic(d, n, -1).ravel()
-    inside = d >= 0.0
-    cross = (valid & (inside != (dprev >= 0.0).reshape(d.shape))).ravel()
-    keep = (valid & inside).ravel()
-    emitted = cross.astype(np.intp) + keep
-    end = np.cumsum(emitted.reshape(d.shape), axis=1)
-    count = end[:, -1] if width else np.zeros(len(n), dtype=np.intp)
-    out_w = count.max(initial=0)
-    # Flat indices: vertex (r, c) is r * width + c, output slot s of row r
-    # is r * out_w + s.
-    x, y, d, end = x.ravel(), y.ravel(), d.ravel(), end.ravel()
-    out_x = np.zeros(len(n) * out_w)
-    out_y = np.zeros(len(n) * out_w)
-    at = np.flatnonzero(cross)
-    r = at // width
-    prev = np.where(at > r * width, at - 1, r * width + n[r] - 1)
-    t = dprev[at] / (dprev[at] - d[at])
-    slot = r * out_w + end[at] - emitted[at]
-    out_x[slot] = x[prev] + t * (x[at] - x[prev])
-    out_y[slot] = y[prev] + t * (y[at] - y[prev])
-    at = np.flatnonzero(keep)
-    slot = at // width * out_w + end[at] - 1
-    out_x[slot] = x[at]
-    out_y[slot] = y[at]
-    return _Polys(out_x.reshape(len(n), out_w), out_y.reshape(len(n), out_w), count)
-
-
-def _clip_all(p: _Polys, planes) -> _Polys:
-    """Each row clipped by the row of (nx, ny, off) half-plane arrays, in
-    column order, as intersect clips by the other polygon's edges."""
-    for nx, ny, off in zip(*(h.T for h in planes)):
-        p = _clip(p, nx, ny, off)
-    return p
-
-
-def _row_boxes(p: _Polys) -> np.ndarray:
-    """_box of every row, as the columns of an (8, rows) array; the columns
-    of Empty rows are meaningless."""
-    valid = np.arange(p.x.shape[1]) < p.n[:, None]
-    x = np.where(valid, p.x, p.x[:, :1])
-    y = np.where(valid, p.y, p.y[:, :1])
-    coords = (x, y, x + y, x - y)
-    lo = [c.min(axis=1, initial=np.inf) for c in coords]
-    return np.stack(lo + [-c.max(axis=1, initial=-np.inf) for c in coords])
-
-
-def _close_rows(p: _Polys) -> np.ndarray:
-    """The rows with a pair of cyclically consecutive vertices, the last
-    and the first included, within EPS_GEOM by geom2d._dedup's own test
-    (the vertex minus its predecessor, squared and summed): _dedup leaves
-    every other row as it is.  The squares are formed in place, so that
-    a grid-sized batch costs two temporaries."""
-    x, y, n = p
-    d2 = _cyclic(x, n, -1)
-    np.subtract(x, d2, out=d2)
-    d2 *= d2
-    dy2 = _cyclic(y, n, -1)
-    np.subtract(y, dy2, out=dy2)
-    dy2 *= dy2
-    d2 += dy2
-    valid = np.arange(x.shape[1]) < n[:, None]
-    return np.flatnonzero((valid & (d2 <= EPS_GEOM * EPS_GEOM)).any(axis=1))
-
-
-def _finish(p: _Polys) -> tuple[_Polys, np.ndarray]:
-    """ConvexPolygon._wrap on every row: geom2d._dedup, then Empty below
-    three vertices or EPS_AREA; returns the rows and their areas.  Only
-    the _close_rows go through the vertex merge."""
-    x, y, n = p
-    close = _close_rows(p)
-    if close.size:
-        merged = _dedup(p.take(close))
-        n = n.copy()
-        n[close] = merged.n
-    valid = np.arange(x.shape[1]) < n[:, None]
-    p = _Polys(np.where(valid, x, 0.0), np.where(valid, y, 0.0), n)
-    if close.size:
-        p.x[close, : merged.x.shape[1]] = merged.x
-        p.y[close, : merged.y.shape[1]] = merged.y
-    terms = np.where(valid, p.x * _cyclic(p.y, n, 1) - _cyclic(p.x, n, 1) * p.y, 0.0)
-    s = 0.5 * _sequential_sum(terms)
-    empty = (n < 3) | (np.abs(s) < EPS_AREA)
-    n = np.where(empty, 0, n)
-    width = n.max(initial=0)
-    p = _Polys(p.x[:, :width], p.y[:, :width], n)
-    return p, np.where(empty, 0.0, np.maximum(s, 0.0))
-
-
-def _dedup(p: _Polys) -> _Polys:
-    """geom2d._dedup on every row: each vertex within EPS_GEOM of the last
-    one kept is dropped, then the last vertex while it is within EPS_GEOM
-    of the first."""
-    x, y, n = p
-    eps2 = EPS_GEOM * EPS_GEOM
-    keep = np.zeros(x.shape, dtype=bool)
-    last_x = np.zeros(len(n))
-    last_y = np.zeros(len(n))
-    seen = np.zeros(len(n), dtype=bool)
-    for k in range(x.shape[1]):
-        dx = x[:, k] - last_x
-        dy = y[:, k] - last_y
-        take = (k < n) & ~(seen & (dx * dx + dy * dy <= eps2))
-        keep[:, k] = take
-        last_x = np.where(take, x[:, k], last_x)
-        last_y = np.where(take, y[:, k], last_y)
-        seen |= take
-    x, y, n = _compact(keep, x, y)
-    if x.shape[1]:
-        rows = np.arange(len(n))
-        while True:
-            last = np.maximum(n - 1, 0)
-            dx = x[:, 0] - x[rows, last]
-            dy = y[:, 0] - y[rows, last]
-            drop = (n >= 2) & (dx * dx + dy * dy <= eps2)
-            if not drop.any():
-                break
-            n = n - drop
-    valid = np.arange(x.shape[1]) < n[:, None]
-    return _Polys(np.where(valid, x, 0.0), np.where(valid, y, 0.0), n)
-
-
-# ---------------------------------------------------------------------------
-# Ulam discretization
-# ---------------------------------------------------------------------------
-
-
-def _boxes(squares: np.ndarray, nx: int, origin, resolution: int) -> _Polys:
-    """Lattice squares, numbered row-major with nx per row from the square
-    at lattice index origin, as geom2d.box(ix / n, iy / n, (ix + 1) / n,
-    (iy + 1) / n) vertex rows."""
-    iy, ix = np.divmod(squares, nx)
-    ix = ix + origin[0]
-    iy = iy + origin[1]
-    left, right = ix / resolution, (ix + 1) / resolution
-    bottom, top = iy / resolution, (iy + 1) / resolution
-    return _Polys(
-        np.stack([left, right, right, left], axis=1),
-        np.stack([bottom, bottom, top, top], axis=1),
-        np.full(len(squares), 4, dtype=np.intp),
-    )
-
-
 @dataclass(frozen=True)
 class UlamGrid:
-    """Axis-aligned squares of side 1/resolution clipped to the region.
+    """Axis-aligned squares of side 1/resolution met with the region.
 
-    ``polys`` holds the nonempty clipped squares, in row-major order of the
-    squares, as one vertex batch, with their areas in ``cell_areas``.
+    ``bounds`` holds the closed octagons of the cells, the squares that
+    meet the region in area EPS_AREA or more, in row-major order, as the
+    columns of an (8, cells) array, with their areas in ``cell_areas``.
     ``lookup`` maps squares, numbered row-major from the square at lattice
     index ``origin``, to cells (as a 2D array), -1 where the square misses
-    the region.  ``cells`` builds the same cells as ConvexPolygons on first
-    read.
+    the region.  ``polys`` (the vertex batch) and ``cells`` (the same
+    cells as ConvexPolygons) are built on first read.
     """
 
     region: ConvexPolygon
     resolution: int
-    polys: _Polys = field(compare=False, repr=False)
+    bounds: np.ndarray = field(compare=False, repr=False)
     cell_areas: np.ndarray = field(compare=False, repr=False)
     lookup: np.ndarray = field(compare=False, repr=False)
     origin: tuple[int, int] = field(compare=False, repr=False)
 
     @staticmethod
     def build(region: ConvexPolygon, resolution: int) -> "UlamGrid":
-        if resolution < 2:
-            raise ParameterOutOfRange(f"resolution must be >= 2, got {resolution}")
+        _check_resolution("resolution", resolution)
+        region_box = _octagons([region], "region")
         n = resolution
         xmin, ymin, xmax, ymax = region.bbox()
         ix0 = math.floor(xmin * n + SNAP)
@@ -656,48 +548,36 @@ class UlamGrid:
                 f"resolution {resolution} needs {nx * ny} grid squares, "
                 f"more than the budget of {MAX_CELLS}"
             )
-        gx = np.arange(ix0, ix1 + 1) / n
-        gy = np.arange(iy0, iy1 + 1) / n
-        # Square corners against the region's edge half-planes in clipping
-        # order, computed as the clip computes them.  While every corner has
-        # been inside, the clip has left the square as it is: it is its own
-        # intersection with the region if that holds to the last edge, and
-        # the clip empties it at the first edge with every corner outside.
-        inside = np.ones((ny, nx), dtype=bool)
-        outside = np.zeros((ny, nx), dtype=bool)
-        for hx, hy, off in region.edge_halfplanes():
-            d = off - (hx * gx[None, :] + hy * gy[:, None])
-            corners = (d[:-1, :-1], d[:-1, 1:], d[1:, 1:], d[1:, :-1])
-            outside |= inside & np.logical_and.reduce([c < 0.0 for c in corners])
-            inside &= np.logical_and.reduce([c >= 0.0 for c in corners])
-        squares = np.flatnonzero(~outside)
-        crossing = np.flatnonzero(~inside.ravel()[squares])
-        boxes = _boxes(squares, nx, (ix0, iy0), n)
-        region_planes = _halfplanes(_pack([region]))
-        clipped = _clip_all(
-            boxes.take(crossing),
-            [np.broadcast_to(h, (len(crossing), h.shape[1])) for h in region_planes],
-        )
-        width = max(4, clipped.x.shape[1])
-        boxes = _widen(boxes, width)
-        boxes.x[crossing], boxes.y[crossing], boxes.n[crossing] = _widen(clipped, width)
-        polys, areas = _finish(boxes)
-        hit = np.flatnonzero(polys.n)
+        hits, columns = [np.zeros(0, np.intp)], [np.zeros((8, 0))]
+        for lo in range(0, nx * ny, OVERLAY_CHUNK):  # squares, row-major
+            iy, ix = np.divmod(np.arange(lo, min(lo + OVERLAY_CHUNK, nx * ny)), nx)
+            left, right = (ix + ix0) / n, (ix + ix0 + 1) / n
+            bottom, top = (iy + iy0) / n, (iy + iy0 + 1) / n
+            squares = np.array([left, bottom, left + bottom, left - top,
+                                -right, -top, -(right + top), -(right - bottom)])
+            bounds = _close(np.maximum(squares, region_box, out=squares))
+            hit = np.flatnonzero(_area(bounds) >= EPS_AREA)
+            hits.append(lo + hit)
+            columns.append(bounds[:, hit])
+        hit, bounds = np.concatenate(hits), np.concatenate(columns, axis=1)
         lookup = np.full(nx * ny, -1, dtype=np.intp)
-        lookup[squares[hit]] = np.arange(len(hit))
+        lookup[hit] = np.arange(len(hit))
         return UlamGrid(
-            region, resolution, polys.take(hit), areas[hit], lookup.reshape(ny, nx), (ix0, iy0)
+            region, resolution, bounds, _area(bounds), lookup.reshape(ny, nx), (ix0, iy0)
         )
+
+    @functools.cached_property
+    def polys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _vertices(self.bounds)
 
     def _rows(self, x: np.ndarray, y: np.ndarray, *columns):
         """Each cell as Python values: its vertex count, its vertex list
-        x0, y0, x1, y1, ... from the per-vertex arrays x and y (one row per
-        cell, as self.polys), then its entry of each per-cell column.  Rows
-        are converted OVERLAY_CHUNK at a time, so that the tolist()
-        temporaries stay small."""
+        x0, y0, x1, y1, ... from the per-vertex arrays x and y (laid out as
+        self.polys), then its entry of each per-cell column, converted
+        OVERLAY_CHUNK rows at a time to keep the tolist() temporaries small."""
         for lo in range(0, len(self.cell_areas), OVERLAY_CHUNK):
             rows = slice(lo, lo + OVERLAY_CHUNK)
-            n = self.polys.n[rows]
+            n = self.polys[2][rows]
             xy = np.stack((x[rows], y[rows]), axis=-1).reshape(len(n), -1)
             for count, xy_row, *rest in zip(
                 n.tolist(), xy.tolist(), *(c[rows].tolist() for c in columns)
@@ -709,18 +589,17 @@ class UlamGrid:
         """The cells as ConvexPolygons, built on first read."""
         return tuple(
             ConvexPolygon._clean(tuple(zip(xy[0::2], xy[1::2])), area)
-            for _, xy, area in self._rows(self.polys.x, self.polys.y, self.cell_areas)
+            for _, xy, area in self._rows(*self.polys[:2], self.cell_areas)
         )
 
     def centroids(self) -> tuple[np.ndarray, np.ndarray]:
         """ConvexPolygon.centroid of every cell, as (x, y) arrays: the edge
-        sums taken vertex by vertex in order, over 6 * area.  _finish has
-        emptied every cell below EPS_AREA, so centroid's small-area
-        fallback never applies."""
+        sums taken vertex by vertex in order, over 6 * area (no cell is
+        small enough for centroid's fallback)."""
         x, y, n = self.polys
-        x1, y1 = _cyclic(x, n, 1), _cyclic(y, n, 1)
-        w = np.where(np.arange(x.shape[1]) < n[:, None], x * y1 - x1 * y, 0.0)
-        cx, cy = _sequential_sum((x + x1) * w), _sequential_sum((y + y1) * w)
+        x0, y0, x1, y1 = x[:, :-1], y[:, :-1], x[:, 1:], y[:, 1:]
+        w = np.where(np.arange(x.shape[1] - 1) < n[:, None], x0 * y1 - x1 * y0, 0.0)
+        cx, cy = _sequential_sum((x0 + x1) * w), _sequential_sum((y0 + y1) * w)
         return cx / (6.0 * self.cell_areas), cy / (6.0 * self.cell_areas)
 
     def moments(self, values: np.ndarray, powers) -> list[float]:
@@ -753,49 +632,35 @@ class UlamGrid:
         return out
 
 
-def _overlay(
-    grid: UlamGrid, cell_boxes: np.ndarray, p: _Polys
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(k, j, area of row k ∩ cell j) for every pair with positive area,
-    ordered by k and then by j; cell_boxes is _row_boxes(grid.polys).
+def _overlay(grid: UlamGrid, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, j, area of column k ∩ cell j) for every pair with positive area,
+    ordered by k and then by j, for the closed octagons of b's columns.
 
-    Row k meets the squares from floor(bbox * resolution -/+ SNAP), taken
-    in row-major order.  Candidate (row, square) pairs are made
-    OVERLAY_CHUNK at a time.  A pair that _meets rejects is dropped, and
-    the pairs left are clipped in batches of OVERLAY_CHUNK.
+    Column k meets the squares from floor(bbox * resolution -/+ SNAP), in
+    row-major order.  Candidate pairs are made OVERLAY_CHUNK at a time,
+    and those that _meets rejects are dropped unmeasured.
     """
     parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
-    if not p.x.size:  # no rows, or every row Empty
-        return parts[0]
     res = grid.resolution
     ix0, iy0 = grid.origin
     ny, nx = grid.lookup.shape
-    boxes = _row_boxes(p)
-    xmin, ymin, xmax, ymax = boxes[0], boxes[1], -boxes[4], -boxes[5]
-    lo_x = np.maximum(np.floor(xmin * res - SNAP).astype(np.intp) - ix0, 0)
-    hi_x = np.minimum(np.floor(xmax * res + SNAP).astype(np.intp) - ix0, nx - 1)
-    lo_y = np.maximum(np.floor(ymin * res - SNAP).astype(np.intp) - iy0, 0)
-    hi_y = np.minimum(np.floor(ymax * res + SNAP).astype(np.intp) - iy0, ny - 1)
+    lo_x = np.maximum(np.floor(b[0] * res - SNAP).astype(np.intp) - ix0, 0)
+    hi_x = np.minimum(np.floor(-b[4] * res + SNAP).astype(np.intp) - ix0, nx - 1)
+    lo_y = np.maximum(np.floor(b[1] * res - SNAP).astype(np.intp) - iy0, 0)
+    hi_y = np.minimum(np.floor(-b[5] * res + SNAP).astype(np.intp) - iy0, ny - 1)
     width = np.maximum(hi_x - lo_x + 1, 0)
-    count = np.where(p.n > 0, width * np.maximum(hi_y - lo_y + 1, 0), 0)
+    count = width * np.maximum(hi_y - lo_y + 1, 0)
     ends = np.cumsum(count)
-    total = int(count.sum())
-    held_k = held_j = np.zeros(0, np.intp)
-    for start in range(0, total, OVERLAY_CHUNK):
-        pos = np.arange(start, min(start + OVERLAY_CHUNK, total))
+    for start in range(0, int(count.sum()), OVERLAY_CHUNK):
+        pos = np.arange(start, min(start + OVERLAY_CHUNK, int(ends[-1])))
         k = np.searchsorted(ends, pos, side="right")
         dy, dx = np.divmod(pos - (ends[k] - count[k]), width[k])
         j = grid.lookup[lo_y[k] + dy, lo_x[k] + dx]
-        meets = (j >= 0) & _meets(cell_boxes[:, j], boxes[:, k])
-        held_k = np.concatenate([held_k, k[meets]])
-        held_j = np.concatenate([held_j, j[meets]])
-        last = start + OVERLAY_CHUNK >= total
-        while len(held_k) >= OVERLAY_CHUNK or (last and len(held_k)):
-            k, held_k = held_k[:OVERLAY_CHUNK], held_k[OVERLAY_CHUNK:]
-            j, held_j = held_j[:OVERLAY_CHUNK], held_j[OVERLAY_CHUNK:]
-            _, w = _finish(_clip_all(p.take(k), _halfplanes(grid.polys.take(j))))
-            hit = w > 0.0
-            parts.append((k[hit], j[hit], w[hit]))
+        meets = (j >= 0) & _meets(grid.bounds[:, j], b[:, k])
+        k, j = k[meets], j[meets]
+        w = _area(_close(np.maximum(b[:, k], grid.bounds[:, j])))
+        hit = w > 0.0
+        parts.append((k[hit], j[hit], w[hit]))
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
@@ -820,51 +685,32 @@ class DensityVector:
 def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
     """Ulam matrix: entry (i, j) = m(cell_i ∩ map^-1(cell_j)) / m(cell_i).
 
-    Preimage measures are computed on the image side by exact clipping:
+    Preimage measures are computed on the image side, on octagons:
     area(branch_image(cell_i ∩ R_b) ∩ cell_j) / |J_b| for each branch b.
-    Rows sum to 1 because the map sends the region into itself.  The
-    (cell, branch) pairs go through the overlay kernel OVERLAY_CHUNK at a
-    time, in row-major order, so entries come out as the per-cell loop
-    appended them.
+    Every overlap of positive area is kept, so rows sum to 1 to rounding
+    because the map sends the region into itself.  The (cell, branch)
+    pairs go OVERLAY_CHUNK at a time, in row-major order.  NotOctilinear,
+    before the grid is built, where a branch domain or linear part leaves
+    the directions x, y, x + y and x - y.
     """
-    grid = UlamGrid.build(m.region, resolution)
-    # Not kept on the grid: callers that hold grids, as the sweep does,
-    # would hold every grid's boxes.
-    cell_boxes = _row_boxes(grid.polys)
-    nb = len(m.branches)
-    domains = _halfplanes(_pack([br.domain for br in m.branches]))
-    domain_boxes = np.array([_box(br.domain.vertices) for br in m.branches]).T
-    lin = np.array([br.map.linear for br in m.branches])
-    shift = np.array([br.map.shift for br in m.branches])
+    domains = _octagons([br.domain for br in m.branches], "branch domain")
+    perm, scale, shift = (np.array(a).T for a in zip(*(_image_plan(br.map) for br in m.branches)))
     jac = np.array([br.jacobian_abs for br in m.branches])
-    det = np.array([br.map.linear.det() for br in m.branches])
+    grid = UlamGrid.build(m.region, resolution)
+    nb = len(m.branches)
     n = len(grid.cell_areas)
     row_nnz = np.zeros(n, dtype=np.int32)
     cols, data = [np.zeros(0, np.int32)], [np.zeros(0)]
     for lo in range(0, n * nb, OVERLAY_CHUNK):
         i, b = np.divmod(np.arange(lo, min(lo + OVERLAY_CHUNK, n * nb)), nb)
-        meets = _meets(cell_boxes[:, i], domain_boxes[:, b])
+        meets = _meets(grid.bounds[:, i], domains[:, b])
         i, b = i[meets], b[meets]
-        piece, _ = _finish(_clip_all(grid.polys.take(i), [h[b] for h in domains]))
-        i, b, piece = i[piece.n > 0], b[piece.n > 0], piece.take(piece.n > 0)
-        singular = np.abs(det[b]) <= EPS_GEOM
-        if singular.any():
-            d = abs(float(det[b[singular][0]]))
-            raise SingularMatrix(f"affine map with |det| = {d!r} is not a bijection")
-        # affine_image: vertex-wise map, order reversed when det < 0
-        a, bb, c, dd = (lin[b, col][:, None] for col in range(4))
-        x = a * piece.x + bb * piece.y + shift[b, 0][:, None]
-        y = c * piece.x + dd * piece.y + shift[b, 1][:, None]
-        k = np.arange(x.shape[1])
-        flip = (det[b] < 0.0)[:, None] & (k < piece.n[:, None])
-        order = np.where(flip, piece.n[:, None] - 1 - k, k)
-        image, image_area = _finish(
-            _Polys(np.take_along_axis(x, order, 1), np.take_along_axis(y, order, 1), piece.n)
-        )
-        ok = image.n > 0
-        i, b, image, image_area = i[ok], b[ok], image.take(ok), image_area[ok]
-        src, j, w = _overlay(grid, cell_boxes, image)
-        lost = image_area - np.bincount(src, weights=w, minlength=len(i))
+        piece = _close(np.maximum(grid.bounds[:, i], domains[:, b]))
+        ok = _area(piece) > 0.0
+        i, b, piece = i[ok], b[ok], piece[:, ok]
+        image = scale[:, b] * piece[perm[:, b], np.arange(len(b))] + shift[:, b]
+        src, j, w = _overlay(grid, image)
+        lost = _area(image) - np.bincount(src, weights=w, minlength=len(i))
         bad = np.flatnonzero(lost > 1e-9)
         if bad.size:
             raise ResolutionTooLow(
@@ -950,7 +796,7 @@ def density_from_vector(grid: UlamGrid, vec: DensityVector) -> PiecewisePolyDens
 def _grid_values(grid: UlamGrid, f: PiecewisePolyDensity) -> np.ndarray:
     """Cell averages of f on the grid: the cell values of project_to_grid."""
     tiles = [(poly, v) for poly, v in f.cells if v != 0.0 and not poly.is_empty]
-    src, j, w = _overlay(grid, _row_boxes(grid.polys), _pack([poly for poly, _ in tiles]))
+    src, j, w = _overlay(grid, _octagons([poly for poly, _ in tiles], "density cell"))
     values = np.array([v for _, v in tiles], dtype=float)
     acc = np.bincount(j, weights=values[src] * w, minlength=len(grid.cell_areas))
     return acc / grid.cell_areas
@@ -983,16 +829,16 @@ def cesaro_fixed_density(
     Stops at the first n with ||P A_n - A_n||_1 < tol, or at n_max >= 1
     with converged=False.  With ``coarsen`` None, P is the exact
     pushforward and the averages live on its growing overlay arrangement.
-    With ``coarsen`` a grid resolution (>= 2), P is the Ulam operator of m
-    on that grid, built once: f0 is projected onto the grid, and the
-    iterates are cell-value vectors v -> (M^T (v * areas)) / areas, so the
-    result is the Cesaro average of the Ulam chain started from the
+    With ``coarsen`` an integer grid resolution (>= 2), P is the Ulam
+    operator of m on that grid, built once: f0 is projected onto the grid,
+    and the iterates are cell-value vectors v -> (M^T (v * areas)) / areas,
+    so the result is the Cesaro average of the Ulam chain started from the
     projected f0.  That is projecting every exact pushforward back onto
-    the grid, up to rounding and the mass that clipping drops from Ulam
-    rows (see build_ulam).
+    the grid, up to rounding and the mass that clipping drops from exact
+    pushforwards (ROADMAP item 7).
     """
-    if coarsen is not None and not coarsen >= 2:
-        raise ParameterOutOfRange(f"coarsen must be None or >= 2, got {coarsen!r}")
+    if coarsen is not None:
+        _check_resolution("coarsen", coarsen)
     if n_max < 1:
         raise ParameterOutOfRange(f"n_max must be >= 1, got {n_max!r}")
     if abs(f0.mass() - 1.0) > 1e-9:

@@ -43,3 +43,7 @@ class CellExplosion(Error):
 
 class ConfigError(Error):
     """Invalid command-line configuration; message names the flag."""
+
+
+class NotOctilinear(Error):
+    """An edge or a linear part leaves the directions x, y, x + y and x - y."""

@@ -3,10 +3,12 @@
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import refine_oracle
@@ -14,6 +16,8 @@ import ulam_oracle
 from tentstab import density as D, geom2d
 from tentstab.errors import (
     CellExplosion,
+    Error,
+    NotOctilinear,
     ParameterOutOfRange,
     RegionMismatch,
     ResolutionTooLow,
@@ -285,25 +289,33 @@ class TestCesaro:
                 want = ulam_oracle.cesaro_coarsened(m, f0, n_max, 1e-8, coarsen)
                 assert (got.iterations, got.converged) == (want.iterations, want.converged)
                 assert got.residual == pytest.approx(want.residual, rel=0.0, abs=1e-12)
-                assert [c.vertices for c, _ in got.density.cells] == [
-                    c.vertices for c, _ in want.density.cells
-                ]
+                assert _cells_within_an_ulp(
+                    [c for c, _ in got.density.cells], [c for c, _ in want.density.cells]
+                )
                 for (_, v), (_, w) in zip(got.density.cells, want.density.cells):
                     assert v == pytest.approx(w, rel=1e-11, abs=0.0)
 
-    def test_coarsened_run_near_t1_shows_the_ulam_row_defect(self):
-        # At t = 1 - 1.3e-9, power 2, resolution 24, Ulam row 467 loses a
-        # domain sliver merged away by clipping and sums to 1 - 3.1e-8 (see
-        # test_ulam_rows_are_probability_vectors).  The matrix path then
-        # differs from projecting exact pushforwards by 8.6e-8 relative and
-        # meets tol = 1e-8 one step sooner.
+    def test_coarsened_run_near_t1_keeps_the_mass_clipping_drops(self):
+        # At t = 1 - 1.3e-9, power 2, resolution 24 clipping merges slivers
+        # away: the per-cell loop's Ulam row 467 sums to 1 - 3.1e-8, and
+        # the exact pushforward of the projected uniform density misses the
+        # Ulam matrix's action by up to 4.6e-8 on a cell.  The octagon
+        # matrix keeps every row at 1, so the matrix path meets tol = 1e-8
+        # one step before the arrangement oracle, and they differ by
+        # 8.6e-8 relative, the oracle's first step.
         m = tent_power(0.9999999987175887, 2)
+        rows = np.asarray(D.build_ulam(m, 24).matrix.sum(axis=1)).ravel()
+        assert np.abs(rows - 1.0).max() <= 1e-13
+        grid, matrix = ulam_oracle.build_ulam(m, 24)
+        lost = 1.0 - matrix[467].sum()
+        assert lost == pytest.approx(3.0778e-8, rel=1e-4)
+        assert lost == pytest.approx(ulam_oracle.dropped_mass(m, grid, 467), rel=1e-5)
         f0 = D.uniform_density(m.region)
         got = D.cesaro_fixed_density(m, f0, n_max=3, coarsen=24)
         want = ulam_oracle.cesaro_coarsened(m, f0, 3, 1e-8, 24)
         assert (got.iterations, got.converged) == (1, True)
         assert (want.iterations, want.converged) == (2, True)
-        assert got.residual == pytest.approx(8.587259e-9, rel=1e-6)
+        assert got.residual == pytest.approx(9.217331e-9, rel=1e-6)
         assert want.residual == pytest.approx(9.629218e-9, rel=1e-6)
         diff = max(
             abs(v - w) / w for (_, v), (_, w) in zip(got.density.cells, want.density.cells)
@@ -327,7 +339,7 @@ class TestUlam:
     def test_rows_stochastic(self, t):
         op, _ = cached_fixed(t, 16)
         rows = np.asarray(op.matrix.sum(axis=1)).ravel()
-        assert np.abs(rows - 1.0).max() <= 1e-9
+        assert np.abs(rows - 1.0).max() <= 1e-13
         assert op.matrix.min() >= 0.0
         assert op.matrix.max() <= 1.0 + 1e-12
 
@@ -446,103 +458,98 @@ def _same_cells(got, want) -> bool:
     )
 
 
-def _count_clipped_rows(monkeypatch) -> dict:
-    """Counts of the rows that D._clip_all clips from now on, under
-    "overlay" inside D._overlay and under "other" elsewhere."""
-    clipped = {"overlay": 0, "other": 0}
-    depth = 0
-    overlay, clip_all = D._overlay, D._clip_all
+def _cells_within_an_ulp(got, want) -> bool:
+    """The same vertex counts, and every coordinate within an ulp of 2.
+    Off the dyadic resolutions, closing a grid cell's bounds can move a
+    corner by an ulp where the region's diagonal edge passes through it
+    only up to rounding; clipping kept the lattice point."""
+    return [len(c.vertices) for c in got] == [len(c.vertices) for c in want] and all(
+        abs(a - b) <= math.ulp(2.0)
+        for g, w in zip(got, want)
+        for pg, pw in zip(g.vertices, w.vertices)
+        for a, b in zip(pg, pw)
+    )
 
-    def counting_overlay(*args):
-        nonlocal depth
-        depth += 1
-        try:
-            return overlay(*args)
-        finally:
-            depth -= 1
 
-    def counting_clip_all(p, planes):
-        clipped["overlay" if depth else "other"] += len(p.n)
-        return clip_all(p, planes)
+def _assert_matches_the_per_cell_loop(matrix, loop, resolution, jacobian=1.0):
+    """The octagon kernel's Ulam matrix against the per-cell loop's.
 
-    monkeypatch.setattr(D, "_overlay", counting_overlay)
-    monkeypatch.setattr(D, "_clip_all", counting_clip_all)
-    return clipped
+    Every row of the kernel sums to 1 within 1e-13.  On the rows that the
+    loop sums to 1 within (1e-14 + 2e-16 * resolution**2) / min(jacobian,
+    1), every entry agrees with the loop's within that bound: the loop's
+    shoelace sums round at the ulp of coordinates near 1, over cells of
+    area near 1 / resolution**2, and entries divide image areas by the
+    branches' |J|.  The loop's other rows lost slivers to vertex merging
+    and EPS_AREA (ROADMAP item 7), and only the kernel's row sums are
+    checked there.
+    """
+    bound = (1e-14 + 2e-16 * resolution**2) / min(jacobian, 1.0)
+    rows = np.asarray(matrix.sum(axis=1)).ravel()
+    assert np.abs(rows - 1.0).max() <= 1e-13
+    sound = np.abs(np.asarray(loop.sum(axis=1)).ravel() - 1.0) <= bound
+    diff = sp.diags(sound.astype(float)) @ (matrix - loop)
+    assert np.abs(diff.data).max(initial=0.0) <= bound
 
 
 class TestOverlayKernel:
-    """The batched kernel against the per-cell loops in ulam_oracle."""
+    """The octagon kernel against the per-cell loops in ulam_oracle."""
 
     @pytest.mark.parametrize("pw", [1, 2])
     @pytest.mark.parametrize("t", [TAU, 0.9, 1.0])
     @pytest.mark.parametrize("resolution", [16, 64, 128])
-    def test_ulam_matrix_and_grid_bit_identical(self, resolution, t, pw):
+    def test_ulam_matrix_and_grid_match_the_per_cell_loop(self, resolution, t, pw):
+        # The lattice is exact at these resolutions: the grid is the loop's
+        # bit for bit, and at t = 1 so is the matrix.
         m = tent_power(t, pw)
         op = D.build_ulam(m, resolution)
         grid, matrix = ulam_oracle.build_ulam(m, resolution)
-        assert _bits_equal(op.matrix.data, matrix.data)
-        assert _bits_equal(op.matrix.indices, matrix.indices)
-        assert _bits_equal(op.matrix.indptr, matrix.indptr)
+        _assert_matches_the_per_cell_loop(op.matrix, matrix, resolution)
         assert _same_cells(op.grid.cells, grid.cells)
         assert _bits_equal(op.grid.cell_areas, np.array([c.area for c in grid.cells]))
+        if t == 1.0:
+            assert _bits_equal(op.matrix.data, matrix.data)
+            assert _bits_equal(op.matrix.indices, matrix.indices)
+            assert _bits_equal(op.matrix.indptr, matrix.indptr)
 
-    def test_grids_of_random_regions_bit_identical(self, rng):
-        for _ in range(6):
-            region = random_convex_polygon(rng)
-            for resolution in (3, 7, 16):
-                grid = D.UlamGrid.build(region, resolution)
-                want = ulam_oracle.Grid(region, resolution)
-                assert _same_cells(grid.cells, want.cells)
-                assert _bits_equal(grid.cell_areas, np.array([c.area for c in want.cells]))
+    @pytest.mark.parametrize("resolution", [3, 5, 24])
+    def test_grid_off_the_dyadic_resolutions(self, resolution):
+        grid = D.UlamGrid.build(TRIANGLE_T, resolution)
+        want = ulam_oracle.Grid(TRIANGLE_T, resolution)
+        assert _cells_within_an_ulp(grid.cells, want.cells)
+        areas = np.array([c.area for c in want.cells])
+        assert np.abs(grid.cell_areas - areas).max() <= 1e-15
 
-    def test_ulam_on_random_regions_bit_identical(self, rng):
-        # p -> (p + centroid) / 2 maps a convex region into itself
-        for _ in range(3):
-            region = random_convex_polygon(rng)
-            cx, cy = region.centroid()
-            halve = AffineMap2(Matrix2(0.5, 0.0, 0.0, 0.5), (0.5 * cx, 0.5 * cy))
-            m = PiecewiseMap(region, (Branch(region, halve, 0.25),), "halving")
-            for resolution in (5, 11):
-                op = D.build_ulam(m, resolution)
-                _, matrix = ulam_oracle.build_ulam(m, resolution)
-                assert _bits_equal(op.matrix.data, matrix.data)
-                assert _bits_equal(op.matrix.indices, matrix.indices)
-                assert _bits_equal(op.matrix.indptr, matrix.indptr)
-
-    @pytest.mark.parametrize("resolution", [8, 13])
-    def test_ulam_with_orientation_reversing_branches_bit_identical(self, resolution):
-        # the unit square folded at x = 1/2; both branches have det -2
-        flip_y = AffineMap2(Matrix2(2.0, 0.0, 0.0, -1.0), (0.0, 1.0))
-        flip_x = AffineMap2(Matrix2(-2.0, 0.0, 0.0, 1.0), (2.0, 0.0))
-        branches = (
-            Branch(box(0.0, 0.0, 0.5, 1.0), flip_y, 2.0),
-            Branch(box(0.5, 0.0, 1.0, 1.0), flip_x, 2.0),
-        )
-        m = PiecewiseMap(box(0.0, 0.0, 1.0, 1.0), branches, "fold")
-        op = D.build_ulam(m, resolution)
-        _, matrix = ulam_oracle.build_ulam(m, resolution)
-        assert _bits_equal(op.matrix.data, matrix.data)
-        assert _bits_equal(op.matrix.indices, matrix.indices)
-        assert _bits_equal(op.matrix.indptr, matrix.indptr)
+    def test_halving_map_matches_the_per_cell_loop(self):
+        # p -> (p + centroid) / 2 maps the region into itself, with a
+        # linear part that keeps every direction
+        cx, cy = TRIANGLE_T.centroid()
+        halve = AffineMap2(Matrix2(0.5, 0.0, 0.0, 0.5), (0.5 * cx, 0.5 * cy))
+        m = PiecewiseMap(TRIANGLE_T, (Branch(TRIANGLE_T, halve, 0.25),), "halving")
+        for resolution in (5, 11, 16):
+            _, matrix = ulam_oracle.build_ulam(m, resolution)
+            op = D.build_ulam(m, resolution)
+            _assert_matches_the_per_cell_loop(op.matrix, matrix, resolution, jacobian=0.25)
 
     # (8, 8), (4, 16), (8, 16) and (6, 12) are grid-aligned: every density
     # cell is a union of grid cells, and only touches the cells around it.
     @pytest.mark.parametrize(
         "n, resolution", [(2, 3), (3, 8), (5, 4), (8, 16), (8, 8), (4, 16), (6, 12)]
     )
-    def test_project_to_grid_bit_identical(self, rng, n, resolution):
+    def test_project_to_grid_matches_the_per_cell_loop(self, rng, n, resolution):
+        # the values are averages near 1; the worst case differs by 3.4e-14
         f = random_grid_density(rng, TRIANGLE_T, n)
         got = D.project_to_grid(f, resolution)
         want = ulam_oracle.project_to_grid(f, resolution)
-        assert _same_cells([c for c, _ in got.cells], [c for c, _ in want.cells])
-        assert _bits_equal([v for _, v in got.cells], [v for _, v in want.cells])
+        assert _cells_within_an_ulp([c for c, _ in got.cells], [c for c, _ in want.cells])
+        diff = [abs(v - w) for (_, v), (_, w) in zip(got.cells, want.cells)]
+        assert max(diff) <= 1e-13
 
-    def test_project_to_grid_of_a_cesaro_iterate_bit_identical(self):
+    def test_project_to_grid_of_a_cesaro_iterate_matches_the_per_cell_loop(self):
         m = make_tent2d(0.93)
         f = D.push_forward(m, D.project_to_grid(D.uniform_density(TRIANGLE_T), 16))
         got = D.project_to_grid(f, 16)
         want = ulam_oracle.project_to_grid(f, 16)
-        assert _bits_equal([v for _, v in got.cells], [v for _, v in want.cells])
+        assert max(abs(v - w) for (_, v), (_, w) in zip(got.cells, want.cells)) <= 1e-13
 
     def test_project_to_grid_of_zero_density_bit_identical(self):
         f = D.PiecewisePolyDensity(TRIANGLE_T, ((TRIANGLE_T, 0.0),))
@@ -563,63 +570,31 @@ class TestOverlayKernel:
     @pytest.mark.parametrize(
         "resolution, pw", [(16, 3), (17, 1), (17, 2), (17, 3), (48, 1), (48, 2), (48, 3), (64, 3)]
     )
-    def test_touch_only_squares_at_t1_bit_identical(self, resolution, pw):
+    def test_touch_only_squares_at_t1(self, resolution, pw):
         # At t = 1 the images of grid squares share their edges with grid
         # lines (at the even resolutions), so most candidate squares only
-        # touch an image and the kernel drops them unclipped.  Resolutions
-        # 16 and 64 at powers 1 and 2 are in the test above.
+        # touch an image and the kernel drops them unmeasured.  Resolutions
+        # 16 and 64 at powers 1 and 2 are in the first test.
         m = tent_power(1.0, pw)
-        op = D.build_ulam(m, resolution)
         _, matrix = ulam_oracle.build_ulam(m, resolution)
-        assert _bits_equal(op.matrix.data, matrix.data)
-        assert _bits_equal(op.matrix.indices, matrix.indices)
-        assert _bits_equal(op.matrix.indptr, matrix.indptr)
-
-    def test_touch_only_squares_are_not_clipped(self, monkeypatch):
-        # The per-cell loop clips every candidate square; ulam_oracle's
-        # intersect calls against a grid cell count them.  Its other calls
-        # clip squares to the region and cells to branch domains.
-        m = tent_power(1.0, 1)
-        other = {id(m.region)} | {id(br.domain) for br in m.branches}
-        candidates = 0
-
-        def counting_intersect(a, b):
-            nonlocal candidates
-            candidates += id(b) not in other
-            return geom2d.intersect(a, b)
-
-        monkeypatch.setattr(ulam_oracle, "intersect", counting_intersect)
-        ulam_oracle.build_ulam(m, 64)
-        clipped = _count_clipped_rows(monkeypatch)
-        D.build_ulam(m, 64)
-        assert candidates > 0
-        assert clipped["overlay"] <= 0.4 * candidates, (clipped, candidates)
-
-    def test_clips_skip_pairs_whose_boxes_touch(self, monkeypatch):
-        # At this t the images of grid squares and the branch domains have
-        # diagonal edges: with the axis boxes alone, _overlay clipped
-        # 135,142 rows for 106,610 entries and 33,534 rows were clipped
-        # outside it, 510 of them grid squares and half of the others
-        # (cell, branch domain) pairs that came out Empty.
-        clipped = _count_clipped_rows(monkeypatch)
-        op = D.build_ulam(tent_power(0.9393716769023954, 1), 128)
-        assert op.matrix.nnz > 100_000
-        assert clipped["overlay"] <= 1.02 * op.matrix.nnz, (clipped, op.matrix.nnz)
-        assert clipped["other"] <= 17_100, clipped
+        _assert_matches_the_per_cell_loop(D.build_ulam(m, resolution).matrix, matrix, resolution)
 
     @pytest.mark.parametrize("resolution", [24, 41])
     @pytest.mark.parametrize("pw", [1, 2, 3])
     @pytest.mark.parametrize("t", [TAU, 0.939, 0.99999, 0.9999999987175887])
-    def test_ulam_where_slivers_are_thin_bit_identical(self, t, pw, resolution):
+    def test_ulam_where_slivers_are_thin(self, t, pw, resolution):
         # Near t = 1 cells meet branch domains and images meet squares in
-        # slivers across diagonal lines, which the box tests drop unclipped;
-        # 1 - 1.3e-9 is the pinned case where they are thinnest.
+        # slivers across diagonal lines; 1 - 1.3e-9 is the pinned case where
+        # they are thinnest.  There the loop's rows miss 1 by up to 4.2e-8,
+        # and at power 3 maps.power's domains are no longer octagons (see
+        # TestOctilinear).
         m = tent_power(t, pw)
-        op = D.build_ulam(m, resolution)
+        if (t, pw) == (0.9999999987175887, 3):
+            with pytest.raises(NotOctilinear):
+                D.build_ulam(m, resolution)
+            return
         _, matrix = ulam_oracle.build_ulam(m, resolution)
-        assert _bits_equal(op.matrix.data, matrix.data)
-        assert _bits_equal(op.matrix.indices, matrix.indices)
-        assert _bits_equal(op.matrix.indptr, matrix.indptr)
+        _assert_matches_the_per_cell_loop(D.build_ulam(m, resolution).matrix, matrix, resolution)
 
     @pytest.mark.parametrize("chunk", [1, 7, 100])
     def test_chunk_size_does_not_change_results(self, monkeypatch, rng, chunk):
@@ -630,19 +605,16 @@ class TestOverlayKernel:
         want_f = D.project_to_grid(f, 6)
         monkeypatch.setattr(D, "OVERLAY_CHUNK", chunk)
         op = D.build_ulam(m, 8)
-        _, matrix = ulam_oracle.build_ulam(m, 8)
-        for got in (op.matrix, matrix):
-            assert _bits_equal(got.data, want_op.matrix.data)
-            assert _bits_equal(got.indices, want_op.matrix.indices)
-            assert _bits_equal(got.indptr, want_op.matrix.indptr)
+        assert _bits_equal(op.matrix.data, want_op.matrix.data)
+        assert _bits_equal(op.matrix.indices, want_op.matrix.indices)
+        assert _bits_equal(op.matrix.indptr, want_op.matrix.indptr)
         assert _same_cells(op.grid.cells, want_op.grid.cells)
         got_f = D.project_to_grid(f, 6)
         assert _bits_equal([v for _, v in got_f.cells], [v for _, v in want_f.cells])
 
     @pytest.mark.parametrize("resolution", [3, 16, 128])
-    @pytest.mark.parametrize("region", [TRIANGLE_T, OFF_LATTICE_QUAD], ids=["tent", "quad"])
-    def test_centroids_bit_identical(self, region, resolution):
-        grid = D.UlamGrid.build(region, resolution)
+    def test_centroids_bit_identical(self, resolution):
+        grid = D.UlamGrid.build(TRIANGLE_T, resolution)
         want = np.array([c.centroid() for c in grid.cells])
         cx, cy = grid.centroids()
         assert _bits_equal(cx, want[:, 0])
@@ -664,46 +636,142 @@ class TestOverlayKernel:
         assert kernel <= oracle, f"kernel {kernel / 1e6:.1f} MB > oracle {oracle / 1e6:.1f} MB"
 
 
-@st.composite
-def rows_with_close_vertices(draw):
-    """A convex hull of up to seven points, with vertices injected within
-    about EPS_GEOM of their predecessors, and sometimes a last vertex
-    within about EPS_GEOM of the first: rows that geom2d._dedup merges,
-    and rows it leaves as they are."""
-    points = draw(
-        st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 1.0)), max_size=7)
-    )
-    near = st.floats(-EPS_GEOM, EPS_GEOM)
-    row = []
-    for vertex in convex_hull(points):
-        row.append(vertex)
-        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
-            x, y = row[-1]
-            row.append((x + draw(near), y + draw(near)))
-    if row and draw(st.booleans()):
-        row.append((row[0][0] + draw(near), row[0][1] + draw(near)))
-    return row
+# The forms of a _box column, whose lower bounds its rows hold.
+_FORMS = ((1, 0), (0, 1), (1, 1), (1, -1), (-1, 0), (0, -1), (-1, -1), (-1, 1))
 
 
-@given(rows=st.lists(rows_with_close_vertices(), min_size=1, max_size=6))
-@settings(max_examples=300, deadline=None)
-def test_finish_matches_wrap_row_by_row(rows):
-    """_finish merges only the rows with a close vertex pair, and gives
-    each row the vertices and area that ConvexPolygon._wrap gives it."""
-    n = np.array([len(row) for row in rows])
-    x = np.zeros((len(rows), n.max()))
-    y = np.zeros((len(rows), n.max()))
-    for k, row in enumerate(rows):
-        x[k, : n[k]] = [v[0] for v in row]
-        y[k, : n[k]] = [v[1] for v in row]
-    got, areas = D._finish(D._Polys(x, y, n))
-    for k, row in enumerate(rows):
-        want = ConvexPolygon._wrap(row)
-        verts = zip(got.x[k, : got.n[k]].tolist(), got.y[k, : got.n[k]].tolist())
-        assert [(a.hex(), b.hex()) for a, b in verts] == [
-            (a.hex(), b.hex()) for a, b in want.vertices
-        ]
-        assert float(areas[k]).hex() == want.area.hex()
+def _clip_exact(poly, column):
+    """A polygon of Fraction vertices clipped to the octagon of a _box
+    column of Fractions, by Sutherland-Hodgman in exact arithmetic."""
+    for (a, b), c in zip(_FORMS, column):
+        out = []
+        for k, (px, py) in enumerate(poly):
+            qx, qy = poly[k - 1]
+            dp, dq = a * px + b * py - c, a * qx + b * qy - c
+            if (dp >= 0) != (dq >= 0):
+                s = dq / (dq - dp)
+                out.append((qx + s * (px - qx), qy + s * (py - qy)))
+            if dp >= 0:
+                out.append((px, py))
+        poly = out
+    return poly
+
+
+def _area_exact(poly):
+    pairs = zip(poly, poly[1:] + poly[:1])
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in pairs)) / 2
+
+
+def _exact_ulam_entries(m, op) -> dict:
+    """Entry (i, j) of every stored entry of op.matrix in exact rational
+    arithmetic, from the same float inputs as build_ulam: the grid's cell
+    bounds, the _box columns of the branch domains, and the branch maps."""
+    F = Fraction
+    cells = [[F(v) for v in column] for column in op.grid.bounds.T.tolist()]
+    domains = [[F(v) for v in D._box(br.domain.vertices)] for br in m.branches]
+    indptr, indices = op.matrix.indptr, op.matrix.indices
+    exact = {}
+    for i, cell in enumerate(cells):
+        box_i = [(cell[0], cell[1]), (-cell[4], cell[1]), (-cell[4], -cell[5]), (cell[0], -cell[5])]
+        images = []
+        for br, domain in zip(m.branches, domains):
+            piece = _clip_exact(box_i, [max(p, q) for p, q in zip(cell, domain)])
+            (a, b, c, d), (sx, sy) = (map(F, br.map.linear), map(F, br.map.shift))
+            image = [(a * x + b * y + sx, c * x + d * y + sy) for x, y in piece]
+            images.append((image, F(br.jacobian_abs)))
+        area_i = _area_exact(_clip_exact(box_i, cell))
+        for j in indices[indptr[i] : indptr[i + 1]].tolist():
+            overlap = sum(
+                _area_exact(_clip_exact(image, cells[j])) / jac for image, jac in images if image
+            )
+            exact[i, j] = overlap / area_i
+    return exact
+
+
+@pytest.mark.parametrize("pw", [1, 2])
+@pytest.mark.parametrize("t", [0.95, TAU])
+def test_ulam_entries_match_exact_rational_areas(t, pw):
+    """Every entry is within 1e-12 relative of its value in exact rational
+    arithmetic from the same float inputs.  The worst is 2.2e-13; clipping
+    (ulam_oracle.build_ulam) misses by 4.8e-12 to 3.4e-11 here, where its
+    shoelace sums lose precision on thin overlaps."""
+    m = tent_power(t, pw)
+    op = D.build_ulam(m, 16)
+    exact = _exact_ulam_entries(m, op)
+    coo = op.matrix.tocoo()
+    for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+        assert abs(Fraction(v) / exact[i, j] - 1) <= 1e-12, (i, j)
+
+
+class TestOctilinear:
+    """The Ulam layer takes octagons only, and says so before it allocates."""
+
+    def test_random_regions_are_rejected(self, rng):
+        for _ in range(3):
+            region = random_convex_polygon(rng)
+            with pytest.raises(NotOctilinear, match="region 0 has edges off"):
+                D.UlamGrid.build(region, 4)
+
+    def test_an_off_lattice_quad_is_rejected_before_the_grid_budget(self):
+        # the budget check would raise CellExplosion at this resolution
+        with pytest.raises(NotOctilinear, match="region"):
+            D.UlamGrid.build(OFF_LATTICE_QUAD, 100000)
+
+    def test_the_halving_map_on_a_random_region_is_rejected(self, rng):
+        region = random_convex_polygon(rng)
+        cx, cy = region.centroid()
+        halve = AffineMap2(Matrix2(0.5, 0.0, 0.0, 0.5), (0.5 * cx, 0.5 * cy))
+        m = PiecewiseMap(region, (Branch(region, halve, 0.25),), "halving")
+        with pytest.raises(NotOctilinear, match="branch domain 0"):
+            D.build_ulam(m, 5)
+
+    def test_the_fold_is_rejected(self):
+        # the unit square folded at x = 1/2: diag(2, -1) sends x + y to
+        # 2x - y, which is none of the four directions
+        flip_y = AffineMap2(Matrix2(2.0, 0.0, 0.0, -1.0), (0.0, 1.0))
+        flip_x = AffineMap2(Matrix2(-2.0, 0.0, 0.0, 1.0), (2.0, 0.0))
+        branches = (
+            Branch(box(0.0, 0.0, 0.5, 1.0), flip_y, 2.0),
+            Branch(box(0.5, 0.0, 1.0, 1.0), flip_x, 2.0),
+        )
+        m = PiecewiseMap(box(0.0, 0.0, 1.0, 1.0), branches, "fold")
+        with pytest.raises(NotOctilinear, match="linear part"):
+            D.build_ulam(m, 8)
+
+    def test_a_tilted_density_cell_is_rejected(self):
+        tilted = ConvexPolygon(((0.5, 0.1), (0.9, 0.2), (0.6, 0.4)))
+        f = D.indicator_density(TRIANGLE_T, tilted, 1.0)
+        with pytest.raises(NotOctilinear, match="density cell"):
+            D.project_to_grid(f, 8)
+
+    @pytest.mark.parametrize("t", [TAU, 0.9, 1.0])
+    def test_tent_powers_pass(self, t):
+        # the domains of power 8 reach 5.2e-10 of the 1e-9 allowance
+        for k in range(1, 9):
+            op = D.build_ulam(tent_power(t, k), 2)
+            rows = np.asarray(op.matrix.sum(axis=1)).ravel()
+            assert np.abs(rows - 1.0).max() <= 1e-13
+
+    def test_a_domain_that_power_merged_a_vertex_of_is_rejected(self):
+        # tent_power(1 - 1.3e-9, 3) pulls branch 0's domain back through
+        # geom2d clipping, which merges a vertex away: the domain is a
+        # triangle with an edge 2.6e-9 rad off the diagonal, 2.6e-9 smaller
+        # in area than its octagon (ROADMAP item 7).
+        m = tent_power(0.9999999987175887, 3)
+        with pytest.raises(NotOctilinear, match="branch domain 0"):
+            D.build_ulam(m, 8)
+
+    @pytest.mark.parametrize("resolution", [4.5, 4.0, True, "8"])
+    def test_resolution_must_be_an_integer(self, resolution):
+        # 4.5 built a 25-cell grid
+        with pytest.raises(ParameterOutOfRange, match="resolution must be an integer >= 2"):
+            D.build_ulam(make_tent2d(0.9), resolution)
+        with pytest.raises(ParameterOutOfRange, match="coarsen must be an integer >= 2"):
+            D.cesaro_fixed_density(make_tent2d(0.9), D.uniform_density(TRIANGLE_T), coarsen=resolution)
+
+    def test_not_octilinear_is_a_package_error(self):
+        # so the CLI reports it and exits 1
+        assert issubclass(NotOctilinear, Error)
 
 
 def _shifted_square_map(shift: float) -> PiecewiseMap:
@@ -723,10 +791,16 @@ class TestLostArea:
             ulam_oracle.build_ulam(m, 2)
 
     def test_threshold_is_1e_minus_9(self):
-        m = _shifted_square_map(1e-9)  # lost area 5e-10 per cell: kept
+        # Lost area 5e-10 per right-column cell: kept.  Each left-column
+        # cell's image reaches 1e-9 into its right neighbour, a sliver that
+        # the loop merges away and the kernel keeps.
+        m = _shifted_square_map(1e-9)
         op = D.build_ulam(m, 2)
         _, matrix = ulam_oracle.build_ulam(m, 2)
-        assert _bits_equal(op.matrix.data, matrix.data)
+        spill = op.matrix - matrix
+        assert np.abs(spill.data).max() == pytest.approx(2e-9, rel=1e-6)
+        rows = np.asarray(op.matrix.sum(axis=1)).ravel()
+        assert rows == pytest.approx([1.0, 1.0 - 2e-9, 1.0, 1.0 - 2e-9], abs=1e-15)
 
 
 @given(
@@ -736,22 +810,14 @@ class TestLostArea:
 )
 @example(t=TENT_T_MIN, pw=1, resolution=4)
 @example(t=1.0, pw=2, resolution=24)
-@example(t=0.99999, pw=1, resolution=10)  # drops a 9.99992e-13 overlap from row 92
-@example(t=0.9999999987175887, pw=2, resolution=24)  # row 467 loses 3.1e-8 to a merge
+@example(t=0.99999, pw=1, resolution=10)  # clipping dropped a 9.99992e-13 overlap from row 92
+@example(t=0.9999999987175887, pw=2, resolution=24)  # and lost 3.1e-8 of row 467 to a merge
 @settings(max_examples=60, deadline=None)
 def test_ulam_rows_are_probability_vectors(t, pw, resolution):
     """Entries are positive, no row is empty, and rows sum to 1 within
-    1e-12 once the slivers that clipping drops are added back: a row that
-    misses 1 by more than 1e-12 misses it by the mass the per-cell loop
-    drops from it, to 1e-12."""
-    m = tent_power(t, pw)
-    op = D.build_ulam(m, resolution)
-    deficit = 1.0 - np.asarray(op.matrix.sum(axis=1)).ravel()
-    off = np.flatnonzero(np.abs(deficit) > 1e-12)
-    if off.size:
-        grid = ulam_oracle.Grid(m.region, resolution)
-        dropped = np.array([ulam_oracle.dropped_mass(m, grid, i) for i in off])
-        assert (np.abs(deficit[off] - dropped) <= 1e-12).all()
+    1e-13."""
+    op = D.build_ulam(tent_power(t, pw), resolution)
+    assert np.abs(np.asarray(op.matrix.sum(axis=1)).ravel() - 1.0).max() <= 1e-13
     assert (op.matrix.data > 0.0).all()
     assert (np.diff(op.matrix.indptr) > 0).all()
 

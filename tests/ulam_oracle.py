@@ -1,14 +1,18 @@
-"""Per-cell grid overlay and output writers: the slow paths the batched
-Ulam kernel and the batch-reading density outputs must match.
+"""Per-cell grid overlay and output writers: the generic references that
+the octagon Ulam kernel and the batch-reading density outputs are held to.
 
 The overlay functions walk the grid one square or one polygon at a time
-through ``geom2d.intersect``, exactly as ``density`` did before its Ulam
-assembly was batched.  The writers format one ConvexPolygon at a time, as
-the ``density`` command did before it read the grid's vertex batch.  Tests
-compare the package with these loops bit for bit; nothing in the package
-imports this module.  ``cesaro_coarsened`` is the coarsened Cesaro loop on
-exact arrangements, which the package's Ulam-matrix loop matches to
-rounding and the mass that clipping drops from Ulam rows.
+through ``geom2d.intersect``, for any convex region and affine branches,
+as ``density`` did before its Ulam layer moved to octagons.  Tests
+compare the package's matrices with them within stated bounds (bit for
+bit at t = 1 and the dyadic resolutions), except on the rows where this
+clipping drops slivers, which the octagon kernel keeps.  The writers
+format one ConvexPolygon at a time, as the ``density`` command did before
+it read the grid's vertex batch, and the package matches them bit for
+bit.  Nothing in the package imports this module.  ``cesaro_coarsened``
+is the coarsened Cesaro loop on exact arrangements, which the package's
+Ulam-matrix loop matches to rounding and the mass that clipping drops
+from exact pushforwards.
 """
 
 import math
