@@ -390,7 +390,8 @@ def sobolev_ratio(f: PiecewisePolyDensity) -> float:
 # octagons meet in the entrywise maximum of their columns.
 
 OVERLAY_CHUNK = 2048  # grid squares, candidate pairs or rows per numpy batch
-OCTILINEAR_TOL = 1e-9  # relative area between a polygon and its _box octagon
+OCTILINEAR_TOL = 1e-9  # relative error of a linear part's gradients off the forms
+NOISE_SHARE = 64 * np.finfo(float).eps  # overlaps below this share of a square are noise
 _FORMS = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [-1, 0], [0, -1], [-1, -1], [-1, 1]], float)
 
 
@@ -464,12 +465,14 @@ def _vertices(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _octagons(polys, what: str) -> np.ndarray:
-    """The _box columns of nonempty convex polygons as an (8, n) array, once
-    each polygon is checked to be its octagon: NotOctilinear where their
-    areas differ by more than OCTILINEAR_TOL relative."""
+    """The _box columns of nonempty convex polygons as an (8, n) array:
+    NotOctilinear where a polygon's area is off its octagon's by more than
+    EPS_GEOM times its box's perimeter, more than merging vertices EPS_GEOM
+    apart can cut off (maps.power does so near t = 1)."""
     b = np.array([_box(p.vertices) for p in polys], dtype=float).reshape(-1, 8).T
     areas = np.array([p.area for p in polys], dtype=float)
-    bad = np.flatnonzero(~(np.abs(_area(b) - areas) <= OCTILINEAR_TOL * areas))
+    slack = 2.0 * EPS_GEOM * -(b[0] + b[1] + b[4] + b[5])
+    bad = np.flatnonzero(~(np.abs(_area(b) - areas) <= slack))
     if bad.size:
         k = bad[0]
         raise NotOctilinear(f"{what} {k} has edges off the directions x, y, x + y and x - y "
@@ -633,8 +636,9 @@ class UlamGrid:
 
 
 def _overlay(grid: UlamGrid, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(k, j, area of column k ∩ cell j) for every pair with positive area,
-    ordered by k and then by j, for the closed octagons of b's columns.
+    """(k, j, area of column k ∩ cell j) for every pair whose area exceeds
+    NOISE_SHARE of a grid square's, below which bounds that cross by an ulp
+    make noise, ordered by k and then by j, for the closed octagons of b.
 
     Column k meets the squares from floor(bbox * resolution -/+ SNAP), in
     row-major order.  Candidate pairs are made OVERLAY_CHUNK at a time,
@@ -659,7 +663,7 @@ def _overlay(grid: UlamGrid, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
         meets = (j >= 0) & _meets(grid.bounds[:, j], b[:, k])
         k, j = k[meets], j[meets]
         w = _area(_close(np.maximum(b[:, k], grid.bounds[:, j])))
-        hit = w > 0.0
+        hit = w > NOISE_SHARE / (res * res)
         parts.append((k[hit], j[hit], w[hit]))
     return tuple(np.concatenate(a) for a in zip(*parts))
 
@@ -687,8 +691,9 @@ def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
 
     Preimage measures are computed on the image side, on octagons:
     area(branch_image(cell_i ∩ R_b) ∩ cell_j) / |J_b| for each branch b.
-    Every overlap of positive area is kept, so rows sum to 1 to rounding
-    because the map sends the region into itself.  The (cell, branch)
+    Every overlap above rounding noise is kept, so as the map sends the
+    region into itself, a row sums to the share of its cell that the
+    branch domains cover, to rounding.  The (cell, branch)
     pairs go OVERLAY_CHUNK at a time, in row-major order.  NotOctilinear,
     before the grid is built, where a branch domain or linear part leaves
     the directions x, y, x + y and x - y.
@@ -846,11 +851,7 @@ def cesaro_fixed_density(
     _check_same_region(f0.region, m.region)
     if coarsen is None:
         cur = f0
-
-        def push(f):
-            return push_forward(m, f)
-
-        distance, mix = l1_distance, add_scaled
+        push, distance, mix = functools.partial(push_forward, m), l1_distance, add_scaled
     else:
         op = build_ulam(m, coarsen)
         areas = op.grid.cell_areas
@@ -909,8 +910,7 @@ def density_csv(grid: UlamGrid, values: np.ndarray) -> str:
     x, y, n = grid.polys
     max_verts = int(n.max(initial=0))
     header = ["cell_id", "area", "centroid_x", "centroid_y", "value", "n_vertices"]
-    for k in range(max_verts):
-        header += [f"v{k}x", f"v{k}y"]
+    header += [f"v{k}{axis}" for k in range(max_verts) for axis in "xy"]
     counts = np.array([str(k) for k in range(max_verts + 1)], dtype=object)
     cx, cy = grid.centroids()
 
