@@ -39,7 +39,7 @@ from .experiments import (
     ly_csv,
     tent1d_ulam,
 )
-from .geom2d import ConvexPolygon
+from .geom2d import ConvexPolygon, _rows
 from .ioutil import atomic_write_text, fmt
 from .maps import MAX_CELLS, TENT_T_MIN, NormConvention, certify, tent_power
 
@@ -102,7 +102,7 @@ def render_svg(grid: UlamGrid, values: np.ndarray) -> str:
         '<path d="M ' + " L ".join(["%.3f,%.3f"] * k) + ' Z" fill="#%02x%02x%02x"/>'
         for k in range(x.shape[1] + 1)
     ]
-    for count, pxy, r, g, b in grid._rows(px, py, *channels):
+    for count, pxy, r, g, b in _rows(px, py, n, *channels):
         parts.append(templates[count] % (*pxy, r, g, b))
     swatches = 16
     sw = 12.0

@@ -22,25 +22,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import geom2d
-from .errors import (
-    CellExplosion,
-    NotOctilinear,
-    ParameterOutOfRange,
-    RegionMismatch,
-    ResolutionTooLow,
-    SingularMatrix,
-    ZeroVariation,
-)
-from .geom2d import (
-    EPS_AREA,
-    EPS_GEOM,
-    SNAP,
-    AffineMap2,
-    ConvexPolygon,
-    _kept,
-    intersect,
-    snap_key,
-)
+from .errors import CellExplosion, ParameterOutOfRange, RegionMismatch, ResolutionTooLow
+from .errors import SingularMatrix, ZeroVariation
+from .geom2d import EPS_AREA, EPS_GEOM, OVERLAY_CHUNK, SNAP, ConvexPolygon, intersect, snap_key
+from .geom2d import _area, _box, _close, _image_plan, _kept, _meets, _octagons, _polygons, _vertices
 from .maps import MAX_CELLS, PiecewiseMap
 
 
@@ -120,51 +105,6 @@ def _split(cell, planes):
         if piece is not None:
             pieces.append(piece)
     return inter, pieces
-
-
-def _box(verts) -> tuple[float, ...]:
-    """The bounding box and the diagonal box of a vertex list, as the
-    minima of x, y, u = x + y and v = x - y over it, then the negated
-    maxima."""
-    (xlo, ylo), *rest = verts
-    xhi, yhi = xlo, ylo
-    ulo = uhi = xlo + ylo
-    vlo = vhi = xlo - ylo
-    for x, y in rest:
-        if x < xlo:
-            xlo = x
-        elif x > xhi:
-            xhi = x
-        if y < ylo:
-            ylo = y
-        elif y > yhi:
-            yhi = y
-        u = x + y
-        if u < ulo:
-            ulo = u
-        elif u > uhi:
-            uhi = u
-        v = x - y
-        if v < vlo:
-            vlo = v
-        elif v > vhi:
-            vhi = v
-    return (xlo, ylo, ulo, vlo, -xhi, -yhi, -uhi, -vhi)
-
-
-def _meets(boxes: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Whether both boxes of each column of boxes overlap both boxes of the
-    matching column of other strictly, for arrays of _box columns that
-    broadcast against each other.
-
-    The other's columns with their halves swapped and negated, (maxima,
-    -minima), exceed a column in every entry exactly when the boxes overlap
-    strictly.  Two polygons whose fl(x), fl(y), fl(x + y) or fl(x - y)
-    ranges at most touch overlap in a strip a few ulp wide along one line:
-    clipping leaves Empty or a sliver far below EPS_AREA, which
-    ConvexPolygon empties, and two octagons meet in a flat one of area 0.
-    """
-    return (boxes < -np.concatenate((other[4:], other[:4]))).all(axis=0)
 
 
 def _refine(
@@ -379,126 +319,10 @@ def sobolev_ratio(f: PiecewisePolyDensity) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Ulam discretization on octagons
+# Ulam discretization on octagons (geom2d's octagon kernel)
 # ---------------------------------------------------------------------------
-#
-# The tent family's region, branch domains and images, the grid squares and
-# their intersections all have edges along x, y, x + y and x - y: each is an
-# octagon {x in [xl, xh], y in [yl, yh], x + y in [ul, uh], x - y in [vl, vh]}
-# (Mine, "The octagon abstract domain", HOSC 19, 2006), held as a column in
-# _box's layout, whose row k bounds the form _FORMS[k] from below.  Two
-# octagons meet in the entrywise maximum of their columns.
 
-OVERLAY_CHUNK = 2048  # grid squares, candidate pairs or rows per numpy batch
-OCTILINEAR_TOL = 1e-9  # relative error of a linear part's gradients off the forms
 NOISE_SHARE = 64 * np.finfo(float).eps  # overlaps below this share of a square are noise
-_FORMS = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [-1, 0], [0, -1], [-1, -1], [-1, 1]], float)
-
-
-def _tight(x, y, u, v, nx, ny, nu, nv) -> tuple[np.ndarray, ...]:
-    """The best lower bounds of x, y, x + y and x - y that the rows of a
-    column give, each by itself or as a sum of two others: by LP duality in
-    the plane, the forms' minima over a nonempty octagon."""
-    return (
-        np.maximum(np.maximum(x, 0.5 * (u + v)), np.maximum(u + ny, v + y)),
-        np.maximum(np.maximum(y, 0.5 * (u + nv)), np.maximum(u + nx, x + nv)),
-        np.maximum(np.maximum(u, x + y), np.maximum(2.0 * x + nv, 2.0 * y + v)),
-        np.maximum(np.maximum(v, x + ny), np.maximum(2.0 * x + nu, u + 2.0 * ny)),
-    )
-
-
-def _close(b: np.ndarray) -> np.ndarray:
-    """Each column of b with every bound tightened to its form's minimum."""
-    return np.array(_tight(*b) + _tight(*b[4:], *b[:4]))
-
-
-def _depths(b: np.ndarray) -> list[np.ndarray]:
-    """The legs of the isosceles triangles that the diagonal bounds of each
-    closed column cut off its bounding box, at the bottom left, bottom
-    right, top right and top left corners; 0 where a corner is uncut."""
-    x, y, u, v, nx, ny, nu, nv = b
-    cuts = (u - (x + y), nv - (nx + y), nu - (nx + ny), v - (x + ny))
-    return [np.maximum(c, 0.0) for c in cuts]
-
-
-def _area(b: np.ndarray) -> np.ndarray:
-    """The area of each closed column of b: its bounding box less the four
-    corner triangles, and 0 where some range is empty or a point."""
-    area = (b[0] + b[4]) * (b[1] + b[5])
-    for depth in _depths(b):
-        area -= 0.5 * (depth * depth)
-    flat = (b[:4] + b[4:] >= 0.0).any(axis=0)
-    return np.where(flat | ~(area > 0.0), 0.0, area)
-
-
-def _vertices(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The corners of each closed column of b, counter-clockwise from the
-    bottom left, as a padded batch (x, y, n): row k holds n[k] vertices in
-    x[k, :n[k]] and y[k, :n[k]], the first of them again, then zeros.
-
-    A box corner cut by at most EPS_GEOM, as closing can cut one by
-    rounding alone, is a vertex as it is, so a grid cell keeps the uncut
-    corners of its closed box.  A corner cut deeper gives the two ends of
-    its diagonal edge.  Of an axis edge at most EPS_GEOM long, the end
-    that is a cut point is left out, as geom2d._dedup merged such vertices.
-    """
-    xl, yl, ul, vl = b[:4]
-    xh, yh, uh, vh = -b[4:]
-    bl, br, tr, tl = cut = np.array(_depths(b)) > EPS_GEOM
-    # Two points per corner, both the corner where it is uncut.
-    x = np.array([xl, np.where(bl, ul - yl, xl), np.where(br, vh + yl, xh), xh,
-                  xh, np.where(tr, uh - yh, xh), np.where(tl, vl + yh, xl), xl])
-    y = np.array([np.where(bl, ul - xl, yl), yl, yl, np.where(br, xh - vh, yl),
-                  np.where(tr, uh - xh, yh), yh, yh, np.where(tl, xl - vl, yh)])
-    ends = [2, 4, 6, 0]  # the axis edge after corner c runs from 2c + 1 to ends[c]
-    short = np.abs(x[ends] - x[1::2]) + np.abs(y[ends] - y[1::2]) <= EPS_GEOM
-    keep = np.ones(x.shape, dtype=bool)
-    keep[1::2] = cut & ~short
-    keep[ends] &= ~(short & ~cut)
-    n = keep.sum(axis=0)
-    slots = np.arange(n.max(initial=0) + 1) < n[:, None]
-    out_x, out_y = np.zeros(slots.shape), np.zeros(slots.shape)
-    out_x[slots], out_y[slots] = x.T[keep.T], y.T[keep.T]
-    rows = np.arange(len(n))
-    out_x[rows, n], out_y[rows, n] = out_x[:, 0], out_y[:, 0]
-    return out_x, out_y, n
-
-
-def _octagons(polys, what: str) -> np.ndarray:
-    """The _box columns of nonempty convex polygons as an (8, n) array:
-    NotOctilinear where a polygon's area is off its octagon's by more than
-    EPS_GEOM times its box's perimeter, more than merging vertices EPS_GEOM
-    apart can cut off (maps.power does so near t = 1)."""
-    b = np.array([_box(p.vertices) for p in polys], dtype=float).reshape(-1, 8).T
-    areas = np.array([p.area for p in polys], dtype=float)
-    slack = 2.0 * EPS_GEOM * -(b[0] + b[1] + b[4] + b[5])
-    bad = np.flatnonzero(~(np.abs(_area(b) - areas) <= slack))
-    if bad.size:
-        k = bad[0]
-        raise NotOctilinear(f"{what} {k} has edges off the directions x, y, x + y and x - y "
-                            f"(area {areas[k]:.17g}, its octagon's {_area(b)[k]:.17g})")
-    return b
-
-
-def _image_plan(amap: AffineMap2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(perm, scale, shift) with f_k(amap(p)) = scale[k] * f_perm[k](p) +
-    shift[k] for the forms f_k of _FORMS: amap sends the octagon of a column
-    b onto that of scale * b[perm] + shift.  SingularMatrix where the linear
-    part is singular, NotOctilinear where it mixes the four directions."""
-    det = amap.linear.det()
-    if abs(det) <= EPS_GEOM:
-        raise SingularMatrix(f"affine map with |det| = {abs(det)!r} is not a bijection")
-    grads = _FORMS @ np.reshape(amap.linear, (2, 2))
-    dots = grads @ _FORMS.T
-    perm = np.argmax(dots / np.hypot(*_FORMS.T), axis=1)
-    scale = dots[np.arange(8), perm] / (_FORMS[perm] ** 2).sum(axis=1)
-    off = np.abs(grads - scale[:, None] * _FORMS[perm]).max(axis=1)
-    if not (off <= OCTILINEAR_TOL * scale).all():
-        raise NotOctilinear(
-            f"linear part {tuple(amap.linear)} does not map the directions x, y, "
-            "x + y and x - y onto each other, as the Ulam layer needs"
-        )
-    return perm, scale, _FORMS @ np.asarray(amap.shift, dtype=float)
 
 
 def _check_resolution(name: str, value) -> None:
@@ -573,27 +397,10 @@ class UlamGrid:
     def polys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _vertices(self.bounds)
 
-    def _rows(self, x: np.ndarray, y: np.ndarray, *columns):
-        """Each cell as Python values: its vertex count, its vertex list
-        x0, y0, x1, y1, ... from the per-vertex arrays x and y (laid out as
-        self.polys), then its entry of each per-cell column, converted
-        OVERLAY_CHUNK rows at a time to keep the tolist() temporaries small."""
-        for lo in range(0, len(self.cell_areas), OVERLAY_CHUNK):
-            rows = slice(lo, lo + OVERLAY_CHUNK)
-            n = self.polys[2][rows]
-            xy = np.stack((x[rows], y[rows]), axis=-1).reshape(len(n), -1)
-            for count, xy_row, *rest in zip(
-                n.tolist(), xy.tolist(), *(c[rows].tolist() for c in columns)
-            ):
-                yield (count, xy_row[: 2 * count], *rest)
-
     @functools.cached_property
     def cells(self) -> tuple[ConvexPolygon, ...]:
         """The cells as ConvexPolygons, built on first read."""
-        return tuple(
-            ConvexPolygon._clean(tuple(zip(xy[0::2], xy[1::2])), area)
-            for _, xy, area in self._rows(*self.polys[:2], self.cell_areas)
-        )
+        return _polygons(*self.polys, self.cell_areas)
 
     def centroids(self) -> tuple[np.ndarray, np.ndarray]:
         """ConvexPolygon.centroid of every cell, as (x, y) arrays: the edge
@@ -693,26 +500,24 @@ def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
     area(branch_image(cell_i ∩ R_b) ∩ cell_j) / |J_b| for each branch b.
     Every overlap above rounding noise is kept, so as the map sends the
     region into itself, a row sums to the share of its cell that the
-    branch domains cover, to rounding.  The (cell, branch)
-    pairs go OVERLAY_CHUNK at a time, in row-major order.  NotOctilinear,
-    before the grid is built, where a branch domain or linear part leaves
-    the directions x, y, x + y and x - y.
+    branch domains cover, to rounding.  The (cell, branch) pairs, which
+    _overlay finds, go OVERLAY_CHUNK at a time in row-major order.
+    NotOctilinear, before the grid is built, where a branch domain or
+    linear part leaves the directions x, y, x + y and x - y.
     """
     domains = _octagons([br.domain for br in m.branches], "branch domain")
-    perm, scale, shift = (np.array(a).T for a in zip(*(_image_plan(br.map) for br in m.branches)))
+    perm, scale, shift = _image_plan([br.map for br in m.branches])
     jac = np.array([br.jacobian_abs for br in m.branches])
     grid = UlamGrid.build(m.region, resolution)
-    nb = len(m.branches)
     n = len(grid.cell_areas)
+    branch, cell, _ = _overlay(grid, domains)
+    order = np.lexsort((branch, cell))
+    branch, cell = branch[order], cell[order]
     row_nnz = np.zeros(n, dtype=np.int32)
     cols, data = [np.zeros(0, np.int32)], [np.zeros(0)]
-    for lo in range(0, n * nb, OVERLAY_CHUNK):
-        i, b = np.divmod(np.arange(lo, min(lo + OVERLAY_CHUNK, n * nb)), nb)
-        meets = _meets(grid.bounds[:, i], domains[:, b])
-        i, b = i[meets], b[meets]
+    for lo in range(0, len(cell), OVERLAY_CHUNK):
+        i, b = cell[lo : lo + OVERLAY_CHUNK], branch[lo : lo + OVERLAY_CHUNK]
         piece = _close(np.maximum(grid.bounds[:, i], domains[:, b]))
-        ok = _area(piece) > 0.0
-        i, b, piece = i[ok], b[ok], piece[:, ok]
         image = scale[:, b] * piece[perm[:, b], np.arange(len(b))] + shift[:, b]
         src, j, w = _overlay(grid, image)
         lost = _area(image) - np.bincount(src, weights=w, minlength=len(i))

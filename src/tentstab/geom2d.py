@@ -2,7 +2,9 @@
 
 Convex polygons in strict counter-clockwise order, half-plane clipping,
 pairwise intersection, affine images, interior angles, inradius, and
-closed-form 2x2 matrix norms.  Everything here is an immutable value and
+closed-form 2x2 matrix norms; and the octagon kernel, which meets, maps
+and measures polygons with edges along x, y, x + y and x - y as batched
+numpy bounds, without clipping.  Everything here is an immutable value and
 every function is pure, so values can be shared freely across threads.
 
 Clipping predicates use exact floating-point sign tests (no epsilon), which
@@ -17,7 +19,9 @@ import math
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DegeneratePolygon, InvalidPolygon, SingularMatrix
+import numpy as np
+
+from .errors import DegeneratePolygon, InvalidPolygon, NotOctilinear, SingularMatrix
 
 EPS_GEOM = 1e-9   # vertex merge / containment tolerance
 EPS_AREA = 1e-12  # polygons below this area are normalized to Empty
@@ -431,3 +435,194 @@ def monomial_integral(p: ConvexPolygon, ax: int, ay: int) -> float:
 def box(xmin: float, ymin: float, xmax: float, ymax: float) -> ConvexPolygon:
     """Axis-aligned rectangle as a CCW polygon."""
     return ConvexPolygon._wrap(((xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)))
+
+
+# ---------------------------------------------------------------------------
+# Octagon kernel
+# ---------------------------------------------------------------------------
+#
+# The tent family's region, branch domains and images, their pullbacks, the
+# grid squares and their intersections all have edges along x, y, x + y and
+# x - y: each is an octagon
+# {x in [xl, xh], y in [yl, yh], x + y in [ul, uh], x - y in [vl, vh]}
+# (Mine, "The octagon abstract domain", HOSC 19, 2006), held as a column in
+# _box's layout, whose row k bounds the form _FORMS[k] from below.  Two
+# octagons meet in the entrywise maximum of their columns.
+
+OVERLAY_CHUNK = 2048  # grid squares, candidate pairs or rows per numpy batch
+OCTILINEAR_TOL = 1e-9  # relative error of a linear part's gradients off the forms
+_FORMS = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [-1, 0], [0, -1], [-1, -1], [-1, 1]], float)
+
+
+def _box(verts) -> tuple[float, ...]:
+    """The bounding box and the diagonal box of a vertex list, as the
+    minima of x, y, u = x + y and v = x - y over it, then the negated
+    maxima."""
+    (xlo, ylo), *rest = verts
+    xhi, yhi = xlo, ylo
+    ulo = uhi = xlo + ylo
+    vlo = vhi = xlo - ylo
+    for x, y in rest:
+        if x < xlo:
+            xlo = x
+        elif x > xhi:
+            xhi = x
+        if y < ylo:
+            ylo = y
+        elif y > yhi:
+            yhi = y
+        u = x + y
+        if u < ulo:
+            ulo = u
+        elif u > uhi:
+            uhi = u
+        v = x - y
+        if v < vlo:
+            vlo = v
+        elif v > vhi:
+            vhi = v
+    return (xlo, ylo, ulo, vlo, -xhi, -yhi, -uhi, -vhi)
+
+
+def _meets(boxes: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Whether both boxes of each column of boxes overlap both boxes of the
+    matching column of other strictly, for arrays of _box columns that
+    broadcast against each other.
+
+    The other's columns with their halves swapped and negated, (maxima,
+    -minima), exceed a column in every entry exactly when the boxes overlap
+    strictly.  Two polygons whose fl(x), fl(y), fl(x + y) or fl(x - y)
+    ranges at most touch overlap in a strip a few ulp wide along one line:
+    clipping leaves Empty or a sliver far below EPS_AREA, which
+    ConvexPolygon empties, and two octagons meet in a flat one of area 0.
+    """
+    return (boxes < -np.concatenate((other[4:], other[:4]))).all(axis=0)
+
+
+def _tight(x, y, u, v, nx, ny, nu, nv) -> tuple[np.ndarray, ...]:
+    """The best lower bounds of x, y, x + y and x - y that the rows of a
+    column give, each by itself or as a sum of two others: by LP duality in
+    the plane, the forms' minima over a nonempty octagon."""
+    return (
+        np.maximum(np.maximum(x, 0.5 * (u + v)), np.maximum(u + ny, v + y)),
+        np.maximum(np.maximum(y, 0.5 * (u + nv)), np.maximum(u + nx, x + nv)),
+        np.maximum(np.maximum(u, x + y), np.maximum(2.0 * x + nv, 2.0 * y + v)),
+        np.maximum(np.maximum(v, x + ny), np.maximum(2.0 * x + nu, u + 2.0 * ny)),
+    )
+
+
+def _close(b: np.ndarray) -> np.ndarray:
+    """Each column of b with every bound tightened to its form's minimum."""
+    return np.array(_tight(*b) + _tight(*b[4:], *b[:4]))
+
+
+def _depths(b: np.ndarray) -> list[np.ndarray]:
+    """The legs of the isosceles triangles that the diagonal bounds of each
+    closed column cut off its bounding box, at the bottom left, bottom
+    right, top right and top left corners; 0 where a corner is uncut."""
+    x, y, u, v, nx, ny, nu, nv = b
+    cuts = (u - (x + y), nv - (nx + y), nu - (nx + ny), v - (x + ny))
+    return [np.maximum(c, 0.0) for c in cuts]
+
+
+def _area(b: np.ndarray) -> np.ndarray:
+    """The area of each closed column of b: its bounding box less the four
+    corner triangles, and 0 where some range is empty or a point."""
+    area = (b[0] + b[4]) * (b[1] + b[5])
+    for depth in _depths(b):
+        area -= 0.5 * (depth * depth)
+    flat = (b[:4] + b[4:] >= 0.0).any(axis=0)
+    return np.where(flat | ~(area > 0.0), 0.0, area)
+
+
+def _vertices(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The corners of each closed column of b, counter-clockwise from the
+    bottom left, as a padded batch (x, y, n): row k holds n[k] vertices in
+    x[k, :n[k]] and y[k, :n[k]], the first of them again, then zeros.
+
+    A box corner cut by at most EPS_GEOM, as closing can cut one by
+    rounding alone, is a vertex as it is, so a grid cell keeps the uncut
+    corners of its closed box.  A corner cut deeper gives the two ends of
+    its diagonal edge.  Of an axis edge at most EPS_GEOM long, the end
+    that is a cut point is left out, as _dedup merges such vertices.
+    """
+    xl, yl, ul, vl = b[:4]
+    xh, yh, uh, vh = -b[4:]
+    bl, br, tr, tl = cut = np.array(_depths(b)) > EPS_GEOM
+    # Two points per corner, both the corner where it is uncut.
+    x = np.array([xl, np.where(bl, ul - yl, xl), np.where(br, vh + yl, xh), xh,
+                  xh, np.where(tr, uh - yh, xh), np.where(tl, vl + yh, xl), xl])
+    y = np.array([np.where(bl, ul - xl, yl), yl, yl, np.where(br, xh - vh, yl),
+                  np.where(tr, uh - xh, yh), yh, yh, np.where(tl, xl - vl, yh)])
+    ends = [2, 4, 6, 0]  # the axis edge after corner c runs from 2c + 1 to ends[c]
+    short = np.abs(x[ends] - x[1::2]) + np.abs(y[ends] - y[1::2]) <= EPS_GEOM
+    keep = np.ones(x.shape, dtype=bool)
+    keep[1::2] = cut & ~short
+    keep[ends] &= ~(short & ~cut)
+    n = keep.sum(axis=0)
+    slots = np.arange(n.max(initial=0) + 1) < n[:, None]
+    out_x, out_y = np.zeros(slots.shape), np.zeros(slots.shape)
+    out_x[slots], out_y[slots] = x.T[keep.T], y.T[keep.T]
+    rows = np.arange(len(n))
+    out_x[rows, n], out_y[rows, n] = out_x[:, 0], out_y[:, 0]
+    return out_x, out_y, n
+
+
+def _octagons(polys, what: str) -> np.ndarray:
+    """The _box columns of nonempty convex polygons as an (8, n) array:
+    NotOctilinear where a polygon's area is off its octagon's by more than
+    EPS_GEOM times its box's perimeter, more than merging vertices EPS_GEOM
+    apart can cut off (clipping and _vertices do so near t = 1)."""
+    b = np.array([_box(p.vertices) for p in polys], dtype=float).reshape(-1, 8).T
+    areas = np.array([p.area for p in polys], dtype=float)
+    slack = 2.0 * EPS_GEOM * -(b[0] + b[1] + b[4] + b[5])
+    bad = np.flatnonzero(~(np.abs(_area(b) - areas) <= slack))
+    if bad.size:
+        k = bad[0]
+        raise NotOctilinear(f"{what} {k} has edges off the directions x, y, x + y and x - y "
+                            f"(area {areas[k]:.17g}, its octagon's {_area(b)[k]:.17g})")
+    return b
+
+
+def _image_plan(maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(perm, scale, shift), (8, len(maps)) arrays with f_k(maps[i](p)) =
+    scale[k, i] * f_perm[k, i](p) + shift[k, i] for the forms f_k of
+    _FORMS: maps[i] sends the octagon of a column b onto that of
+    scale[:, i] * b[perm[:, i]] + shift[:, i].  SingularMatrix where a
+    linear part is singular, NotOctilinear where it mixes the four
+    directions."""
+    lin = np.array([m.linear for m in maps], dtype=float).reshape(-1, 2, 2)
+    det = np.abs(lin[:, 0, 0] * lin[:, 1, 1] - lin[:, 0, 1] * lin[:, 1, 0])
+    if not (det > EPS_GEOM).all():
+        raise SingularMatrix(f"affine map with |det| = {float(det.min())!r} is not a bijection")
+    grads = _FORMS @ lin  # (maps, forms, 2): the gradient of f_k after maps[i]
+    dots = grads @ _FORMS.T
+    perm = np.argmax(dots / np.hypot(*_FORMS.T), axis=2)
+    scale = np.take_along_axis(dots, perm[..., None], axis=2)[..., 0] / (_FORMS[perm] ** 2).sum(axis=2)
+    off = np.abs(grads - scale[..., None] * _FORMS[perm]).max(axis=2)
+    bad = np.flatnonzero(~(off <= OCTILINEAR_TOL * scale).all(axis=1))
+    if bad.size:
+        raise NotOctilinear(f"linear part {tuple(maps[bad[0]].linear)} does not map the directions "
+                            "x, y, x + y and x - y onto each other, as the octagon kernel needs")
+    shift = np.array([m.shift for m in maps], dtype=float).reshape(-1, 2) @ _FORMS.T
+    return perm.T, scale.T, shift.T
+
+
+def _rows(x: np.ndarray, y: np.ndarray, n: np.ndarray, *columns):
+    """Each polygon of a vertex batch (x, y, n) as _vertices lays it out, as
+    Python values: its vertex count, its vertex list x0, y0, x1, y1, ...,
+    then its entry of each per-polygon column, converted OVERLAY_CHUNK rows
+    at a time to keep the tolist() temporaries small."""
+    for lo in range(0, len(n), OVERLAY_CHUNK):
+        rows = slice(lo, lo + OVERLAY_CHUNK)
+        xy = np.stack((x[rows], y[rows]), axis=-1).reshape(len(n[rows]), -1)
+        for count, xy_row, *rest in zip(
+            n[rows].tolist(), xy.tolist(), *(c[rows].tolist() for c in columns)
+        ):
+            yield (count, xy_row[: 2 * count], *rest)
+
+
+def _polygons(x: np.ndarray, y: np.ndarray, n: np.ndarray, areas: np.ndarray) -> tuple:
+    """The polygons of a vertex batch as ConvexPolygons with these areas."""
+    rows = _rows(x, y, n, areas)
+    return tuple(ConvexPolygon._clean(tuple(zip(xy[0::2], xy[1::2])), a) for _, xy, a in rows)

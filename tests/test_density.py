@@ -605,9 +605,7 @@ class TestOverlayKernel:
     def test_ulam_where_slivers_are_thin(self, t, pw, resolution):
         # Near t = 1 cells meet branch domains and images meet squares in
         # slivers across diagonal lines; 1 - 1.3e-9 is the pinned case where
-        # they are thinnest.  There the loop's rows miss 1 by up to 1.0e-7,
-        # and at power 3 one of maps.power's domains is an octagon only up
-        # to a merged vertex (see TestOctilinear).
+        # they are thinnest.  There the loop's rows miss 1 by up to 1.0e-7.
         m = tent_power(t, pw)
         _, matrix = ulam_oracle.build_ulam(m, resolution)
         _assert_matches_the_per_cell_loop(D.build_ulam(m, resolution).matrix, matrix, resolution)
@@ -796,34 +794,44 @@ class TestOctilinear:
 
     @pytest.mark.parametrize("t", [TAU, 0.9, 1.0])
     def test_tent_powers_pass(self, t):
-        # the domains use at most 3.1e-5 of their allowance here; a scan of
-        # 500 t values at powers 1 to 8 reached 21% of it near t = 1
+        # the domains use at most 6.6e-8 of their allowance here; a scan of
+        # 501 t values at powers 1 to 8 reached 16% of it near t = 1
         for k in range(1, 9):
             op = D.build_ulam(tent_power(t, k), 2)
             rows = np.asarray(op.matrix.sum(axis=1)).ravel()
             assert np.abs(rows - 1.0).max() <= 1e-13
 
-    @pytest.mark.parametrize("pw, gaps", [(3, 0.0), (4, 3.21e-10), (5, 9.62e-10)])
+    @pytest.mark.parametrize("pw, gaps", [(3, 0.0), (4, 0.0), (5, 6.41e-10)])
     def test_domains_that_power_merged_vertices_of_pass(self, pw, gaps):
-        # Near t = 1 maps.power's clipping merges vertices of the domains
-        # away.  At power 3 domain 0 is a triangle 2.6e-9 smaller in area
-        # than its octagon, which is the domain in exact arithmetic, and
-        # the rows sum to 1.  From power 4 the merges also leave gaps, of
-        # the area given, along the region's edges (ROADMAP item 7): each row
-        # sums to the share of its cell that the domains cover.
+        # Near t = 1 maps.power's clipping used to merge vertices of the
+        # domains away and leave gaps along the region's edges, 3.2e-10 at
+        # power 4.  The octagon pullback tiles the region, and at powers 3
+        # and 4 every row sums to 1.  At power 5 geom2d._vertices leaves out
+        # axis edges shorter than EPS_GEOM, and the domains' octagons miss
+        # the area given (ROADMAP item 9): each row sums to the share of
+        # its cell that they cover.
         m = tent_power(0.9999999987175887, pw)
-        domains = np.array([D._box(br.domain.vertices) for br in m.branches]).T
+        domains = geom2d._octagons([br.domain for br in m.branches], "branch domain")
         op = D.build_ulam(m, 24)
         grid = op.grid
-        covered = sum(D._area(D._close(np.maximum(grid.bounds, d[:, None]))) for d in domains.T)
+        covered = sum(
+            geom2d._area(geom2d._close(np.maximum(grid.bounds, d[:, None]))) for d in domains.T
+        )
         covered = covered / grid.cell_areas
         rows = np.asarray(op.matrix.sum(axis=1)).ravel()
         assert np.abs(rows - covered).max() <= 1e-13
-        assert m.region.area - D._area(domains).sum() == pytest.approx(gaps, rel=0.01, abs=1e-15)
+        if not gaps:
+            assert np.abs(rows - 1.0).max() <= 1e-13
+        assert m.region.area - geom2d._area(domains).sum() == pytest.approx(gaps, rel=0.01, abs=1e-15)
         assert (1.0 - covered) @ grid.cell_areas == pytest.approx(gaps, rel=0.01, abs=1e-15)
-        domain = m.branches[0].domain
-        if pw == 3:
-            assert D._area(domains[:, :1])[0] / domain.area - 1 == pytest.approx(2.6e-9, rel=0.02)
+
+    @pytest.mark.parametrize("resolution", [24, 41])
+    @pytest.mark.parametrize("pw", [4, 6])
+    def test_rows_near_t1(self, pw, resolution):
+        # clipping's domains left rows short by up to 8.0e-8 here
+        op = D.build_ulam(tent_power(0.9999999987175887, pw), resolution)
+        rows = np.asarray(op.matrix.sum(axis=1)).ravel()
+        assert np.abs(rows - 1.0).max() <= 1e-13
 
     @pytest.mark.parametrize("resolution", [4.5, 4.0, True, "8"])
     def test_resolution_must_be_an_integer(self, resolution):
@@ -1012,24 +1020,24 @@ REFINE_PINS = {
         (7, 'faa3d7c917ef958711f6', '0x1.a2881d0b53cdep+2', '0x1.56406b8f6acd0p-2', 'bdff6b1e038edd0a1940'),
     ),
     (TAU, 2, "uniform"): (
-        (4, 'd35aebcda381e0bd1792', '0x1.7e176881539fdp+2', '0x1.30123d08a2aa0p-1', '771e8f84331341a23820'),
-        (14, '838a78992bf5aac5eb84', '0x1.d18c9cc08cd64p+2', '0x1.7cc89f36fe559p-2', '793d60e19479433ef2fa'),
-        (39, '5ba8422b3258ee24fa94', '0x1.1d366e1fd9e91p+3', '0x1.2cfcfb0bf59e8p-2', '474d61769aaaa665bd8c'),
+        (4, '10e1cbd603c3e6ce8b52', '0x1.7e176881539fep+2', '0x1.30123d08a2aa0p-1', '37d1e65de9fba288a25b'),
+        (14, '9f19bbcdf07a79439520', '0x1.d18c9cc08cd70p+2', '0x1.7cc89f36fe55ep-2', '82578eef4ae3cb3273ca'),
+        (39, '89b9f7577389e50f87cc', '0x1.1d366e1fd9e95p+3', '0x1.2cfcfb0bf59e7p-2', '03fe0b31feb2ae217b26'),
     ),
     (TAU, 2, "lefthalf"): (
-        (4, 'd35aebcda381e0bd1792', '0x1.7e176881539fdp+2', '0x1.665a5fd574daep-1', 'eea0d84a007ab6720053'),
-        (14, '838a78992bf5aac5eb84', '0x1.d18c9cc08cd64p+2', '0x1.7cc89f36fe559p-2', '793d60e19479433ef2fa'),
-        (39, '5ba8422b3258ee24fa94', '0x1.1d366e1fd9e91p+3', '0x1.2cfcfb0bf59e8p-2', '474d61769aaaa665bd8c'),
+        (4, '10e1cbd603c3e6ce8b52', '0x1.7e176881539fep+2', '0x1.665a5fd574dafp-1', '5000761fbcfd9f2319d1'),
+        (14, '9f19bbcdf07a79439520', '0x1.d18c9cc08cd70p+2', '0x1.7cc89f36fe55ep-2', '82578eef4ae3cb3273ca'),
+        (39, '89b9f7577389e50f87cc', '0x1.1d366e1fd9e95p+3', '0x1.2cfcfb0bf59e7p-2', '03fe0b31feb2ae217b26'),
     ),
     (TAU, 3, "uniform"): (
-        (7, 'e25056c1c166ba45615c', '0x1.a2881d0b53cdap+2', '0x1.2fe6657f7703dp-1', '52d5cc3e4040bfce69b5'),
-        (35, '242db28c612df67df391', '0x1.1d366e1fd9e93p+3', '0x1.d491ce5aa0dc7p-2', 'e5c587eff105871182e6'),
-        (139, '257c86f14462eb782e79', '0x1.5ed81d677fabfp+3', '0x1.33e022b9f186ep-2', 'd980a9a7ebe1f0d1d610'),
+        (7, 'fdf32a9f5df76d9e853e', '0x1.a2881d0b53cdbp+2', '0x1.2fe6657f7703ep-1', 'b9d4c2bb50208631488e'),
+        (35, 'a5140a3e63f3bb3e407f', '0x1.1d366e1fd9ea8p+3', '0x1.d491ce5aa0dcap-2', 'fdbdf13c8715ab22809c'),
+        (140, 'd2a241caf8e750376168', '0x1.5ed81d677f8c5p+3', '0x1.33e022b9f1883p-2', '413e0ef926ff7d167fc0'),
     ),
     (TAU, 3, "lefthalf"): (
-        (7, 'efda23e7dbc8f8b863ec', '0x1.a2881d0b53cdbp+2', '0x1.d4ae75ff1ab1dp-1', '3c18fbcd42fa27924f03'),
-        (35, '0ac72d49ba11026c5140', '0x1.1d366e1fd9e8cp+3', '0x1.d491ce5aa0dc3p-2', '38454e224e218cfe8208'),
-        (143, 'deab3c0451f8c8d167df', '0x1.5ed81d677f9bbp+3', '0x1.33e022b9f185ep-2', '2e6e76e8ea917b6b750d'),
+        (7, '5c1505da0b889254e978', '0x1.a2881d0b53cdbp+2', '0x1.d4ae75ff1ab23p-1', '9986931788063817d1e8'),
+        (35, '6c3c79a9a80270c912bd', '0x1.1d366e1fd9ea8p+3', '0x1.d491ce5aa0dcap-2', '887f29d1469f750c183c'),
+        (140, '6c519e8dd47e39e062eb', '0x1.5ed81d677f8c5p+3', '0x1.33e022b9f1885p-2', 'c9f12e31edc59ba129a8'),
     ),
     (0.9, 1, "uniform"): (
         (2, 'e1c0ba867e4b0607f9f9', '0x1.575ad55632139p+2', '0x1.851eb851eb850p-2', '6b8517d21edeb7131956'),
@@ -1042,24 +1050,24 @@ REFINE_PINS = {
         (7, '882336ceb7ae74658d9e', '0x1.8ecff525ea23cp+2', '0x1.3373ed4a35594p-2', 'cd753e0e04b69ca530db'),
     ),
     (0.9, 2, "uniform"): (
-        (4, '7051d58efc6911d26431', '0x1.7116fa8f7a6e6p+2', '0x1.163eac81e0ebcp-1', '90bfe3aa2c854ec8bd1d'),
-        (14, '1dc4c498815b8b7edc33', '0x1.b3f5aea853b1cp+2', '0x1.728d235288eefp-2', '1f3531c58321810ca065'),
-        (38, '9e8aebf770c3ae1625cd', '0x1.028edeb99facdp+3', '0x1.19d675913f128p-2', 'c5f7353ea099049a16d7'),
+        (4, '8d841f901c768863f431', '0x1.7116fa8f7a6e6p+2', '0x1.163eac81e0ebcp-1', 'd293e54698bddf7bff99'),
+        (14, '8048758fba20df2d8420', '0x1.b3f5aea853b23p+2', '0x1.728d235288ef1p-2', '21bd1b023e9c1a2db79f'),
+        (39, 'e8187da263f24e3d2e9c', '0x1.028edeb99facfp+3', '0x1.19d675913f12cp-2', '0c24c8fdbc2dadaceef6'),
     ),
     (0.9, 2, "lefthalf"): (
-        (4, '266fb77411ba1bd43ef0', '0x1.7116fa8f7a6e6p+2', '0x1.83101d5784b3ap-1', 'aa57f3abde14d13b17ee'),
-        (14, '779bce52e470e5e2ecb0', '0x1.b3f5aea853b1ap+2', '0x1.728d235288ef0p-2', '7a873cd3b86f429f88ea'),
-        (38, 'f2f1bb732703529927a7', '0x1.028edeb99fac4p+3', '0x1.19d675913f129p-2', '5c0f56f6a272f787e9ad'),
+        (4, '8d841f901c768863f431', '0x1.7116fa8f7a6e6p+2', '0x1.83101d5784b3ap-1', '4219713eb9ebc9e78846'),
+        (14, '8048758fba20df2d8420', '0x1.b3f5aea853b23p+2', '0x1.728d235288ef1p-2', '21bd1b023e9c1a2db79f'),
+        (39, 'e8187da263f24e3d2e9c', '0x1.028edeb99facfp+3', '0x1.19d675913f12cp-2', '0c24c8fdbc2dadaceef6'),
     ),
     (0.9, 3, "uniform"): (
-        (7, '0707bfd74128b1cad727', '0x1.8ecff525ea23ep+2', '0x1.191c5f8ca5806p-1', '68bcf25944eee1740f58'),
-        (35, '3870323948fbbf584056', '0x1.028edeb99fabfp+3', '0x1.aecd88dea4e9bp-2', '9bac42740037ba3737ad'),
-        (127, '04b7242ae5317895ec74', '0x1.3ce643a120e76p+3', '0x1.0c7219181b977p-2', '2d6c9997ea895371b072'),
+        (7, '2f77ded417785377e3c5', '0x1.8ecff525ea23cp+2', '0x1.191c5f8ca5808p-1', 'f057209eea613632c290'),
+        (35, 'dc9af71758fe6af3e685', '0x1.028edeb99faa4p+3', '0x1.aecd88dea4e9ep-2', 'ac83cf7b22d6bed7b499'),
+        (130, '9ba1fe59c1a068200859', '0x1.3ce643a120c28p+3', '0x1.0c7219181b98ap-2', '437f998be1d233ef0539'),
     ),
     (0.9, 3, "lefthalf"): (
-        (7, '52360eb96b912fb4ee5a', '0x1.8ecff525ea23cp+2', '0x1.da26f0be68f53p-1', 'ead528e4f42fa70dc6cf'),
-        (35, '9872d780134b06b9c790', '0x1.028edeb99fab7p+3', '0x1.aecd88dea4e9ep-2', 'b4f1106305d835709d7d'),
-        (127, 'b74cba3c05377ca94721', '0x1.3ce643a121083p+3', '0x1.0c7219181b936p-2', '8dce7de6a44b93aa4821'),
+        (7, '56d76dd71bce10afadbb', '0x1.8ecff525ea23cp+2', '0x1.da26f0be68f57p-1', '9abbb4ed7c93f833939a'),
+        (35, '7416b870eb8b89b48365', '0x1.028edeb99faafp+3', '0x1.aecd88dea4e9fp-2', '6ba8b3377fe10e0b531e'),
+        (125, '37c5e86d273436236d88', '0x1.3ce643a120d69p+3', '0x1.0c7219181b98dp-2', '2683ad4194fbff071dc9'),
     ),
     (0.9627, 1, "uniform"): (
         (2, '905576a0d2caafb63ee9', '0x1.40fe0ab16deaep+2', '0x1.2bdce573b7b28p-3', '26eb017787d0fdaae61b'),
@@ -1072,24 +1080,24 @@ REFINE_PINS = {
         (7, '7796533f99b63e1124e9', '0x1.537c70e3e5686p+2', '0x1.151397d7709f2p-3', '67bf97d96efe36601d0f'),
     ),
     (0.9627, 2, "uniform"): (
-        (4, 'c83f3a79722b596adae0', '0x1.49a53b74dcd50p+2', '0x1.0aef301b39863p-2', '31e3c6bc3acf7113502c'),
-        (14, 'b767bf21d04bda12ca2b', '0x1.5ea4ffbfe3acbp+2', '0x1.c4db89186a156p-3', 'ff36ebabd0a73c9bb9e4'),
-        (38, '6657612d10e2be0ed7b0', '0x1.756f3b9bc9315p+2', '0x1.48df5bcb288bep-3', '1d593c54f9140bf6179c'),
+        (4, '1dc3ead785962d56c879', '0x1.49a53b74dcd50p+2', '0x1.0aef301b3985dp-2', '46542ea110050d9ed767'),
+        (14, '5cd481cce77f99f4173e', '0x1.5ea4ffbfe3ac7p+2', '0x1.c4db89186a150p-3', '20a281514d8b55658911'),
+        (38, 'c97ccc6592adf84e5a2f', '0x1.756f3b9bc92cap+2', '0x1.48df5bcb288c4p-3', '7092f3f47e3c39350b7e'),
     ),
     (0.9627, 2, "lefthalf"): (
-        (4, '6dd09c3a2402f1a21746', '0x1.49a53b74dcd4ep+2', '0x1.d6d931afbcf11p-1', '22b52c4ab40e9489f53c'),
-        (14, 'fca0196dcb18b8c9fa59', '0x1.5ea4ffbfe3ac8p+2', '0x1.c4db89186a11ep-3', 'ffc86f9837106e29ff4d'),
-        (39, 'bb00b36ca3d15c3cec77', '0x1.756f3b9bc9445p+2', '0x1.48df5bcb288bep-3', 'eacd04fc9b2bf485aeb0'),
+        (4, '50b8e23fa32ef13068ac', '0x1.49a53b74dcd50p+2', '0x1.d6d931afbcf14p-1', 'a13188d2a574fad28364'),
+        (14, 'fee640ed1cd1024afad1', '0x1.5ea4ffbfe3ac7p+2', '0x1.c4db89186a158p-3', 'b826a5fd250874d31716'),
+        (39, '0132130e44979c5cc54d', '0x1.756f3b9bc929dp+2', '0x1.48df5bcb288cep-3', 'b04c6c666a629be9c4c3'),
     ),
     (0.9627, 3, "uniform"): (
-        (7, 'f07bec264c334ec76bd9', '0x1.537c70e3e5686p+2', '0x1.624a5b6ac8207p-2', 'e6cb4c1a2806ea8c3d4f'),
-        (33, 'f2ac180661a7c65d8669', '0x1.756f3b9bc938fp+2', '0x1.06ca80cddd521p-2', '876c066afc9031702073'),
-        (102, '4d951dca0e1c9a7df5fc', '0x1.958f118789041p+2', '0x1.2abb5f5a1337ep-3', '033e48605179d5666fc0'),
+        (7, 'cc31ccfe41a815a432db', '0x1.537c70e3e5688p+2', '0x1.624a5b6ac820ap-2', '0f1525b4260c69d18c4f'),
+        (33, '0474b9157d3e71e861b1', '0x1.756f3b9bc9346p+2', '0x1.06ca80cddd53bp-2', '06d5b8edfed2ad084a91'),
+        (102, '4b301cca163c6e26369f', '0x1.958f118788ff1p+2', '0x1.2abb5f5a13366p-3', '40a11ab7132c826473b4'),
     ),
     (0.9627, 3, "lefthalf"): (
-        (7, '6cdd9d456fd38e8b5634', '0x1.537c70e3e5687p+2', '0x1.fb63b61c60cb9p-1', '4863e7866e367871351c'),
-        (33, '3e51dc7adac966e8396e', '0x1.756f3b9bc9310p+2', '0x1.06ca80cddd51fp-2', 'ce01a161bbeda2ef98e1'),
-        (102, '67e110fe2bbc2ea6891c', '0x1.958f1187890c5p+2', '0x1.2abb5f5a13385p-3', '84da5e32a8e1f014bf97'),
+        (7, '33607b0cb5e0aef8b624', '0x1.537c70e3e5687p+2', '0x1.fb63b61c60cb3p-1', '286583d080130ef52a7f'),
+        (33, '5b0077c3f39f53a0baeb', '0x1.756f3b9bc9346p+2', '0x1.06ca80cddd53bp-2', 'd15bb1e328298bcd525f'),
+        (102, 'e022958777d140623c12', '0x1.958f118788ff1p+2', '0x1.2abb5f5a13366p-3', '5d3cc233f702ffa4f2a4'),
     ),
     (1.0, 1, "uniform"): (
         (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
@@ -1303,12 +1311,12 @@ def test_push_forward_intersects_only_cells_whose_boxes_meet_a_domain(monkeypatc
 @pytest.mark.parametrize(
     "t, start, cells",
     [
-        (0.94187, "uniform", 1560),
-        (0.94187, "lefthalf", 1560),
-        (TENT_T_MIN, "uniform", 1909),
-        (TENT_T_MIN, "lefthalf", 1979),
-        (0.999999, "uniform", 642),
-        (0.999999, "lefthalf", 642),
+        (0.94187, "uniform", 1553),
+        (0.94187, "lefthalf", 1541),
+        (TENT_T_MIN, "uniform", 1948),
+        (TENT_T_MIN, "lefthalf", 1948),
+        (0.999999, "uniform", 650),
+        (0.999999, "lefthalf", 650),
     ],
 )
 def test_lycheck_chain_matches_the_bin_index_oracle(monkeypatch, t, start, cells):
@@ -1330,11 +1338,27 @@ def test_lycheck_chain_matches_the_bin_index_oracle(monkeypatch, t, start, cells
         assert [c.area.hex() for c, _ in g.cells] == [c.area.hex() for c, _ in w.cells]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the exact pushforward clips, and its merged vertices leave holes "
+    "between arrangement cells near t = 1 (ROADMAP item 9 phase B)",
+)
+def test_pushforward_iterates_near_t1_tile_the_region():
+    # lycheck's chain at power 3: the cells of iterate 5 miss 6.8e-9 of the
+    # region's area (6.3e-9 on the domains that maps.power clipped).
+    m = tent_power(0.999999, 3)
+    f = D.uniform_density(m.region)
+    for _ in range(5):
+        f = D.push_forward(m, f)
+    assert m.region.area - sum(poly.area for poly, _ in f.cells) <= 1e-13
+
+
 def test_split_calls_on_the_lycheck_arrangements(monkeypatch):
     # ROADMAP item 8's four lycheck arrangements (power 3, jmax 4).  With
     # strict box overlap alone _split ran 10,429 times, and 2,854 calls
     # came out Empty: their cell and tile boxes overlapped by at most
-    # 6.0e-14, below the margin _refine shrinks tile boxes by.
+    # 6.0e-14, below the margin _refine shrinks tile boxes by.  (7,575
+    # calls on the domains that maps.power built by clipping.)
     split = D._split
     calls = empty = 0
 
@@ -1351,7 +1375,7 @@ def test_split_calls_on_the_lycheck_arrangements(monkeypatch):
         f = _start(m, start)
         for _ in range(4):
             f = D.push_forward(m, f)
-    assert (calls, empty) == (7575, 0)
+    assert (calls, empty) == (7675, 0)
 
 
 def test_push_forward_builds_polygons_only_for_its_output(monkeypatch):

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tentstab import maps
-from tentstab.errors import CellExplosion, OutsideRegion, ParameterOutOfRange
+from tentstab import geom2d, maps
+from tentstab.errors import CellExplosion, NotOctilinear, OutsideRegion, ParameterOutOfRange
 from tentstab.experiments import seeded_start
 from tentstab.geom2d import (
     EPS_AREA,
@@ -16,6 +16,7 @@ from tentstab.geom2d import (
     ConvexPolygon,
     Matrix2,
     area,
+    box,
     intersect,
     matrix_norms,
     snap_key,
@@ -105,11 +106,21 @@ class TestApply:
 
 
 class TestPower:
-    @pytest.mark.parametrize("t", [TAU, 0.9, 0.95, 1.0])
-    def test_branch_counts(self, t):
+    # Branch counts at powers 1..8, as the clipping pullback found them.
+    @pytest.mark.parametrize(
+        "t, counts",
+        [
+            (TAU, (2, 4, 8, 16, 32, 64, 124, 224)),
+            (0.9, (2, 4, 8, 16, 32, 64, 128, 242)),
+            (0.95, (2, 4, 8, 16, 32, 64, 128, 256)),
+            (0.99999, (2, 4, 8, 16, 32, 64, 128, 256)),
+            (1.0, (2, 4, 8, 16, 32, 64, 128, 256)),
+            (1.0 - 1.3e-9, (2, 4, 8, 16, 32, 64, 128, 256)),
+        ],
+    )
+    def test_branch_counts(self, t, counts):
         m = make_tent2d(t)
-        for n in (1, 2, 3):
-            assert len(power(m, n).branches) == 2**n
+        assert tuple(len(power(m, n).branches) for n in range(1, 9)) == counts
 
     @pytest.mark.parametrize("t", [TAU, 0.9, 0.95, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -174,6 +185,94 @@ class TestPower:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+class TestOctagonPullback:
+    """maps.power pulls the domains back on geom2d's octagon bounds."""
+
+    def test_power_clips_and_merges_nothing(self, monkeypatch):
+        calls = []
+        for name in ("intersect", "_clip_verts", "_dedup"):
+            real = getattr(geom2d, name)
+
+            def counting(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(geom2d, name, counting)
+            monkeypatch.setattr(maps, name, counting, raising=False)
+        for t in (TAU, 0.9, 1.0 - 1.3e-9):
+            m = make_tent2d(t)
+            calls.clear()
+            assert len(power(m, 6).branches) == 64
+            assert calls == []
+
+    def test_a_fold_is_rejected_before_composing(self, monkeypatch):
+        # the unit square folded at x = 1/2: diag(2, -1) sends x + y to
+        # 2x - y, which is none of the four directions
+        flip_y = AffineMap2(Matrix2(2.0, 0.0, 0.0, -1.0), (0.0, 1.0))
+        flip_x = AffineMap2(Matrix2(-2.0, 0.0, 0.0, 1.0), (2.0, 0.0))
+        branches = (
+            Branch(box(0.0, 0.0, 0.5, 1.0), flip_y, 2.0),
+            Branch(box(0.5, 0.0, 1.0, 1.0), flip_x, 2.0),
+        )
+        m = PiecewiseMap(box(0.0, 0.0, 1.0, 1.0), branches, "fold")
+
+        def no_compose(self, inner):
+            raise AssertionError("composed before the check")
+
+        monkeypatch.setattr(AffineMap2, "compose", no_compose)
+        with pytest.raises(NotOctilinear, match="linear part"):
+            power(m, 2)
+
+    def test_a_tilted_domain_is_rejected(self):
+        tilted = ConvexPolygon(((0.0, 0.0), (1.0, 0.2), (0.2, 1.0)))
+        identity = AffineMap2(Matrix2(1.0, 0.0, 0.0, 1.0), (0.0, 0.0))
+        m = PiecewiseMap(tilted, (Branch(tilted, identity, 1.0),), "tilted")
+        with pytest.raises(NotOctilinear, match="branch domain 0"):
+            power(m, 2)
+
+    # |beta - sin(pi/8)| of the clipping pullback at powers 3 and 5, which
+    # merged vertices of the domains near t = 1 (it read up to 1.2e-9 and
+    # 1.8e-9 at powers 4 and 6).  Octagon bounds keep every angle a
+    # multiple of pi/4; at powers 3 and 5 geom2d._vertices still moves
+    # vertices by up to EPS_GEOM (ROADMAP item 9).
+    @pytest.mark.parametrize(
+        "t, clipped_3, clipped_5",
+        [
+            (1.0 - 1e-9, 4.6193981972919573e-10, 9.238796394583915e-10),
+            (1.0 - 1.3e-9, 6.005217989546452e-10, 1.2010435423981392e-09),
+            (1.0 - 1e-6, 1.6653345369377348e-16, 3.885780586188048e-16),
+        ],
+    )
+    def test_beta_near_t1(self, t, clipped_3, clipped_5):
+        for k in (4, 6):
+            assert abs(certify(tent_power(t, k)).beta - BETA_OCTANT) <= 1e-15
+        for k, clipped in ((3, clipped_3), (5, clipped_5)):
+            assert abs(certify(tent_power(t, k)).beta - BETA_OCTANT) <= clipped
+
+    # (beta, rho) of the clipping pullback's domains
+    CERTIFIED = {
+        (TAU, 3): (0.38268343236508967, 0.052194413235048476),
+        (TAU, 6): (0.38268343236508895, 0.004992455440749888),
+        (TAU, 8): (0.3826834323650856, 0.00321311562955362),
+        (0.9, 3): (0.3826834323650895, 0.056047467797635864),
+        (0.9, 6): (0.3826834323650891, 0.008045910278614954),
+        (0.9, 8): (0.3826834323650062, 7.38280055594398e-05),
+        (0.95, 3): (0.3826834323650896, 0.065312753779731),
+        (0.95, 6): (0.3826834323650889, 0.016819559929559136),
+        (0.95, 8): (0.38268343236508817, 0.0018983177350862523),
+        (1.0, 3): (0.3826834323650898, 0.07322330470336302),
+        (1.0, 6): (0.3826834323650898, 0.025888347648318266),
+        (1.0, 8): (0.3826834323650898, 0.012944173824159022),
+    }
+
+    @pytest.mark.parametrize("key", list(CERTIFIED), ids=str)
+    def test_certificates_pinned(self, key):
+        beta, rho = self.CERTIFIED[key]
+        cert = certify(tent_power(*key))
+        assert cert.beta == pytest.approx(beta, rel=1e-12)
+        assert cert.rho == pytest.approx(rho, rel=1e-12)
 
 
 class TestExpansion:
