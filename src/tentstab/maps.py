@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CellExplosion, OutsideRegion, ParameterOutOfRange
 from .geom2d import EPS_GEOM, AffineMap2, ConvexPolygon, Matrix2, Point2, affine_image, inradius
-from .geom2d import matrix_norms, min_interior_angle
+from .geom2d import intersect, matrix_norms, min_interior_angle
 from .geom2d import _area, _close, _image_plan, _octagons, _polygons, _vertices
 from .ioutil import fmt, json_number
 
@@ -172,8 +172,8 @@ def make_tent2d(t: float) -> PiecewiseMap:
     by 1/(2t) in the max-entry sense.
     """
     check_tent_parameter(t)
-    left = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
-    right = ConvexPolygon(((1.0, 0.0), (2.0, 0.0), (1.0, 1.0)))
+    squares = [ConvexPolygon(((x, 0.0), (x + 1.0, 0.0), (x + 1.0, 1.0), (x, 1.0))) for x in (0.0, 1.0)]
+    left, right = (intersect(sq, TENT_REGION) for sq in squares)  # the region cut at x = 1
     jac = 2.0 * t * t
     branches = (
         Branch(left, AffineMap2(Matrix2(t, t, t, -t), (0.0, 0.0)), jac),
