@@ -15,11 +15,11 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import geom2d
 from .errors import CellExplosion, ParameterOutOfRange, RegionMismatch, ResolutionTooLow
@@ -27,6 +27,9 @@ from .errors import SingularMatrix, ZeroVariation
 from .geom2d import EPS_AREA, EPS_GEOM, OVERLAY_CHUNK, SNAP, ConvexPolygon, intersect, snap_key
 from .geom2d import _area, _box, _close, _image_plan, _kept, _meets, _octagons, _polygons, _vertices
 from .maps import MAX_CELLS, PiecewiseMap
+
+if TYPE_CHECKING:  # scipy.sparse is loaded only where an Ulam matrix is built or read
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -412,14 +415,11 @@ class UlamGrid:
         cx, cy = _sequential_sum((x0 + x1) * w), _sequential_sum((y0 + y1) * w)
         return cx / (6.0 * self.cell_areas), cy / (6.0 * self.cell_areas)
 
-    def moments(self, values: np.ndarray, powers) -> list[float]:
-        """Integral of x^ax * y^ay against the grid density with these cell
-        values, for each (ax, ay) in powers (total degree <= 2).
-
-        Per cell, geom2d.monomial_integral's fan triangles (0, i, i + 1)
-        and closed forms in the same order; cells are then summed left to
-        right, as Python 3.10/3.11 ``sum`` does.
-        """
+    @functools.cached_property
+    def _fan_moments(self) -> dict[tuple[int, int], np.ndarray]:
+        """Per cell, the integral of x^ax * y^ay over the cell for each
+        (ax, ay) of total degree <= 2: geom2d.monomial_integral's fan
+        triangles (0, i, i + 1) and closed forms, summed in the same order."""
         x, y, n = self.polys
         x0, y0 = x[:, :1], y[:, :1]
         x1, y1, x2, y2 = x[:, 1:-1], y[:, 1:-1], x[:, 2:], y[:, 2:]
@@ -433,11 +433,20 @@ class UlamGrid:
             (0, 2): a / 6.0 * (y0 * y0 + y1 * y1 + y2 * y2 + y0 * y1 + y0 * y2 + y1 * y2),
             (1, 1): a / 12.0 * ((x0 + x1 + x2) * (y0 + y1 + y2) + x0 * y0 + x1 * y1 + x2 * y2),
         }
+        return {k: _sequential_sum(np.where(fan, v, 0.0)) for k, v in terms.items()}
+
+    def moments(self, values: np.ndarray, powers) -> list[float]:
+        """Integral of x^ax * y^ay against the grid density with these cell
+        values, for each (ax, ay) in powers (total degree <= 2).
+
+        The per-cell integrals are taken once per grid; cells are then
+        summed left to right, as Python 3.10/3.11 ``sum`` does.
+        """
         out = []
         for ax_ay in powers:
-            if tuple(ax_ay) not in terms:
+            per_cell = self._fan_moments.get(tuple(ax_ay))
+            if per_cell is None:
                 raise ValueError("moments supports total degree <= 2")
-            per_cell = _sequential_sum(np.where(fan, terms[tuple(ax_ay)], 0.0))
             out.append(float(np.cumsum(values * per_cell)[-1]))
         return out
 
@@ -505,10 +514,19 @@ def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
     NotOctilinear, before the grid is built, where a branch domain or
     linear part leaves the directions x, y, x + y and x - y.
     """
+    return _build_ulam(m, resolution)
+
+
+def _build_ulam(m: PiecewiseMap, grid: UlamGrid | int) -> UlamOperator:
+    """build_ulam on a grid over m.region, or on the grid of that
+    resolution, built once the branches have passed the octagon checks."""
+    import scipy.sparse as sp
+
     domains = _octagons([br.domain for br in m.branches], "branch domain")
     perm, scale, shift = _image_plan([br.map for br in m.branches])
     jac = np.array([br.jacobian_abs for br in m.branches])
-    grid = UlamGrid.build(m.region, resolution)
+    if not isinstance(grid, UlamGrid):
+        grid = UlamGrid.build(m.region, grid)
     n = len(grid.cell_areas)
     branch, cell, _ = _overlay(grid, domains)
     order = np.lexsort((branch, cell))
@@ -527,7 +545,8 @@ def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
                 f"cell {i[bad[0]]} maps outside the gridded region "
                 f"(lost image area {float(lost[bad[0]]):g})"
             )
-        row_nnz += np.bincount(i[src], minlength=len(row_nnz)).astype(np.int32)
+        # cell is sorted, so the batch's rows are i[0] .. i[-1]
+        row_nnz[i[0] : i[-1] + 1] += np.bincount(i[src] - i[0], minlength=i[-1] - i[0] + 1)
         cols.append(j.astype(np.int32))
         data.append(w / (jac[b[src]] * grid.cell_areas[i[src]]))
     # Rows come out in order, so the entries are already in the order
@@ -539,7 +558,7 @@ def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
 
 
 def stationary_masses(
-    transition: "sp.spmatrix | np.ndarray",
+    transition: sp.spmatrix | np.ndarray,
     masses0: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 20000,
@@ -549,8 +568,11 @@ def stationary_masses(
     Iterates the adjoint action p -> p @ T from masses0, renormalizing the
     total mass each step; if the L1 residual plateaus, switches to running
     Cesaro averages of the iterates.  Shared by the 1D and 2D pipelines.
+    A scipy sparse matrix exists only once scipy.sparse is loaded, so
+    without it the dense branch is taken and the module stays unloaded.
     """
-    if sp.issparse(transition):
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is not None and sparse.issparse(transition):
         adjoint = transition.T.tocsr()
     else:
         adjoint = np.ascontiguousarray(np.asarray(transition, dtype=float).T)
@@ -738,6 +760,8 @@ def ulam_matrix_csv(matrix) -> str:
     """A transition matrix, scipy sparse or dense, as i,j,weight coordinate
     triples of its stored entries (a dense matrix stores its nonzeros), in
     row-major order."""
+    import scipy.sparse as sp
+
     coo = sp.coo_matrix(matrix)
     order = np.lexsort((coo.col, coo.row))
     row, col, data = coo.row[order], coo.col[order], coo.data[order]

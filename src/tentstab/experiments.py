@@ -19,7 +19,7 @@ from . import maps as maps_mod
 from .density import (
     PiecewisePolyDensity,
     UlamGrid,
-    build_ulam,
+    _build_ulam,
     lp_norm,
     push_forward,
     stationary_masses,
@@ -96,8 +96,9 @@ def stability_sweep(
 ) -> list[SweepRow]:
     """Invariant-density distances between parameter t and reference t0.
 
-    For each t the Ulam fixed density is extracted on the shared grid; the
-    row reports the L1 distance to the t0 density and the gaps of exactly
+    For each t the Ulam fixed density is extracted on the shared grid,
+    built once (every tent power has the region TENT_REGION); the row
+    reports the L1 distance to the t0 density and the gaps of exactly
     integrated monomial observables.  Rows are ordered by t.
     """
     if resolution < 16:
@@ -108,15 +109,15 @@ def stability_sweep(
             raise ParameterOutOfRange(
                 f"parameter {t!r} outside [{TENT_T_MIN!r}, 1]"
             )
-    op0 = build_ulam(tent_power(t0, power), resolution)
-    h0 = ulam_fixed(op0, tol, max_iter)
-    moments0 = _density_moments(op0.grid, h0.values)
+    m0 = tent_power(t0, power)
+    grid = UlamGrid.build(m0.region, resolution)
+    h0 = ulam_fixed(_build_ulam(m0, grid), tol, max_iter)
+    moments0 = _density_moments(grid, h0.values)
     rows = []
     for t in sorted(ts):
-        op = build_ulam(tent_power(t, power), resolution)
-        h = ulam_fixed(op, tol, max_iter)
-        l1 = float(np.abs(h.values - h0.values) @ op0.grid.cell_areas)
-        moments = _density_moments(op.grid, h.values)
+        h = ulam_fixed(_build_ulam(tent_power(t, power), grid), tol, max_iter)
+        l1 = float(np.abs(h.values - h0.values) @ grid.cell_areas)
+        moments = _density_moments(grid, h.values)
         gaps = {name: abs(moments[name] - moments0[name]) for name in TEST_FUNCTIONS}
         rows.append(
             SweepRow(t, t0, power, resolution, l1, gaps, h.iterations, h.residual)

@@ -443,6 +443,28 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_only_ulam_matrix_commands_load_scipy_sparse(tmp_path):
+    # a fresh interpreter: this test run has scipy.sparse loaded already
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tentstab.__file__)))
+    out = str(tmp_path)
+    code = f"""
+import os, sys
+sys.path.insert(0, {src!r})
+from tentstab import cli
+for argv in (["verify", "--power", "2"], ["orbit", "--n", "100"],
+             ["lycheck", "--power", "3", "--jmax", "1"], ["oracle1d", "--cells", "16"]):
+    assert cli.main(argv + ["--out", os.path.join({out!r}, argv[0])]) == 0, argv
+before = "scipy.sparse" in sys.modules
+assert cli.main(["density", "--resolution", "8", "--out", os.path.join({out!r}, "d.csv")]) == 0
+print(before, "scipy.sparse" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "False True"
+    assert sorted(os.listdir(tmp_path)) == ["d.csv", "lycheck", "oracle1d", "orbit", "verify"]
+
+
 @pytest.mark.parametrize(
     "value, text",
     [

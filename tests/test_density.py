@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -962,6 +963,24 @@ def test_stationary_masses_stops_at_max_iter_before_any_plateau():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     p, iters, residual, converged = D.stationary_masses(swap, np.array([1.0, 0.0]), max_iter=10)
     assert (p.tolist(), iters, residual, converged) == ([1.0, 0.0], 10, 2.0, False)
+
+
+def test_stationary_masses_takes_a_nested_list_as_a_dense_matrix(monkeypatch):
+    rows = [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [1.0, 0.0, 0.0]]
+
+    def solve(transition):
+        p, iters, residual, converged = D.stationary_masses(transition, np.full(3, 1.0 / 3.0))
+        return p.tobytes(), iters, residual, converged
+
+    dense = solve(np.array(rows))
+    assert solve(rows) == dense
+    # without scipy.sparse loaded, the list still takes the dense branch,
+    # and the call does not load the module
+    monkeypatch.delitem(sys.modules, "scipy.sparse")
+    assert solve(rows) == dense
+    assert "scipy.sparse" not in sys.modules
+    p = np.frombuffer(dense[0])
+    assert dense[3] and np.allclose(p, [0.5, 1.0 / 3.0, 1.0 / 6.0], atol=1e-8)
 
 
 def test_grid_budget_checked_before_allocating():

@@ -9,7 +9,8 @@ import pytest
 from tentstab import density as D
 from tentstab import experiments as E
 from tentstab.errors import CellExplosion, OutsideRegion, ParameterOutOfRange
-from tentstab.maps import TENT_T_MIN, NormConvention, apply, certify, make_tent2d, tent_power
+from tentstab.maps import TENT_REGION, TENT_T_MIN, NormConvention, apply, certify, make_tent2d
+from tentstab.maps import tent_power
 
 import orbit_oracle
 import ulam_oracle
@@ -66,6 +67,26 @@ class TestStabilitySweep:
 
         monkeypatch.setattr(D.UlamGrid, "cells", property(unread))
         E.stability_sweep(1.0, [0.95], 16)
+
+    def test_one_grid_serves_every_parameter(self, monkeypatch):
+        builds = []
+        build = D.UlamGrid.build
+        monkeypatch.setattr(
+            D.UlamGrid, "build", staticmethod(lambda *args: builds.append(args) or build(*args))
+        )
+        rows = E.stability_sweep(1.0, [0.9, 0.95], 16)
+        monkeypatch.undo()
+        assert len(builds) == 1
+        # the rows of operators built each on its own grid
+        h0 = D.ulam_fixed(D.build_ulam(tent_power(1.0, 1), 16))
+        moments0 = E._density_moments(D.UlamGrid.build(TENT_REGION, 16), h0.values)
+        for row in rows:
+            op = D.build_ulam(tent_power(row.t, 1), 16)
+            h = D.ulam_fixed(op)
+            assert row.l1_dist == float(np.abs(h.values - h0.values) @ op.grid.cell_areas)
+            assert row.iterations == h.iterations and row.residual == h.residual
+            moments = E._density_moments(op.grid, h.values)
+            assert row.weakstar_gaps == {k: abs(moments[k] - moments0[k]) for k in moments}
 
     def test_resolution_64_sweep_heap_peak(self):
         E.stability_sweep(1.0, [0.95], 16)  # first-call imports stay out of the peak
