@@ -143,10 +143,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_density(args: argparse.Namespace) -> int:
     op = build_ulam(tent_power(args.t, args.power), args.resolution)
     vec = ulam_fixed(op, args.tol)
-    write = render_svg if args.format == "svg" else density_csv
-    atomic_write_text(args.out, write(op.grid, vec.values))
     if args.matrix_out:
         atomic_write_text(args.matrix_out, ulam_matrix_csv(op.matrix))
+    grid, op = op.grid, None  # the matrix is freed before the cell table is made
+    write = render_svg if args.format == "svg" else density_csv
+    atomic_write_text(args.out, write(grid, vec.values))
     lo = float(np.min(vec.values))
     hi = float(np.max(vec.values))
     print(

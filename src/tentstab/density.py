@@ -364,6 +364,7 @@ class UlamGrid:
 
     @staticmethod
     def build(region: ConvexPolygon, resolution: int) -> "UlamGrid":
+        """The grid over region, measuring the squares of _spans' row spans."""
         _check_resolution("resolution", resolution)
         region_box = _octagons([region], "region")
         n = resolution
@@ -379,15 +380,15 @@ class UlamGrid:
                 f"more than the budget of {MAX_CELLS}"
             )
         hits, columns = [np.zeros(0, np.intp)], [np.zeros((8, 0))]
-        for lo in range(0, nx * ny, OVERLAY_CHUNK):  # squares, row-major
-            iy, ix = np.divmod(np.arange(lo, min(lo + OVERLAY_CHUNK, nx * ny)), nx)
+        for _, square in _spans(region_box, n, (ix0, iy0), (ny, nx)):  # row-major
+            iy, ix = np.divmod(square, nx)
             left, right = (ix + ix0) / n, (ix + ix0 + 1) / n
             bottom, top = (iy + iy0) / n, (iy + iy0 + 1) / n
             squares = np.array([left, bottom, left + bottom, left - top,
                                 -right, -top, -(right + top), -(right - bottom)])
             bounds = _close(np.maximum(squares, region_box, out=squares))
             hit = np.flatnonzero(_area(bounds) >= EPS_AREA)
-            hits.append(lo + hit)
+            hits.append(square[hit])
             columns.append(bounds[:, hit])
         hit, bounds = np.concatenate(hits), np.concatenate(columns, axis=1)
         lookup = np.full(nx * ny, -1, dtype=np.intp)
@@ -398,7 +399,14 @@ class UlamGrid:
 
     @functools.cached_property
     def polys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _vertices(self.bounds)
+        # _vertices OVERLAY_CHUNK cells at a time, padded to one batch's width
+        parts = [_vertices(self.bounds[:, lo : lo + OVERLAY_CHUNK])
+                 for lo in range(0, len(self.cell_areas), OVERLAY_CHUNK)]
+        n = np.concatenate([np.zeros(0, np.intp), *(part[2] for part in parts)])
+        x, y = np.zeros((2, len(n), n.max(initial=0) + 1))
+        for lo, (px, py, pn) in zip(range(0, len(n), OVERLAY_CHUNK), parts):
+            x[lo : lo + len(pn), : px.shape[1]], y[lo : lo + len(pn), : py.shape[1]] = px, py
+        return x, y, n
 
     @functools.cached_property
     def cells(self) -> tuple[ConvexPolygon, ...]:
@@ -451,36 +459,57 @@ class UlamGrid:
         return out
 
 
-def _overlay(grid: UlamGrid, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _runs(sizes: np.ndarray):
+    """(item, offset) for each place of a run of sizes[item] places per
+    item, OVERLAY_CHUNK places at a time, in order."""
+    ends = np.cumsum(sizes)
+    for start in range(0, int(ends[-1]) if len(ends) else 0, OVERLAY_CHUNK):
+        pos = np.arange(start, min(start + OVERLAY_CHUNK, int(ends[-1])))
+        item = np.searchsorted(ends, pos, side="right")
+        yield item, pos - (ends[item] - sizes[item])
+
+
+def _spans(b: np.ndarray, resolution: int, origin: tuple[int, int], shape: tuple[int, int]):
+    """(k, square) pairs, OVERLAY_CHUNK at a time, by k then row-major: the
+    squares (side 1 / resolution, numbered row-major from lattice index
+    origin over shape (rows, columns)) that the closed octagon b[:, k] may
+    meet.  On the strip y0 <= y <= y1 of each row its y range crosses, they
+    run under its x extent, max(xl, ul - y1, vl + y0) to min(xh, uh - y0, vh
+    + y1), floored -/+ SNAP: _close raises the bounds of the octagon met
+    with a square left out to these sums, and so to area 0.  Rows go
+    OVERLAY_CHUNK at a time."""
+    n, (ix0, iy0), (ny, nx) = resolution, origin, shape
+    lo_y = np.maximum(np.floor(b[1] * n - SNAP).astype(np.intp) - iy0, 0)
+    hi_y = np.minimum(np.floor(-b[5] * n + SNAP).astype(np.intp) - iy0, ny - 1)
+    for k, dy in _runs(np.maximum(hi_y - lo_y + 1, 0)):
+        iy = lo_y[k] + dy
+        y0, y1 = (iy + iy0) / n, (iy + iy0 + 1) / n
+        xl, _, ul, vl, nxh, _, nuh, nvh = b[:, k]
+        left = np.maximum(np.maximum(xl, ul - y1), vl + y0)
+        right = np.minimum(np.minimum(-nxh, -nuh - y0), y1 - nvh)
+        lo_x = np.maximum(np.floor(left * n - SNAP).astype(np.intp) - ix0, 0)
+        hi_x = np.minimum(np.floor(right * n + SNAP).astype(np.intp) - ix0, nx - 1)
+        for r, dx in _runs(np.maximum(hi_x - lo_x + 1, 0)):
+            yield k[r], iy[r] * nx + lo_x[r] + dx
+
+
+def _overlay(grid: UlamGrid, b: np.ndarray):
     """(k, j, area of column k ∩ cell j) for every pair whose area exceeds
     NOISE_SHARE of a grid square's, below which bounds that cross by an ulp
-    make noise, ordered by k and then by j, for the closed octagons of b.
-
-    Column k meets the squares from floor(bbox * resolution -/+ SNAP), in
-    row-major order.  Candidate pairs are made OVERLAY_CHUNK at a time,
-    and those that _meets rejects are dropped unmeasured.
-    """
-    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
-    res = grid.resolution
-    ix0, iy0 = grid.origin
-    ny, nx = grid.lookup.shape
-    lo_x = np.maximum(np.floor(b[0] * res - SNAP).astype(np.intp) - ix0, 0)
-    hi_x = np.minimum(np.floor(-b[4] * res + SNAP).astype(np.intp) - ix0, nx - 1)
-    lo_y = np.maximum(np.floor(b[1] * res - SNAP).astype(np.intp) - iy0, 0)
-    hi_y = np.minimum(np.floor(-b[5] * res + SNAP).astype(np.intp) - iy0, ny - 1)
-    width = np.maximum(hi_x - lo_x + 1, 0)
-    count = width * np.maximum(hi_y - lo_y + 1, 0)
-    ends = np.cumsum(count)
-    for start in range(0, int(count.sum()), OVERLAY_CHUNK):
-        pos = np.arange(start, min(start + OVERLAY_CHUNK, int(ends[-1])))
-        k = np.searchsorted(ends, pos, side="right")
-        dy, dx = np.divmod(pos - (ends[k] - count[k]), width[k])
-        j = grid.lookup[lo_y[k] + dy, lo_x[k] + dx]
-        meets = (j >= 0) & _meets(grid.bounds[:, j], b[:, k])
-        k, j = k[meets], j[meets]
+    make noise, for the closed octagons of b, ordered by k and then by j:
+    one batch for each batch of _spans, whose in-region squares are all
+    measured (a square an octagon only touches or misses measures 0)."""
+    for k, square in _spans(b, grid.resolution, grid.origin, grid.lookup.shape):
+        j = grid.lookup.ravel()[square]
+        k, j = k[j >= 0], j[j >= 0]
         w = _area(_close(np.maximum(b[:, k], grid.bounds[:, j])))
-        hit = w > NOISE_SHARE / (res * res)
-        parts.append((k[hit], j[hit], w[hit]))
+        hit = w > NOISE_SHARE / (grid.resolution * grid.resolution)
+        yield k[hit], j[hit], w[hit]
+
+
+def _joined(batches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (k, j, area) batches of _overlay as one triple of arrays."""
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0)), *batches]
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
@@ -510,7 +539,8 @@ def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
     Every overlap above rounding noise is kept, so as the map sends the
     region into itself, a row sums to the share of its cell that the
     branch domains cover, to rounding.  The (cell, branch) pairs, which
-    _overlay finds, go OVERLAY_CHUNK at a time in row-major order.
+    _overlay finds, go OVERLAY_CHUNK at a time in row-major order, and
+    the squares under their images' row spans OVERLAY_CHUNK at a time.
     NotOctilinear, before the grid is built, where a branch domain or
     linear part leaves the directions x, y, x + y and x - y.
     """
@@ -528,7 +558,7 @@ def _build_ulam(m: PiecewiseMap, grid: UlamGrid | int) -> UlamOperator:
     if not isinstance(grid, UlamGrid):
         grid = UlamGrid.build(m.region, grid)
     n = len(grid.cell_areas)
-    branch, cell, _ = _overlay(grid, domains)
+    branch, cell, _ = _joined(_overlay(grid, domains))
     order = np.lexsort((branch, cell))
     branch, cell = branch[order], cell[order]
     row_nnz = np.zeros(n, dtype=np.int32)
@@ -537,18 +567,19 @@ def _build_ulam(m: PiecewiseMap, grid: UlamGrid | int) -> UlamOperator:
         i, b = cell[lo : lo + OVERLAY_CHUNK], branch[lo : lo + OVERLAY_CHUNK]
         piece = _close(np.maximum(grid.bounds[:, i], domains[:, b]))
         image = scale[:, b] * piece[perm[:, b], np.arange(len(b))] + shift[:, b]
-        src, j, w = _overlay(grid, image)
-        lost = _area(image) - np.bincount(src, weights=w, minlength=len(i))
+        lost = _area(image)
+        for src, j, w in _overlay(grid, image):
+            lost -= np.bincount(src, weights=w, minlength=len(i))
+            # cell is sorted, so the batch's rows are i[0] .. i[-1]
+            row_nnz[i[0] : i[-1] + 1] += np.bincount(i[src] - i[0], minlength=i[-1] - i[0] + 1)
+            cols.append(j.astype(np.int32))
+            data.append(w / (jac[b[src]] * grid.cell_areas[i[src]]))
         bad = np.flatnonzero(lost > 1e-9)
         if bad.size:
             raise ResolutionTooLow(
                 f"cell {i[bad[0]]} maps outside the gridded region "
                 f"(lost image area {float(lost[bad[0]]):g})"
             )
-        # cell is sorted, so the batch's rows are i[0] .. i[-1]
-        row_nnz[i[0] : i[-1] + 1] += np.bincount(i[src] - i[0], minlength=i[-1] - i[0] + 1)
-        cols.append(j.astype(np.int32))
-        data.append(w / (jac[b[src]] * grid.cell_areas[i[src]]))
     # Rows come out in order, so the entries are already in the order
     # coo_matrix.tocsr places them; it then sums duplicates the same way.
     indptr = np.concatenate([np.zeros(1, np.int32), np.cumsum(row_nnz, dtype=np.int32)])
@@ -628,7 +659,7 @@ def density_from_vector(grid: UlamGrid, vec: DensityVector) -> PiecewisePolyDens
 def _grid_values(grid: UlamGrid, f: PiecewisePolyDensity) -> np.ndarray:
     """Cell averages of f on the grid: the cell values of project_to_grid."""
     tiles = [(poly, v) for poly, v in f.cells if v != 0.0 and not poly.is_empty]
-    src, j, w = _overlay(grid, _octagons([poly for poly, _ in tiles], "density cell"))
+    src, j, w = _joined(_overlay(grid, _octagons([poly for poly, _ in tiles], "density cell")))
     values = np.array([v for _, v in tiles], dtype=float)
     acc = np.bincount(j, weights=values[src] * w, minlength=len(grid.cell_areas))
     return acc / grid.cell_areas

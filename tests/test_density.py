@@ -492,6 +492,54 @@ def _assert_matches_the_per_cell_loop(matrix, loop, resolution, jacobian=1.0):
     assert np.abs(diff.data).max(initial=0.0) <= bound
 
 
+def _overlay_every_pair(grid, b):
+    """_overlay's (k, j, area) triple from measuring every (column, cell)
+    pair with the same _close, _area and noise cut, by k and then j."""
+    noise = D.NOISE_SHARE / (grid.resolution * grid.resolution)
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+    for k in range(b.shape[1]):
+        w = geom2d._area(geom2d._close(np.maximum(b[:, k : k + 1], grid.bounds)))
+        j = np.flatnonzero(w > noise)
+        parts.append((np.full(len(j), k, np.intp), j, w[j]))
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _overlay_cases(rng, grid, count=40):
+    """Closed octagon columns over the grid's region: random ones; diamonds
+    with lattice centres, where only the diagonal bounds bind; both with
+    their bounds on lattice lines, and off them by up to a few SNAP /
+    resolution or by 1e-6 or 1e-3 / resolution, so that some cut corners
+    stand above rounding noise; slivers at most 1e-9 wide across the
+    diagonals; and images of grid cells under the tent branches at t = 1,
+    whose bounds lie on lattice lines."""
+    n = grid.resolution
+    centres = rng.uniform((-0.1, -0.1), (2.1, 1.1), size=(count, 1, 2))
+    sizes = 10.0 ** rng.uniform(-0.5, 1.5, size=(count, 1, 1)) / n
+    points = centres + sizes * rng.normal(size=(count, 6, 2))
+    generic = np.array([geom2d._box(p.tolist()) for p in points]).T
+    cx, cy = np.round(centres[:, 0].T * n) / n
+    r = rng.integers(1, 5, size=count) / n
+    diamonds = np.array([cx - 2 * r, cy - 2 * r, cx + cy - r, cx - cy - r,
+                         -(cx + 2 * r), -(cy + 2 * r), -(cx + cy + r), -(cx - cy + r)])
+    lattice = np.round(np.concatenate([generic, diamonds], axis=1) * n) / n
+    offsets = np.array([0.0, 1e-4, 1e-2, 0.5, 0.999, 1.001, 2.0, 1e3, 1e6]) * geom2d.SNAP / n
+    signs = rng.choice((-1.0, 1.0), size=lattice.shape)
+    near = lattice + signs * rng.choice(offsets, size=lattice.shape)
+    slivers = [generic.copy(), generic.copy()]
+    for row, sliver in zip((2, 3), slivers):  # across x + y, across x - y
+        sliver[row] = np.round(0.5 * (generic[row] - generic[row + 4]) * n) / n
+        sliver[row + 4] = -(sliver[row] + rng.choice((0.0, 1e-15, 1e-12, 1e-9), size=count))
+    m = tent_power(1.0, 2)
+    domains = geom2d._octagons([br.domain for br in m.branches], "branch domain")
+    perm, scale, shift = geom2d._image_plan([br.map for br in m.branches])
+    branch, cell, _ = _overlay_every_pair(grid, domains)
+    pick = rng.choice(len(cell), size=min(count, len(cell)), replace=False)
+    i, b = cell[pick], branch[pick]
+    piece = geom2d._close(np.maximum(grid.bounds[:, i], domains[:, b]))
+    images = scale[:, b] * piece[perm[:, b], np.arange(len(b))] + shift[:, b]
+    return geom2d._close(np.concatenate([generic, lattice, near, *slivers, images], axis=1))
+
+
 class TestOverlayKernel:
     """The octagon kernel against the per-cell loops in ulam_oracle."""
 
@@ -593,9 +641,9 @@ class TestOverlayKernel:
     )
     def test_touch_only_squares_at_t1(self, resolution, pw):
         # At t = 1 the images of grid squares share their edges with grid
-        # lines (at the even resolutions), so most candidate squares only
-        # touch an image and the kernel drops them unmeasured.  Resolutions
-        # 16 and 64 at powers 1 and 2 are in the first test.
+        # lines (at the even resolutions), so many squares of an image's
+        # row spans only touch it, and the kernel measures them at area 0.
+        # Resolutions 16 and 64 at powers 1 and 2 are in the first test.
         m = tent_power(1.0, pw)
         _, matrix = ulam_oracle.build_ulam(m, resolution)
         _assert_matches_the_per_cell_loop(D.build_ulam(m, resolution).matrix, matrix, resolution)
@@ -621,6 +669,18 @@ class TestOverlayKernel:
             assert _bits_equal(op.matrix.indices, matrix.indices)
             assert _bits_equal(op.matrix.indptr, matrix.indptr)
 
+    @pytest.mark.parametrize("resolution", [3, 16, 17, 128])
+    def test_overlay_matches_measuring_every_pair(self, rng, resolution):
+        # The row spans leave out only squares that meet an octagon in
+        # area 0: every pair that measuring all of them keeps is found.
+        grid = D.UlamGrid.build(TRIANGLE_T, resolution)
+        b = _overlay_cases(rng, grid)
+        got = D._joined(D._overlay(grid, b))
+        want = _overlay_every_pair(grid, b)
+        assert len(want[0]) > 0
+        for g, w in zip(got, want):
+            assert _bits_equal(g, w)
+
     @pytest.mark.parametrize("chunk", [1, 7, 100])
     def test_chunk_size_does_not_change_results(self, monkeypatch, rng, chunk):
         # short last chunks, chunks of one pair, chunks that split a row
@@ -636,6 +696,14 @@ class TestOverlayKernel:
         assert _same_cells(op.grid.cells, want_op.grid.cells)
         got_f = D.project_to_grid(f, 6)
         assert _bits_equal([v for _, v in got_f.cells], [v for _, v in want_f.cells])
+
+    @pytest.mark.parametrize("resolution", [3, 16, 128])
+    def test_vertex_batch_bit_identical_to_one_batch(self, monkeypatch, resolution):
+        # the batch is derived OVERLAY_CHUNK cells at a time
+        grid = D.UlamGrid.build(TRIANGLE_T, resolution)
+        monkeypatch.setattr(D, "OVERLAY_CHUNK", 7)
+        for got, want in zip(grid.polys, geom2d._vertices(grid.bounds)):
+            assert _bits_equal(got, want)
 
     @pytest.mark.parametrize("resolution", [3, 16, 128])
     def test_centroids_bit_identical(self, resolution):
