@@ -24,8 +24,9 @@ import numpy as np
 from . import geom2d
 from .errors import CellExplosion, ParameterOutOfRange, RegionMismatch, ResolutionTooLow
 from .errors import SingularMatrix, ZeroVariation
-from .geom2d import EPS_AREA, EPS_GEOM, OVERLAY_CHUNK, SNAP, ConvexPolygon, intersect, snap_key
-from .geom2d import _area, _box, _close, _image_plan, _kept, _meets, _octagons, _polygons, _vertices
+from .geom2d import EPS_AREA, EPS_GEOM, OVERLAY_CHUNK, SNAP, ConvexPolygon, intersect, ordered_sum
+from .geom2d import _area, _batch, _box, _boxes, _centroids, _close, _image_plan, _kept, _meets
+from .geom2d import _mapped, _octagons, _polygons, _sequential_sum, _vertices, snap_key
 from .maps import MAX_CELLS, PiecewiseMap
 
 if TYPE_CHECKING:  # scipy.sparse is loaded only where an Ulam matrix is built or read
@@ -52,7 +53,12 @@ class PiecewisePolyDensity:
                 raise ValueError(f"{kind} density has invalid value {v!r}")
 
     def mass(self) -> float:
-        return sum(v * poly.area for poly, v in self.cells)
+        return ordered_sum(v * poly.area for poly, v in self.cells)
+
+    @functools.cached_property
+    def batch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cells' vertex batch (x, y, n), built on first read."""
+        return _batch([poly.vertices for poly, _ in self.cells])
 
 
 def _region_keys(region: ConvexPolygon):
@@ -138,11 +144,11 @@ def _refine(
     width = -region_box[4] - region_box[0]
     height = -region_box[5] - region_box[1]
     margin = EPS_AREA / (4.0 * math.hypot(width, height))
-    for tile, tv in tiles:
-        if tile.is_empty or tv == 0.0:
-            continue
-        box = np.array(_box(tile.vertices))[:, None] + margin
-        hits = np.flatnonzero(_meets(boxes[:, : len(cells)], box)).tolist()
+    tiles = [(tile, tv) for tile, tv in tiles if not tile.is_empty and tv != 0.0]
+    tile_boxes = _boxes(*_batch([tile.vertices for tile, _ in tiles])) + margin
+    limits = -np.concatenate((tile_boxes[4:], tile_boxes[:4]))  # _meets's test, set up once
+    for k, (tile, tv) in enumerate(tiles):
+        hits = np.flatnonzero((boxes[:, : len(cells)] < limits[:, k, None]).all(axis=0)).tolist()
         planes = tuple(tile.edge_halfplanes())
         for idx in hits:
             inter, outside = _split(cells[idx], planes)
@@ -164,9 +170,9 @@ def _refine(
                 raise CellExplosion(
                     f"overlay arrangement exceeded {MAX_CELLS} cells"
                 )
-    out = [(ConvexPolygon._clean(*cell), value) for cell, value in zip(cells, values)]
-    out.sort(key=lambda cv: snap_key(cv[0].centroid()))
-    return tuple(out)
+    cx, cy = _centroids(*_batch([verts for verts, _ in cells]), np.array([a for _, a in cells]))
+    order = np.lexsort((np.rint(cy / SNAP), np.rint(cx / SNAP))).tolist()  # snap_key, stably
+    return tuple((ConvexPolygon._clean(*cells[i]), values[i]) for i in order)
 
 
 def push_forward(m: PiecewiseMap, f: PiecewisePolyDensity) -> PiecewisePolyDensity:
@@ -175,29 +181,31 @@ def push_forward(m: PiecewiseMap, f: PiecewisePolyDensity) -> PiecewisePolyDensi
     Each branch maps each cell piece affinely and scales its value by the
     inverse Jacobian; the resulting image tiles are overlaid into a common
     partition of the region with contributions summed where images overlap.
+    A cell whose boxes meet a domain's is intersected with it only when a
+    cell vertex fails a domain edge by _clip_verts' own sign test; else
+    every clip would keep its vertex list, and the cell is its own piece.
     """
     _check_same_region(f.region, m.region)
-    live = [(poly, v) for poly, v in f.cells if v != 0.0 and not poly.is_empty]
-    boxes = np.array([_box(poly.vertices) for poly, _ in live]).reshape(-1, 8).T
+    live = np.flatnonzero(np.array([v != 0.0 for _, v in f.cells], bool) & (f.batch[2] > 0))
+    x, y, n = (a[live] for a in f.batch)
+    boxes = _boxes(x, y, n)
+    corners = np.arange(x.shape[1]) < n[:, None]
     tiles = []
     for branch in m.branches:
-        (a, b, c, d), (sx, sy) = branch.map
-        det = a * d - b * c
+        det = branch.map.linear.det()
         if abs(det) <= EPS_GEOM:
             raise SingularMatrix(f"affine map with |det| = {abs(det)!r} is not a bijection")
         inv_jac = 1.0 / branch.jacobian_abs
-        hits = _meets(boxes, np.array(_box(branch.domain.vertices))[:, None])
-        for idx in np.flatnonzero(hits).tolist():
-            poly, v = live[idx]
-            piece = intersect(poly, branch.domain)
+        hits = np.flatnonzero(_meets(boxes, np.array(_box(branch.domain.vertices))[:, None]))
+        nx, ny, off = np.array(list(branch.domain.edge_halfplanes())).T[..., None, None]
+        outside = off - (nx * x[hits] + ny * y[hits]) < 0.0
+        cut = (outside & corners[hits]).any(axis=(0, 2))
+        for idx, clip in zip(live[hits].tolist(), cut.tolist()):
+            poly, v = f.cells[idx]
+            piece = intersect(poly, branch.domain) if clip else poly
             if piece.is_empty:
                 continue
-            # geom2d.affine_image on tuples: vertex-wise map, order
-            # reversed when det < 0
-            image = [(a * x + b * y + sx, c * x + d * y + sy) for x, y in piece.vertices]
-            if det < 0.0:
-                image.reverse()
-            kept = _kept(image)
+            kept = _mapped(branch.map, piece.vertices)  # affine_image on vertex tuples
             if kept is not None:
                 tiles.append((ConvexPolygon._clean(*kept), v * inv_jac))
     cells = _refine(f.region, tiles)
@@ -256,8 +264,8 @@ def lp_norm(f: PiecewisePolyDensity, p: float = 1.0) -> float:
     if not 1.0 <= p < math.inf:
         raise ParameterOutOfRange(f"lp_norm needs finite p >= 1, got {p!r}")
     if p == 1.0:
-        return sum(abs(v) * poly.area for poly, v in f.cells)
-    total = sum(abs(v) ** p * poly.area for poly, v in f.cells)
+        return ordered_sum(abs(v) * poly.area for poly, v in f.cells)
+    total = ordered_sum(abs(v) ** p * poly.area for poly, v in f.cells)
     return total ** (1.0 / p)
 
 
@@ -275,42 +283,47 @@ def variation(f: PiecewisePolyDensity) -> float:
     partially matched edges are split exactly at projected endpoints.  The
     function is extended by zero outside the region, so region-boundary
     edges contribute their full jump.
+
+    Edges come from the vertex batch, with math.hypot per edge; lines go in
+    the order of their first edge, each line's events (s, dleft, dright) in
+    a stable sort, and the running sums and the total are sequential
+    cumsums: the sums, and so the bits, of a loop over the edges.
     """
-    entries: dict[tuple[int, int, int], list] = {}
-    for poly, v in f.cells:
-        for (a, b) in poly.edges():
-            dx = b[0] - a[0]
-            dy = b[1] - a[1]
-            length = math.hypot(dx, dy)
-            ux, uy = dx / length, dy / length
-            side = 1.0
-            if ux < -1e-12 or (abs(ux) <= 1e-12 and uy < 0.0):
-                ux, uy, side = -ux, -uy, -1.0
-            nx, ny = -uy, ux
-            off = nx * a[0] + ny * a[1]
-            key = (round(nx / SNAP), round(ny / SNAP), round(off / SNAP))
-            s0 = ux * a[0] + uy * a[1]
-            s1 = ux * b[0] + uy * b[1]
-            if s0 > s1:
-                s0, s1 = s1, s0
-            if side > 0.0:
-                entries.setdefault(key, []).append((s0, v, 0.0))
-                entries[key].append((s1, -v, 0.0))
-            else:
-                entries.setdefault(key, []).append((s0, 0.0, v))
-                entries[key].append((s1, 0.0, -v))
-    total = 0.0
-    for events in entries.values():
-        events.sort()
-        left = right = 0.0
-        prev = None
-        for s, dleft, dright in events:
-            if prev is not None and s > prev:
-                total += abs(left - right) * (s - prev)
-            left += dleft
-            right += dright
-            prev = s
-    return total
+    x, y, n = f.batch
+    edge = np.arange(x.shape[1] - 1) < n[:, None]
+    if not edge.any():
+        return 0.0
+    ax, ay, bx, by = x[:, :-1][edge], y[:, :-1][edge], x[:, 1:][edge], y[:, 1:][edge]
+    dx, dy = bx - ax, by - ay
+    length = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
+    ux, uy = dx / length, dy / length
+    flip = (ux < -1e-12) | ((np.abs(ux) <= 1e-12) & (uy < 0.0))
+    ux, uy = np.where(flip, -ux, ux), np.where(flip, -uy, uy)
+    keys = np.rint(np.stack((-uy, ux, -uy * ax + ux * ay)) / SNAP).astype(np.int64)
+    by_key = np.lexsort(keys[::-1])
+    new = np.concatenate(([True], (np.diff(keys[:, by_key], axis=1) != 0).any(axis=0)))
+    line = np.empty(len(by_key), np.intp)  # lines numbered in the order of their first edge
+    line[by_key] = np.argsort(np.argsort(by_key[new]))[np.cumsum(new) - 1]
+    s0, s1 = ux * ax + uy * ay, ux * bx + uy * by
+    s = np.stack((np.where(s0 > s1, s1, s0), np.where(s0 > s1, s0, s1)), axis=1).ravel()
+    del ax, ay, bx, by, dx, dy, length, ux, uy, keys, by_key, new, s0, s1  # peak: events only
+    jumps = np.repeat([v for _, v in f.cells], n)[:, None] * [1.0, -1.0]  # s0 adds v, s1 takes it off
+    jumps = np.stack([np.where(flip[:, None] == right, jumps, 0.0).ravel() for right in (False, True)])
+    order = np.lexsort((jumps[1], jumps[0], s, np.repeat(line, 2)))  # (line, s, dleft, dright)
+    line, s, jumps = np.repeat(line, 2)[order], s[order], jumps[:, order]
+    count = np.bincount(line)
+    pos = np.arange(len(line)) - np.repeat(np.cumsum(count) - count, count)
+    band = np.frexp(count)[1]  # lines of 2**(b-1) <= count < 2**b events share a block of rows
+    run = np.empty_like(jumps)  # the running sums (left, right) before each event
+    for b in np.unique(band).tolist():
+        at = np.flatnonzero(band[line] == b)
+        row, col = (np.cumsum(band == b) - 1)[line[at]], pos[at]
+        sums = np.zeros((2, row[-1] + 1, 2**b + 1))
+        sums[:, row, col + 1] = jumps[:, at]
+        run[:, at] = np.cumsum(sums, axis=2)[:, row, col]
+    prev = np.concatenate(([0.0], s[:-1]))
+    terms = np.where((pos > 0) & (s > prev), np.abs(run[0] - run[1]) * (s - prev), 0.0)
+    return float(np.cumsum(terms)[-1])
 
 
 def sobolev_ratio(f: PiecewisePolyDensity) -> float:
@@ -331,15 +344,6 @@ NOISE_SHARE = 64 * np.finfo(float).eps  # overlaps below this share of a square 
 def _check_resolution(name: str, value) -> None:
     if not (isinstance(value, numbers.Integral) and value >= 2):
         raise ParameterOutOfRange(f"{name} must be an integer >= 2, got {value!r}")
-
-
-def _sequential_sum(terms: np.ndarray) -> np.ndarray:
-    """Each row's sum, taken column by column from 0.0 as a Python loop
-    adds the terms one at a time, so that it matches that loop bit for bit."""
-    s = np.zeros(len(terms))
-    for column in terms.T:
-        s = s + column
-    return s
 
 
 @dataclass(frozen=True)
@@ -414,14 +418,8 @@ class UlamGrid:
         return _polygons(*self.polys, self.cell_areas)
 
     def centroids(self) -> tuple[np.ndarray, np.ndarray]:
-        """ConvexPolygon.centroid of every cell, as (x, y) arrays: the edge
-        sums taken vertex by vertex in order, over 6 * area (no cell is
-        small enough for centroid's fallback)."""
-        x, y, n = self.polys
-        x0, y0, x1, y1 = x[:, :-1], y[:, :-1], x[:, 1:], y[:, 1:]
-        w = np.where(np.arange(x.shape[1] - 1) < n[:, None], x0 * y1 - x1 * y0, 0.0)
-        cx, cy = _sequential_sum((x0 + x1) * w), _sequential_sum((y0 + y1) * w)
-        return cx / (6.0 * self.cell_areas), cy / (6.0 * self.cell_areas)
+        """ConvexPolygon.centroid of every cell, as (x, y) arrays."""
+        return _centroids(*self.polys, self.cell_areas)
 
     @functools.cached_property
     def _fan_moments(self) -> dict[tuple[int, int], np.ndarray]:

@@ -132,9 +132,11 @@ def ly_check(
     cert: ConditionCertificate,
 ) -> list[LYRow]:
     """Variation of exact pushforward iterates against the certified bound
-    lambda^j V(f0) + K1 ||f0||_1 (no coarsening)."""
+    lambda^j V(f0) + K1 ||f0||_1 (no coarsening), certified at t."""
     if j_max > 5 or j_max < 0:
         raise ParameterOutOfRange(f"j_max must be in 0..5, got {j_max}")
+    if t != cert.t:
+        raise ParameterOutOfRange(f"certificate is for t={cert.t!r}, not t={t!r}")
     if not cert.satisfied:
         raise ParameterOutOfRange(
             f"certificate not satisfied under {cert.norm_convention.value}; "

@@ -16,7 +16,9 @@ consistent; tolerances enter only when merging near-coincident vertices
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -36,6 +38,11 @@ class Point2(NamedTuple):
 def snap_key(p) -> tuple[int, int]:
     """Integer grid key identifying points that coincide up to SNAP."""
     return (round(p[0] / SNAP), round(p[1] / SNAP))
+
+
+def ordered_sum(terms) -> float:
+    """The terms added left to right from 0.0, as Python's sum() did before 3.12."""
+    return reduce(add, terms, 0.0)
 
 
 class Matrix2(NamedTuple):
@@ -242,8 +249,8 @@ class ConvexPolygon:
         # The stored area is the shoelace sum wherever that is >= EPS_AREA.
         a = self.area
         if a < EPS_AREA:
-            xs = sum(v[0] for v in verts) / len(verts)
-            ys = sum(v[1] for v in verts) / len(verts)
+            xs = ordered_sum(v[0] for v in verts) / len(verts)
+            ys = ordered_sum(v[1] for v in verts) / len(verts)
             return Point2(xs, ys)
         cx = cy = 0.0
         n = len(verts)
@@ -277,7 +284,7 @@ def area(p: ConvexPolygon) -> float:
 
 
 def perimeter(p: ConvexPolygon) -> float:
-    return sum(math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in p.edges())
+    return ordered_sum(math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in p.edges())
 
 
 def _clip_verts(verts, nx: float, ny: float, off: float):
@@ -324,12 +331,18 @@ def affine_image(m: AffineMap2, p: ConvexPolygon) -> ConvexPolygon:
     det = m.linear.det()
     if abs(det) <= EPS_GEOM:
         raise SingularMatrix(f"affine map with |det| = {abs(det)!r} is not a bijection")
-    if p.is_empty:
-        return EMPTY
-    verts = [m.apply(v) for v in p.vertices]
-    if det < 0.0:
-        verts.reverse()
-    return ConvexPolygon._wrap(verts)
+    kept = _mapped(m, p.vertices)
+    return ConvexPolygon._clean(*kept) if kept else EMPTY
+
+
+def _mapped(m: AffineMap2, verts):
+    """_kept of the vertex-wise image of a vertex list under m (AffineMap2.apply's
+    arithmetic), reversed where m reverses orientation."""
+    (a, b, c, d), (sx, sy) = m
+    image = [(a * x + b * y + sx, c * x + d * y + sy) for x, y in verts]
+    if a * d - b * c < 0.0:
+        image.reverse()
+    return _kept(image)
 
 
 def matrix_norms(m: Matrix2) -> dict:
@@ -347,56 +360,69 @@ def matrix_norms(m: Matrix2) -> dict:
     }
 
 
+def _measured(polys, need: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex batch of polygons, or DegeneratePolygon for a degenerate one."""
+    if any(len(p.vertices) < 3 or p.area < EPS_AREA for p in polys):
+        raise DegeneratePolygon(f"{need} a non-degenerate polygon")
+    return _batch([p.vertices for p in polys])
+
+
 def min_interior_angle(p: ConvexPolygon) -> float:
     """Minimum interior angle in radians."""
-    verts = p.vertices
-    if len(verts) < 3 or p.area < EPS_AREA:
-        raise DegeneratePolygon("interior angles need a non-degenerate polygon")
-    best = math.pi
-    n = len(verts)
-    for i in range(n):
-        vx, vy = verts[i]
-        ux, uy = verts[i - 1][0] - vx, verts[i - 1][1] - vy
-        wx, wy = verts[(i + 1) % n][0] - vx, verts[(i + 1) % n][1] - vy
-        nu = math.hypot(ux, uy)
-        nw = math.hypot(wx, wy)
-        cosang = max(-1.0, min(1.0, (ux * wx + uy * wy) / (nu * nw)))
-        best = min(best, math.acos(cosang))
-    return best
+    return float(_min_angles(*_measured([p], "interior angles need"))[0])
 
 
 def inradius(p: ConvexPolygon) -> float:
-    """Radius of the largest inscribed disk.
+    """Radius of the largest inscribed disk (see _inradii)."""
+    return float(_inradii(*_measured([p], "inradius needs"))[0])
+
+
+def _min_angles(x: np.ndarray, y: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The minimum interior angle of each polygon of a vertex batch (pi if
+    it has no vertex), with math.hypot and math.acos per vertex."""
+    vertex = np.arange(x.shape[1] - 1) < n[:, None]
+    last = np.arange(len(n)), n - 1  # the vertex before the first
+    ux, uy = (np.hstack((a[last][:, None], a[:, :-2]))[vertex] - a[:, :-1][vertex] for a in (x, y))
+    wx, wy = (a[:, 1:][vertex] - a[:, :-1][vertex] for a in (x, y))
+    nu = np.fromiter(map(math.hypot, ux.tolist(), uy.tolist()), float, len(ux))
+    nw = np.fromiter(map(math.hypot, wx.tolist(), wy.tolist()), float, len(wx))
+    cos = np.clip((ux * wx + uy * wy) / (nu * nw), -1.0, 1.0)
+    angles = np.full(vertex.shape, math.pi)
+    angles[vertex] = list(map(math.acos, cos.tolist()))
+    return angles.min(axis=1)
+
+
+def _inradii(x: np.ndarray, y: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The inradius of each polygon of a vertex batch.
 
     The optimum of the LP "maximize r subject to n_i . z + r <= offset_i"
     over the unit outward edge normals n_i lies at a centre equidistant
     from three edge lines, so every edge triple proposes one centre z and
     each centre scores its distance min_i (offset_i - n_i . z) to the
     nearest edge line.  A score is the radius of a disk that fits, so the
-    best score is the inradius without any feasibility tolerance.
+    best score (0 at worst) is the inradius without any feasibility
+    tolerance.  Lines past a polygon's last edge repeat its first; triples
+    using them or with no centre (det = 0) are left out before dividing.
     """
-    verts = p.vertices
-    if len(verts) < 3 or p.area < EPS_AREA:
-        raise DegeneratePolygon("inradius needs a non-degenerate polygon")
-    lines = []
-    for nx, ny, off in p.edge_halfplanes():
-        nrm = math.hypot(nx, ny)
-        lines.append((nx / nrm, ny / nrm, off / nrm))
-    best = 0.0
-    for (ax, ay, ao), (bx, by, bo), (cx, cy, co) in combinations(lines, 3):
-        # The centre z is equally far from lines a, b and c:
-        # (n_a - n_b) . z = o_a - o_b and (n_a - n_c) . z = o_a - o_c.
-        m11, m12, r1 = ax - bx, ay - by, ao - bo
-        m21, m22, r2 = ax - cx, ay - cy, ao - co
-        det = m11 * m22 - m12 * m21
-        if det == 0.0:
-            continue
-        zx = (r1 * m22 - m12 * r2) / det
-        zy = (m11 * r2 - r1 * m21) / det
-        score = min(o - (nx * zx + ny * zy) for nx, ny, o in lines)
-        if score > best:
-            best = score
-    return best
+    if len(n) > OVERLAY_CHUNK:  # polygons OVERLAY_CHUNK at a time bound the per-triple arrays
+        rows = [slice(lo, lo + OVERLAY_CHUNK) for lo in range(0, len(n), OVERLAY_CHUNK)]
+        return np.concatenate([_inradii(x[r], y[r], n[r]) for r in rows])
+    edge = np.arange(x.shape[1] - 1) < n[:, None]
+    dx, dy = x[:, 1:] - x[:, :-1], y[:, 1:] - y[:, :-1]
+    planes = dy, -dx, dy * x[:, :-1] - dx * y[:, :-1]  # ConvexPolygon.edge_halfplanes
+    nrm = np.ones(edge.shape)
+    nrm[edge] = list(map(math.hypot, planes[0][edge].tolist(), planes[1][edge].tolist()))
+    nx, ny, off = (np.where(edge, c / nrm, (c / nrm)[:, :1]) for c in planes)
+    i, j, k = np.array(list(combinations(range(edge.shape[1]), 3)), np.intp).reshape(-1, 3).T
+    m11, m12, r1 = nx[:, i] - nx[:, j], ny[:, i] - ny[:, j], off[:, i] - off[:, j]
+    m21, m22, r2 = nx[:, i] - nx[:, k], ny[:, i] - ny[:, k], off[:, i] - off[:, k]
+    det = m11 * m22 - m12 * m21
+    fits = (k < n[:, None]) & (det != 0.0)
+    det = np.where(fits, det, 1.0)
+    zx, zy = (r1 * m22 - m12 * r2) / det, (m11 * r2 - r1 * m21) / det
+    score = reduce(np.minimum, (off[:, e, None] - (nx[:, e, None] * zx + ny[:, e, None] * zy)
+                                for e in range(off.shape[1])))  # line by line: (rows, triples) arrays
+    return np.where(fits & (score > 0.0), score, 0.0).max(axis=1, initial=0.0)
 
 
 def monomial_integral(p: ConvexPolygon, ax: int, ay: int) -> float:
@@ -559,13 +585,50 @@ def _vertices(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     keep = np.ones(x.shape, dtype=bool)
     keep[1::2] = cut & ~short
     keep[ends] &= ~(short & ~cut)
-    n = keep.sum(axis=0)
+    return _padded(keep.sum(axis=0), x.T[keep.T], y.T[keep.T])
+
+
+def _padded(n: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The vertex batch (x, y, n) of polygons with n[k] vertices, listed in xs, ys."""
     slots = np.arange(n.max(initial=0) + 1) < n[:, None]
-    out_x, out_y = np.zeros(slots.shape), np.zeros(slots.shape)
-    out_x[slots], out_y[slots] = x.T[keep.T], y.T[keep.T]
+    x, y = np.zeros(slots.shape), np.zeros(slots.shape)
+    x[slots], y[slots] = xs, ys
     rows = np.arange(len(n))
-    out_x[rows, n], out_y[rows, n] = out_x[:, 0], out_y[:, 0]
-    return out_x, out_y, n
+    x[rows, n], y[rows, n] = x[:, 0], y[:, 0]
+    return x, y, n
+
+
+def _batch(vertex_lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex lists as a vertex batch (x, y, n) in _vertices' layout."""
+    n = np.fromiter(map(len, vertex_lists), np.intp, len(vertex_lists))
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(vertex_lists)), float, 2 * int(n.sum()))
+    return _padded(n, flat[0::2], flat[1::2])
+
+
+def _boxes(x: np.ndarray, y: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The _box columns of the nonempty polygons of a vertex batch."""
+    forms = np.array((x, y, x + y, x - y))
+    mask = np.arange(x.shape[1]) <= n[:, None]  # the vertices and the first again
+    return np.concatenate((np.where(mask, forms, np.inf).min(axis=2),
+                           -np.where(mask, forms, -np.inf).max(axis=2)))
+
+
+def _sequential_sum(terms: np.ndarray) -> np.ndarray:
+    """Each row's sum, taken column by column from 0.0 as a Python loop
+    adds the terms one at a time, so that it matches that loop bit for bit."""
+    s = np.zeros(len(terms))
+    for column in terms.T:
+        s = s + column
+    return s
+
+
+def _centroids(x: np.ndarray, y: np.ndarray, n: np.ndarray, area: np.ndarray) -> tuple[np.ndarray, ...]:
+    """ConvexPolygon.centroid of each polygon of a vertex batch, given its
+    area, EPS_AREA or more (centroid's vertex mean for slivers is left out),
+    as (x, y) arrays: the edge sums taken vertex by vertex, over 6 * area."""
+    x0, y0, x1, y1 = x[:, :-1], y[:, :-1], x[:, 1:], y[:, 1:]
+    w = np.where(np.arange(x.shape[1] - 1) < n[:, None], x0 * y1 - x1 * y0, 0.0)
+    return _sequential_sum((x0 + x1) * w) / (6.0 * area), _sequential_sum((y0 + y1) * w) / (6.0 * area)
 
 
 def _octagons(polys, what: str) -> np.ndarray:

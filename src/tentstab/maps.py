@@ -17,9 +17,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CellExplosion, OutsideRegion, ParameterOutOfRange
-from .geom2d import EPS_GEOM, AffineMap2, ConvexPolygon, Matrix2, Point2, affine_image, inradius
-from .geom2d import intersect, matrix_norms, min_interior_angle
-from .geom2d import _area, _close, _image_plan, _octagons, _polygons, _vertices
+from .geom2d import EPS_GEOM, AffineMap2, ConvexPolygon, Matrix2, Point2, affine_image, intersect
+from .geom2d import matrix_norms, _area, _close, _image_plan, _inradii, _measured, _min_angles
+from .geom2d import _octagons, _polygons, _vertices
 from .ioutil import fmt, json_number
 
 # Smallest tent parameter for which the cubed map keeps its full
@@ -267,20 +267,17 @@ def estimate_long_branches(m: PiecewiseMap) -> LongBranchReport:
     boundary tangent is sin(theta_min / 2); the inward reach is half the
     inradius, which keeps the inward segments of a convex set disjoint.
     Affine branches preserve neither quantity in general, so domains and
-    images are both measured and the minima reported.
+    images are both measured and the minima reported: every domain and
+    image in one vertex batch, by geom2d.min_interior_angle's and
+    geom2d.inradius's batched forms.
     """
-    records = []
-    for i, branch in enumerate(m.branches):
-        image = affine_image(branch.map, branch.domain)
-        theta_dom = min_interior_angle(branch.domain)
-        theta_img = min_interior_angle(image)
-        r_dom = inradius(branch.domain)
-        r_img = inradius(image)
-        beta = math.sin(min(theta_dom, theta_img) / 2.0)
-        rho = min(r_dom, r_img) / 2.0
-        records.append(
-            BranchGeometry(i, theta_dom, theta_img, r_dom, r_img, beta, rho)
-        )
+    polys = [p for b in m.branches for p in (b.domain, affine_image(b.map, b.domain))]
+    batch = _measured(polys, "interior angles need")
+    angles, radii = _min_angles(*batch).tolist(), _inradii(*batch).tolist()
+    records = [  # domain i in row 2i, its image in row 2i + 1
+        BranchGeometry(i, td, ti, rd, ri, math.sin(min(td, ti) / 2.0), min(rd, ri) / 2.0)
+        for i, (td, ti, rd, ri) in enumerate(zip(angles[::2], angles[1::2], radii[::2], radii[1::2]))
+    ]
     return LongBranchReport(
         beta=min(r.beta for r in records),
         rho=min(r.rho for r in records),

@@ -1,19 +1,23 @@
-"""The arrangement refinement as it ran with a uniform-bin cell index: the
-reference the package's ``density._refine`` and ``density._split`` must
+"""The arrangement refinement as it ran with a uniform-bin cell index, and
+the variation sweep as it ran edge by edge: the references the package's
+``density._refine``, ``density._split`` and ``density.variation`` must
 match bit for bit.
 
 ``refine`` finds a tile's candidate cells in a 48 x 48 grid of bins over
 the region's bounding box, keeps those whose bounding box overlaps the
 tile's, and splits each with ``split``, which clips the kept side by every
-tile plane and peels an outside piece off every plane.  Tests compare the
-package with these loops; nothing in the package imports this module.
+tile plane and peels an outside piece off every plane.  ``variation``
+groups the edges by line in a dict and sorts each line's events.  Tests
+compare the package with these loops; nothing in the package imports this
+module.
 """
 
+import math
 from typing import Iterable
 
 from tentstab import density, geom2d
 from tentstab.errors import CellExplosion
-from tentstab.geom2d import EMPTY, ConvexPolygon, snap_key
+from tentstab.geom2d import EMPTY, SNAP, ConvexPolygon, snap_key
 
 
 def split(poly: ConvexPolygon, planes):
@@ -120,3 +124,43 @@ def refine(
                 )
     cells = sorted(zip(store.polys, store.values), key=lambda cv: snap_key(cv[0].centroid()))
     return tuple(cells)
+
+
+def variation(f: density.PiecewisePolyDensity) -> float:
+    """Total variation of f by the per-edge loop: each edge's line key and
+    its two events (s, dleft, dright), then a sweep along every line."""
+    entries: dict[tuple[int, int, int], list] = {}
+    for poly, v in f.cells:
+        for (a, b) in poly.edges():
+            dx = b[0] - a[0]
+            dy = b[1] - a[1]
+            length = math.hypot(dx, dy)
+            ux, uy = dx / length, dy / length
+            side = 1.0
+            if ux < -1e-12 or (abs(ux) <= 1e-12 and uy < 0.0):
+                ux, uy, side = -ux, -uy, -1.0
+            nx, ny = -uy, ux
+            off = nx * a[0] + ny * a[1]
+            key = (round(nx / SNAP), round(ny / SNAP), round(off / SNAP))
+            s0 = ux * a[0] + uy * a[1]
+            s1 = ux * b[0] + uy * b[1]
+            if s0 > s1:
+                s0, s1 = s1, s0
+            if side > 0.0:
+                entries.setdefault(key, []).append((s0, v, 0.0))
+                entries[key].append((s1, -v, 0.0))
+            else:
+                entries.setdefault(key, []).append((s0, 0.0, v))
+                entries[key].append((s1, 0.0, -v))
+    total = 0.0
+    for events in entries.values():
+        events.sort()
+        left = right = 0.0
+        prev = None
+        for s, dleft, dright in events:
+            if prev is not None and s > prev:
+                total += abs(left - right) * (s - prev)
+            left += dleft
+            right += dright
+            prev = s
+    return total

@@ -142,6 +142,12 @@ class TestLYCheck:
         with pytest.raises(ParameterOutOfRange):
             E.ly_check(1.0, D.uniform_density(TRIANGLE_T), 6, cert)
 
+    def test_certificate_of_another_t_rejected(self):
+        # It pushed forward at t = 0.95 and bounded with t = 0.9's lambda and K1.
+        cert = certify(tent_power(0.9, 3))
+        with pytest.raises(ParameterOutOfRange, match="certificate is for t=0.9"):
+            E.ly_check(0.95, D.uniform_density(TRIANGLE_T), 1, cert)
+
 
 @pytest.mark.parametrize(
     "call",

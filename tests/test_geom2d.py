@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import geometry_oracle
 from tentstab import geom2d
 from tentstab.errors import DegeneratePolygon, InvalidPolygon, SingularMatrix
 from tentstab.geom2d import (
@@ -192,6 +193,16 @@ class TestInradius:
                 for poly in (b.domain, affine_image(b.map, b.domain)):
                     expected = lp_inradius(poly)
                     assert abs(inradius(poly) - expected) <= 1e-11 * expected
+
+
+@given(seed=st.integers(0, 2**32 - 1), npts=st.integers(3, 24))
+@settings(max_examples=100, deadline=None)
+def test_batched_measures_match_the_per_polygon_loops(seed, npts):
+    poly = random_convex_polygon(np.random.default_rng(seed), npts=npts)
+    assert float.hex(min_interior_angle(poly)) == float.hex(geometry_oracle.min_interior_angle(poly))
+    assert float.hex(inradius(poly)) == float.hex(geometry_oracle.inradius(poly))
+    cx, cy = geom2d._centroids(*geom2d._batch([poly.vertices]), np.array([poly.area]))
+    assert (cx[0].hex(), cy[0].hex()) == (poly.centroid().x.hex(), poly.centroid().y.hex())
 
 
 def _contains_per_edge(poly, p, tol):

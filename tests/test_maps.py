@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import geometry_oracle
 from tentstab import geom2d, maps
 from tentstab.errors import CellExplosion, NotOctilinear, OutsideRegion, ParameterOutOfRange
 from tentstab.experiments import seeded_start
@@ -15,6 +16,7 @@ from tentstab.geom2d import (
     AffineMap2,
     ConvexPolygon,
     Matrix2,
+    affine_image,
     area,
     box,
     intersect,
@@ -24,6 +26,7 @@ from tentstab.geom2d import (
 from tentstab.maps import (
     TENT_T_MIN,
     Branch,
+    BranchGeometry,
     NormConvention,
     PiecewiseMap,
     apply,
@@ -317,6 +320,32 @@ class TestLongBranches:
             assert rec.theta_min_domain >= math.pi / 4.0 - 1e-9
             assert rec.theta_min_image >= math.pi / 4.0 - 1e-9
         assert rep.beta == pytest.approx(BETA_OCTANT, abs=1e-6)
+
+    @pytest.mark.parametrize("t", [TAU, 0.9, 1.0 - 1.3e-9, 1.0])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_batch_matches_the_per_polygon_loops(self, t, k):
+        # Every domain and image of the power, mapped and measured one
+        # polygon at a time by the loops the batch replaced.
+        m = tent_power(t, k)
+        want = []
+        for i, b in enumerate(m.branches):
+            dom, img = b.domain, geometry_oracle.affine_image(b.map, b.domain)
+            assert (affine_image(b.map, dom).vertices, affine_image(b.map, dom).area) == (img.vertices, img.area)
+            angles = [geometry_oracle.min_interior_angle(p) for p in (dom, img)]
+            radii = [geometry_oracle.inradius(p) for p in (dom, img)]
+            beta, rho = math.sin(min(angles) / 2.0), min(radii) / 2.0
+            want.append(BranchGeometry(i, *angles, *radii, beta, rho))
+        got = estimate_long_branches(m).per_branch
+        assert [[float.hex(float(v)) for v in g] for g in got] == [
+            [float.hex(float(v)) for v in w] for w in want
+        ]
+
+    def test_batch_in_chunks_matches_one_batch(self, monkeypatch):
+        # 64 branches, 128 polygons: one batch, then batches of 7.
+        m = tent_power(0.9, 6)
+        want = estimate_long_branches(m)
+        monkeypatch.setattr(geom2d, "OVERLAY_CHUNK", 7)
+        assert estimate_long_branches(m) == want
 
 
 class TestCertify:
