@@ -12,6 +12,7 @@ with the same flags; numeric fields carry 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -191,7 +192,7 @@ def _cmd_lycheck(args: argparse.Namespace) -> int:
     else:
         left = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
         f0 = indicator_density(region, left, 2.0)
-    rows = ly_check(args.t, f0, args.jmax, cert)
+    rows = ly_check(m, f0, args.jmax, cert)
     atomic_write_text(args.out, ly_csv(args.t, conv.value, rows))
     worst = max(r.ratio for r in rows)
     print(
@@ -385,11 +386,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first run of this process."""
+    return build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse and execute one command line; 0 = success, 1 = usage error,
     invalid input or unwritable output, 2 = unconverged."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

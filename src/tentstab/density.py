@@ -550,6 +550,20 @@ def _build_ulam(m: PiecewiseMap, grid: UlamGrid | int) -> UlamOperator:
     resolution, built once the branches have passed the octagon checks."""
     import scipy.sparse as sp
 
+    grid, indptr, cols, data = _ulam_entries(m, grid)
+    n = len(grid.cell_areas)
+    # Rows come out in order, so the entries are already in the order
+    # coo_matrix.tocsr places them; it then sums duplicates the same way.
+    matrix = sp.csr_matrix((data, cols, indptr), shape=(n, n))
+    matrix.sum_duplicates()
+    return UlamOperator(grid, matrix)
+
+
+def _ulam_entries(m: PiecewiseMap, grid: UlamGrid | int):
+    """(grid, indptr, cols, data): _build_ulam's grid and its matrix as CSR
+    arrays before duplicate (row, column) entries are summed, one entry
+    for each overlap of a cell's image under a branch with a cell.  The
+    octagon checks, overlays and ResolutionTooLow check; no scipy."""
     domains = _octagons([br.domain for br in m.branches], "branch domain")
     perm, scale, shift = _image_plan([br.map for br in m.branches])
     jac = np.array([br.jacobian_abs for br in m.branches])
@@ -578,12 +592,22 @@ def _build_ulam(m: PiecewiseMap, grid: UlamGrid | int) -> UlamOperator:
                 f"cell {i[bad[0]]} maps outside the gridded region "
                 f"(lost image area {float(lost[bad[0]]):g})"
             )
-    # Rows come out in order, so the entries are already in the order
-    # coo_matrix.tocsr places them; it then sums duplicates the same way.
     indptr = np.concatenate([np.zeros(1, np.int32), np.cumsum(row_nnz, dtype=np.int32)])
-    matrix = sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr), shape=(n, n))
-    matrix.sum_duplicates()
-    return UlamOperator(grid, matrix)
+    return grid, indptr, np.concatenate(cols), np.concatenate(data)
+
+
+def _summed(indptr, cols, data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, data) of the CSR arrays' matrix in row-major order, each
+    (row, column)'s entries summed left to right in the order stored.
+
+    That is the canonical CSR that csr_matrix.sum_duplicates leaves,
+    except that its unstable per-row sort may add three or more entries
+    of one (row, column) in another order."""
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    order = np.lexsort((cols, rows))  # stable
+    rows, cols = rows[order], cols[order]
+    new = np.concatenate(([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])))
+    return rows[new], cols[new], np.bincount(np.cumsum(new) - 1, weights=data[order])
 
 
 def stationary_masses(
@@ -697,6 +721,12 @@ def cesaro_fixed_density(
     projected f0.  That is projecting every exact pushforward back onto
     the grid, up to rounding and the mass that clipping drops from exact
     pushforwards (ROADMAP item 7).
+
+    The coarsened chain reads the matrix entries as arrays and applies M^T
+    with np.bincount, so it leaves scipy.sparse unloaded.  Its sums are
+    those of csr_matvec on build_ulam(m, coarsen).matrix.T.tocsr(), so
+    the result has their bits, except where one (row, column) of M gathers
+    three or more entries (_summed): then within a few ulp.
     """
     if coarsen is not None:
         _check_resolution("coarsen", coarsen)
@@ -709,13 +739,15 @@ def cesaro_fixed_density(
         cur = f0
         push, distance, mix = functools.partial(push_forward, m), l1_distance, add_scaled
     else:
-        op = build_ulam(m, coarsen)
-        areas = op.grid.cell_areas
-        adjoint = op.matrix.T.tocsr()
-        cur = _grid_values(op.grid, f0)
+        grid, indptr, cols, data = _ulam_entries(m, coarsen)
+        rows, cols, data = _summed(indptr, cols, data)
+        areas = grid.cell_areas
+        cur = _grid_values(grid, f0)
 
         def push(v):
-            return (adjoint @ (v * areas)) / areas
+            # M^T (v * areas): each column's terms added in ascending row
+            # order from 0.0, as csr_matvec adds them on M.T.tocsr()
+            return np.bincount(cols, weights=data * (v * areas)[rows], minlength=len(areas)) / areas
 
         def distance(a, b):
             return float(np.sum(np.abs(a - b) * areas))
@@ -733,7 +765,7 @@ def cesaro_fixed_density(
         cur = push(cur)
         avg = mix(avg, n / (n + 1.0), cur, 1.0 / (n + 1.0))
     if coarsen is not None:
-        avg = PiecewisePolyDensity(f0.region, tuple(zip(op.grid.cells, avg.tolist())), f0.signed)
+        avg = PiecewisePolyDensity(f0.region, tuple(zip(grid.cells, avg.tolist())), f0.signed)
     total = avg.mass()
     cells = tuple((poly, v / total) for poly, v in avg.cells)
     out = PiecewisePolyDensity(avg.region, cells, avg.signed)

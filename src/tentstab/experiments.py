@@ -34,6 +34,7 @@ from .maps import (
     TENT_REGION,
     TENT_T_MIN,
     ConditionCertificate,
+    PiecewiseMap,
     check_tent_parameter,
     make_tent2d,
     tent_power,
@@ -126,23 +127,26 @@ def stability_sweep(
 
 
 def ly_check(
-    t: float,
+    m: PiecewiseMap,
     f0: PiecewisePolyDensity,
     j_max: int,
     cert: ConditionCertificate,
 ) -> list[LYRow]:
-    """Variation of exact pushforward iterates against the certified bound
-    lambda^j V(f0) + K1 ||f0||_1 (no coarsening), certified at t."""
+    """Variation of exact pushforward iterates under m against the bound
+    lambda^j V(f0) + K1 ||f0||_1 (no coarsening) that cert certifies for
+    m: its t and power must be m's."""
     if j_max > 5 or j_max < 0:
         raise ParameterOutOfRange(f"j_max must be in 0..5, got {j_max}")
-    if t != cert.t:
-        raise ParameterOutOfRange(f"certificate is for t={cert.t!r}, not t={t!r}")
+    if (cert.t, cert.power) != (m.param_t, m.power):
+        raise ParameterOutOfRange(
+            f"certificate is for t={cert.t!r}, power={cert.power}, "
+            f"not t={m.param_t!r}, power={m.power}"
+        )
     if not cert.satisfied:
         raise ParameterOutOfRange(
             f"certificate not satisfied under {cert.norm_convention.value}; "
             "the bound has no finite K1"
         )
-    m = tent_power(t, cert.power)
     mass0 = lp_norm(f0)
     v0 = variation(f0)
     rows = [LYRow(0, v0, v0 + cert.K1 * mass0, v0 / (v0 + cert.K1 * mass0))]
@@ -354,6 +358,19 @@ class Tent1DResult(NamedTuple):
     converged: bool
 
 
+def _overlaps(pre_lo, pre_hi, lo, hi):
+    """(i, j, max(0, min(pre_hi[j], hi[i]) - max(pre_lo[j], lo[i]))) for the
+    j with pre_hi[j] > lo[i] and pre_lo[j] < hi[i], a run of j for each i
+    as pre_lo and pre_hi are nondecreasing: every (i, j) where that
+    overlap length can be positive."""
+    start = np.searchsorted(pre_hi, lo, side="right")
+    count = np.maximum(np.searchsorted(pre_lo, hi, side="left") - start, 0)
+    i = np.repeat(np.arange(len(lo)), count)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(count) - count - start, count)
+    ln = np.maximum(0.0, np.minimum(pre_hi[j], hi[i]) - np.maximum(pre_lo[j], lo[i]))
+    return i, j, ln
+
+
 def tent1d_ulam(
     a: float, n_cells: int, tol: float = 1e-10, max_iter: int = 20000
 ) -> Tent1DResult:
@@ -374,18 +391,25 @@ def tent1d_ulam(
         )
     edges = np.array([-1.0 + 2.0 * k / n_cells for k in range(n_cells + 1)])
     width = 2.0 / n_cells
-    # Row i is source cell [lo, hi]; column j is target cell [c, d].
-    lo, hi = edges[:-1, None], edges[1:, None]
+    # Row i is source cell [lo, hi]; column j is target cell [c, d].  The
+    # overlaps of each piece are written into a zero matrix, summed there,
+    # and scaled in place: the entries, and bits, of the same formula over
+    # every (i, j), where all other overlaps are 0.
+    lo, hi = edges[:-1], edges[1:]
     c, d = edges[:-1], edges[1:]
+    matrix = np.zeros((n_cells, n_cells))
     # rising piece 1 + a x on [-1, 0]
-    pre_lo = np.maximum((c - 1.0) / a, -1.0)
-    pre_hi = np.minimum((d - 1.0) / a, 0.0)
-    ln = np.maximum(0.0, np.minimum(pre_hi, hi) - np.maximum(pre_lo, lo))
-    # falling piece 1 - a x on [0, 1]
-    pre_lo = np.maximum((1.0 - d) / a, 0.0)
-    pre_hi = np.minimum((1.0 - c) / a, 1.0)
-    ln = ln + np.maximum(0.0, np.minimum(pre_hi, hi) - np.maximum(pre_lo, lo))
-    matrix = np.where(ln > 0.0, ln / width, 0.0)
+    i1, j1, ln = _overlaps(np.maximum((c - 1.0) / a, -1.0), np.minimum((d - 1.0) / a, 0.0), lo, hi)
+    matrix[i1, j1] = ln
+    # falling piece 1 - a x on [0, 1], whose preimages fall with j
+    i2, j2, ln = _overlaps(
+        np.maximum((1.0 - d) / a, 0.0)[::-1], np.minimum((1.0 - c) / a, 1.0)[::-1], lo, hi
+    )
+    j2 = n_cells - 1 - j2
+    matrix[i2, j2] += ln
+    i, j = np.concatenate((i1, i2)), np.concatenate((j1, j2))
+    ln = matrix[i, j]
+    matrix[i, j] = np.where(ln > 0.0, ln / width, 0.0)
     lengths = np.full(n_cells, width)
     p, iters, residual, converged = stationary_masses(matrix, lengths, tol, max_iter)
     return Tent1DResult(matrix, edges, p / lengths, iters, residual, converged)

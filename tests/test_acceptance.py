@@ -227,12 +227,13 @@ def test_criterion_8_bounded_variation_suite():
     # variation growth under the certified cube operator stays under the cap
     worst_frac = 0.0
     for t in (TAU, 1.0):
-        cert = certify(tent_power(t, 3), NormConvention.PAPER_FORMULA)
+        m = tent_power(t, 3)
+        cert = certify(m, NormConvention.PAPER_FORMULA)
         for f0 in (
             D.uniform_density(TRIANGLE_T),
             D.indicator_density(TRIANGLE_T, LEFT_HALF, 2.0),
         ):
-            rows = E.ly_check(t, f0, 4, cert)
+            rows = E.ly_check(m, f0, 4, cert)
             mass0 = D.lp_norm(f0, 1.0)
             cap = max(rows[0].variation_j, 4.0 * cert.K1 * mass0)
             for row in rows:

@@ -15,7 +15,7 @@ import ulam_oracle
 from tentstab import cli
 from tentstab import density as D
 from tentstab import experiments as E
-from tentstab.cli import main, render_svg
+from tentstab.cli import build_parser, main, render_svg
 from tentstab.geom2d import box
 from tentstab.ioutil import atomic_write_text, fmt
 from tentstab.maps import tent_power
@@ -431,6 +431,33 @@ def test_atomic_write_removes_its_temp_file_when_replace_fails(tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+def test_run_builds_the_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    bad = [
+        ["verify", "--t", "abc"],
+        ["verify", "--t", "1.5"],
+        ["sweep", "--tmin", "0.95"],
+        ["density", "--resolution", "1"],
+        ["nosuch"],
+        [],
+    ]
+    fresh = []  # each from a parser built for the call
+    for argv in bad:
+        cli._parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr().err))
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        again = [(main(argv), capsys.readouterr().err) for argv in bad + bad]
+        assert main(["oracle1d", "--cells", "4", "--out", str(tmp_path / "o.csv")]) == 0
+        again += [(main(argv), capsys.readouterr().err) for argv in bad]
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert again == fresh * 3
+    assert all(code == 1 and err.startswith("error: ") for code, err in fresh)
+
+
 def test_cli_import_leaves_scipy_optimize_out():
     src = os.path.dirname(os.path.dirname(os.path.abspath(tentstab.__file__)))
     code = (
@@ -444,16 +471,19 @@ def test_cli_import_leaves_scipy_optimize_out():
 
 
 def test_only_ulam_matrix_commands_load_scipy_sparse(tmp_path):
-    # a fresh interpreter: this test run has scipy.sparse loaded already
+    # a fresh interpreter: this test run has scipy.sparse loaded already.
+    # The coarsened Cesaro average reads the Ulam entries without it.
     src = os.path.dirname(os.path.dirname(os.path.abspath(tentstab.__file__)))
     out = str(tmp_path)
     code = f"""
 import os, sys
 sys.path.insert(0, {src!r})
-from tentstab import cli
+from tentstab import cli, density, maps
 for argv in (["verify", "--power", "2"], ["orbit", "--n", "100"],
              ["lycheck", "--power", "3", "--jmax", "1"], ["oracle1d", "--cells", "16"]):
     assert cli.main(argv + ["--out", os.path.join({out!r}, argv[0])]) == 0, argv
+m = maps.tent_power(0.95, 1)
+density.cesaro_fixed_density(m, density.uniform_density(m.region), n_max=3, coarsen=4)
 before = "scipy.sparse" in sys.modules
 assert cli.main(["density", "--resolution", "8", "--out", os.path.join({out!r}, "d.csv")]) == 0
 print(before, "scipy.sparse" in sys.modules)

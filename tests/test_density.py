@@ -1,7 +1,9 @@
 """Pushforward, variation, norms, Cesaro iteration, and Ulam operators."""
 
+import functools
 import hashlib
 import math
+import operator
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -333,6 +335,65 @@ class TestCesaro:
                 )
                 for (_, v), (_, w) in zip(got.density.cells, want.density.cells):
                     assert v == pytest.approx(w, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("f0_name", ["uniform", "lefthalf"])
+    @pytest.mark.parametrize("pw", [1, 2, 3, 4])
+    @pytest.mark.parametrize("t", [TAU, 0.9, 0.995, 1.0])
+    def test_coarsened_run_matches_the_csr_matrix_loop(self, t, pw, f0_name):
+        # The same sums as csr_matvec on build_ulam's M.T.tocsr(): the same
+        # bits at powers 1-2.  At powers 3-4 some (row, column) of M gathers
+        # three or more entries, which scipy's unstable sort may add in
+        # another order; the values then drift by a few ulp, and more the
+        # more steps they take (6 ulp after 64 steps at t = 0.9, power 4,
+        # coarsen 2), so there the chain runs 16 steps at most.
+        m = tent_power(t, pw)
+        if f0_name == "uniform":
+            f0 = D.uniform_density(m.region)
+        else:
+            f0 = D.indicator_density(m.region, LEFT_HALF, 2.0)
+        n_max = 64 if pw <= 2 else 16
+        for coarsen in (2, 3, 4, 16, 24):
+            got = D.cesaro_fixed_density(m, f0, n_max=n_max, coarsen=coarsen)
+            want = ulam_oracle.cesaro_on_csr(m, f0, n_max, 1e-8, coarsen)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            assert [c for c, _ in got.density.cells] == [c for c, _ in want.density.cells]
+            values = np.array([v for _, v in got.density.cells])
+            wants = np.array([v for _, v in want.density.cells])
+            if pw <= 2:
+                assert got.residual.hex() == want.residual.hex()
+                assert [v.hex() for v in values.tolist()] == [v.hex() for v in wants.tolist()]
+            else:
+                # the residual compares two mass-1 vectors, each within 4 ulp
+                eps = np.finfo(float).eps
+                assert abs(got.residual - want.residual) <= 8 * eps
+                assert np.abs(values.view(np.int64) - wants.view(np.int64)).max() <= 4
+
+    def test_summed_entries_add_left_to_right_in_stored_order(self):
+        # At power 4 some (row, column) gathers three or more entries.
+        grid, indptr, cols, data = D._ulam_entries(tent_power(0.9, 4), 16)
+        groups = {}
+        for i in range(len(indptr) - 1):
+            for k in range(indptr[i], indptr[i + 1]):
+                groups.setdefault((i, int(cols[k])), []).append(float(data[k]))
+        assert max(map(len, groups.values())) >= 3
+        rows, cols, data = D._summed(indptr, cols, data)
+        assert list(zip(rows.tolist(), cols.tolist())) == sorted(groups)
+        want = [functools.reduce(operator.add, groups[key]) for key in sorted(groups)]
+        assert [v.hex() for v in data.tolist()] == [v.hex() for v in want]
+        # scipy's canonical form holds the same entries, and the same sums
+        # wherever at most two entries meet
+        matrix = D.build_ulam(tent_power(0.9, 4), 16).matrix
+        assert np.array_equal(matrix.indptr, np.searchsorted(rows, np.arange(len(indptr))))
+        assert np.array_equal(matrix.indices, cols)
+        pairs = np.array([len(groups[key]) <= 2 for key in sorted(groups)])
+        assert np.array_equal(matrix.data[pairs], data[pairs])
+        assert np.allclose(matrix.data, data, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+    def test_coarsened_run_leaves_scipy_sparse_unloaded(self, monkeypatch, uniform):
+        monkeypatch.delitem(sys.modules, "scipy.sparse")
+        res = D.cesaro_fixed_density(make_tent2d(0.9), uniform, n_max=3, coarsen=4)
+        assert "scipy.sparse" not in sys.modules
+        assert res.iterations == 3
 
     def test_coarsened_run_near_t1_keeps_the_mass_clipping_drops(self):
         # At t = 1 - 1.3e-9, power 2, resolution 24 clipping merges slivers

@@ -107,46 +107,68 @@ class TestStabilitySweep:
 
 class TestLYCheck:
     def test_j0_row(self):
-        cert = certify(tent_power(TAU, 3))
+        m = tent_power(TAU, 3)
+        cert = certify(m)
         f0 = D.uniform_density(TRIANGLE_T)
-        rows = E.ly_check(TAU, f0, 0, cert)
+        rows = E.ly_check(m, f0, 0, cert)
         v0 = 2.0 + 2.0 * math.sqrt(2.0)
         assert rows[0].variation_j == pytest.approx(v0, abs=1e-12)
         assert rows[0].bound_paper == pytest.approx(v0 + cert.K1, rel=1e-12)
         assert rows[0].bound_paper >= rows[0].variation_j
 
     def test_t1_uniform_fixed_variation(self):
-        cert = certify(tent_power(1.0, 3))
+        m = tent_power(1.0, 3)
+        cert = certify(m)
         f0 = D.uniform_density(TRIANGLE_T)
-        rows = E.ly_check(1.0, f0, 3, cert)
+        rows = E.ly_check(m, f0, 3, cert)
         for row in rows:
             assert row.variation_j == pytest.approx(
                 2.0 + 2.0 * math.sqrt(2.0), abs=1e-9
             )
 
     def test_t1_indicator_drops_in_one_step(self):
-        cert = certify(tent_power(1.0, 3))
+        m = tent_power(1.0, 3)
+        cert = certify(m)
         f0 = D.indicator_density(TRIANGLE_T, LEFT_HALF, 2.0)
-        rows = E.ly_check(1.0, f0, 1, cert)
+        rows = E.ly_check(m, f0, 1, cert)
         assert rows[0].variation_j == pytest.approx(2.0 * (2.0 + math.sqrt(2.0)), abs=1e-12)
         assert rows[1].variation_j == pytest.approx(2.0 + 2.0 * math.sqrt(2.0), abs=1e-9)
         assert rows[1].variation_j < rows[0].variation_j
 
     def test_unsatisfied_certificate_rejected(self):
-        cert = certify(tent_power(TAU, 3), NormConvention.SPECTRAL)
+        m = tent_power(TAU, 3)
+        cert = certify(m, NormConvention.SPECTRAL)
         with pytest.raises(ParameterOutOfRange):
-            E.ly_check(TAU, D.uniform_density(TRIANGLE_T), 2, cert)
+            E.ly_check(m, D.uniform_density(TRIANGLE_T), 2, cert)
 
     def test_jmax_capped(self):
-        cert = certify(tent_power(1.0, 3))
+        m = tent_power(1.0, 3)
+        cert = certify(m)
         with pytest.raises(ParameterOutOfRange):
-            E.ly_check(1.0, D.uniform_density(TRIANGLE_T), 6, cert)
+            E.ly_check(m, D.uniform_density(TRIANGLE_T), 6, cert)
 
     def test_certificate_of_another_t_rejected(self):
         # It pushed forward at t = 0.95 and bounded with t = 0.9's lambda and K1.
         cert = certify(tent_power(0.9, 3))
         with pytest.raises(ParameterOutOfRange, match="certificate is for t=0.9"):
-            E.ly_check(0.95, D.uniform_density(TRIANGLE_T), 1, cert)
+            E.ly_check(tent_power(0.95, 3), D.uniform_density(TRIANGLE_T), 1, cert)
+
+    def test_certificate_of_another_power_rejected(self):
+        # Bounding power-2 iterates with the cube's lambda and K1.
+        cert = certify(tent_power(0.9, 3))
+        with pytest.raises(ParameterOutOfRange, match="power=3, not t=0.9, power=2"):
+            E.ly_check(tent_power(0.9, 2), D.uniform_density(TRIANGLE_T), 1, cert)
+
+    def test_rows_are_those_of_the_certified_map(self):
+        # The map is pushed forward as given, not rebuilt from cert.t.
+        m = tent_power(0.95, 3)
+        cert = certify(m)
+        f0 = D.indicator_density(TRIANGLE_T, LEFT_HALF, 2.0)
+        rows = E.ly_check(m, f0, 2, cert)
+        f = f0
+        for row in rows[1:]:
+            f = D.push_forward(m, f)
+            assert row.variation_j == D.variation(f)
 
 
 @pytest.mark.parametrize(
@@ -449,6 +471,32 @@ class TestTent1D:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("cells", [2, 4, 16, 64, 512, 1000])
+    @pytest.mark.parametrize(
+        "a", [1.0000001, 1.2, 1.5, 1.7, 1.9626081113631917, 1.999999, 2.0]
+    )
+    def test_banded_matches_the_dense_formula(self, a, cells):
+        # The overlaps only on the target cells the images reach, written
+        # into the dense matrix: every entry, the density and the
+        # iteration count as over all n^2 pairs.
+        want, density, iterations, residual = ulam_oracle.tent1d_dense(a, cells, max_iter=2000)
+        got = E.tent1d_ulam(a, cells, max_iter=2000)
+        assert got.matrix.tobytes() == want.tobytes()
+        assert got.fixed_density.tobytes() == density.tobytes()
+        assert (got.iterations, got.residual.hex()) == (iterations, residual.hex())
+
+    def test_banded_matrix_peak(self):
+        # Only the matrix and the stationary solve's transposed copy are
+        # n^2 arrays (2.1 MB each at 512 cells); the dense formula held
+        # about 6.6 MB at its peak.
+        tracemalloc.start()
+        try:
+            E.tent1d_ulam(1.9626081113631917, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+
     def test_full_tent_four_cells_exact(self):
         res = E.tent1d_ulam(2.0, 4)
         expected = np.array(
@@ -507,8 +555,9 @@ class TestCSV:
         )
 
     def test_ly_csv_columns(self):
-        cert = certify(tent_power(1.0, 3))
-        rows = E.ly_check(1.0, D.uniform_density(TRIANGLE_T), 1, cert)
+        m = tent_power(1.0, 3)
+        cert = certify(m)
+        rows = E.ly_check(m, D.uniform_density(TRIANGLE_T), 1, cert)
         text = E.ly_csv(1.0, "PaperFormula", rows)
         assert text.split("\n", 1)[0] == "t,convention,j,variation_j,bound,ratio"
         assert ",PaperFormula," in text.split("\n")[1]

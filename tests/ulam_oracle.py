@@ -12,7 +12,10 @@ it read the grid's vertex batch, and the package matches them bit for
 bit.  Nothing in the package imports this module.  ``cesaro_coarsened``
 is the coarsened Cesaro loop on exact arrangements, which the package's
 Ulam-matrix loop matches to rounding and the mass that clipping drops
-from exact pushforwards.
+from exact pushforwards; ``cesaro_on_csr`` is that Ulam-matrix loop on
+scipy's CSR adjoint, as the package ran it before it read the matrix
+entries as arrays.  ``tent1d_dense`` is the interval oracle's overlap
+formula evaluated on every (source, target) pair at once, n^2 arrays.
 """
 
 import math
@@ -24,9 +27,12 @@ from tentstab import cli, geom2d
 from tentstab.density import (
     CesaroResult,
     PiecewisePolyDensity,
+    _grid_values,
     add_scaled,
+    build_ulam as octagon_ulam,
     l1_distance,
     push_forward,
+    stationary_masses,
 )
 from tentstab.errors import ResolutionTooLow
 from tentstab.geom2d import SNAP, affine_image, intersect
@@ -236,3 +242,45 @@ def cesaro_coarsened(m, f0, n_max, tol, coarsen):
     cells = tuple((poly, v / total) for poly, v in avg.cells)
     out = PiecewisePolyDensity(avg.region, cells, avg.signed)
     return CesaroResult(out, n, residual, residual < tol)
+
+
+def cesaro_on_csr(m, f0, n_max, tol, coarsen):
+    """cesaro_fixed_density with ``coarsen``, stepping v -> (M^T (v * areas))
+    / areas with M = build_ulam(m, coarsen).matrix as M.T.tocsr() @."""
+    op = octagon_ulam(m, coarsen)
+    areas = op.grid.cell_areas
+    adjoint = op.matrix.T.tocsr()
+    avg = cur = _grid_values(op.grid, f0)
+    n = 0
+    while True:
+        n += 1
+        residual = float(np.sum(np.abs((adjoint @ (avg * areas)) / areas - avg) * areas))
+        if residual < tol or n >= n_max:
+            break
+        cur = (adjoint @ (cur * areas)) / areas
+        avg = n / (n + 1.0) * avg + 1.0 / (n + 1.0) * cur
+    avg = PiecewisePolyDensity(f0.region, tuple(zip(op.grid.cells, avg.tolist())), f0.signed)
+    total = avg.mass()
+    cells = tuple((poly, v / total) for poly, v in avg.cells)
+    out = PiecewisePolyDensity(avg.region, cells, avg.signed)
+    return CesaroResult(out, n, residual, residual < tol)
+
+
+def tent1d_dense(a, n_cells, tol=1e-10, max_iter=20000):
+    """(matrix, fixed density, iterations, residual) of tent1d_ulam, with
+    the overlap of source cell i and the preimage of target cell j
+    computed for every (i, j) in (n_cells, n_cells) arrays."""
+    edges = np.array([-1.0 + 2.0 * k / n_cells for k in range(n_cells + 1)])
+    width = 2.0 / n_cells
+    lo, hi = edges[:-1, None], edges[1:, None]
+    c, d = edges[:-1], edges[1:]
+    pre_lo = np.maximum((c - 1.0) / a, -1.0)
+    pre_hi = np.minimum((d - 1.0) / a, 0.0)
+    ln = np.maximum(0.0, np.minimum(pre_hi, hi) - np.maximum(pre_lo, lo))
+    pre_lo = np.maximum((1.0 - d) / a, 0.0)
+    pre_hi = np.minimum((1.0 - c) / a, 1.0)
+    ln = ln + np.maximum(0.0, np.minimum(pre_hi, hi) - np.maximum(pre_lo, lo))
+    matrix = np.where(ln > 0.0, ln / width, 0.0)
+    lengths = np.full(n_cells, width)
+    p, iters, residual, _ = stationary_masses(matrix, lengths, tol, max_iter)
+    return matrix, p / lengths, iters, residual
