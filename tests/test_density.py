@@ -1193,7 +1193,9 @@ def _cells_digest(f) -> str:
 # (t, power, f0) -> for the pushforward iterates f_j, j = 1, 2, 3, of f0:
 # cell count, _cells_digest(f_j), variation(f_j), l1_distance(f_j, f_{j-1})
 # and _cells_digest(add_scaled(f_j, 0.75, f_{j-1}, -0.5)).  f0 is uniform
-# or 2 on LEFT_HALF (indicator_density), as lycheck's --f0 choices.
+# or 2 on LEFT_HALF (indicator_density), as lycheck's --f0 choices.  At
+# t = 0.999999 and 1 - 1.3e-9 many cells lie inside a tile only up to
+# rounding.
 REFINE_PINS = {
     (TAU, 1, "uniform"): (
         (2, '5da816499f7bcdc3eade', '0x1.5e9887884a91ap+2', '0x1.c8ef79b0a8ffcp-2', '631642f027ed9bd76772'),
@@ -1284,6 +1286,66 @@ REFINE_PINS = {
         (7, '33607b0cb5e0aef8b624', '0x1.537c70e3e5687p+2', '0x1.fb63b61c60cb3p-1', '286583d080130ef52a7f'),
         (33, '5b0077c3f39f53a0baeb', '0x1.756f3b9bc9346p+2', '0x1.06ca80cddd53bp-2', 'd15bb1e328298bcd525f'),
         (102, 'e022958777d140623c12', '0x1.958f118788ff1p+2', '0x1.2abb5f5a13366p-3', '5d3cc233f702ffa4f2a4'),
+    ),
+    (0.999999, 1, 'uniform'): (
+        (2, 'e844012cd7554f06bfb3', '0x1.3505077477234p+2', '0x1.0c6f713fc557ap-18', 'dec910dbadbf9cde20e9'),
+        (4, '042672195bb3ae685373', '0x1.350515c67480fp+2', '0x1.0c6f4e108bbeep-18', 'a8498eb71d2fbb6714ef'),
+        (7, '899e0e6cb5585df6e7e4', '0x1.350525d534a4cp+2', '0x1.0c6f4e10b7f3cp-18', '6b89112b4cecec06b1ae'),
+    ),
+    (0.999999, 1, 'lefthalf'): (
+        (2, 'e844012cd7554f06bfb3', '0x1.3505077477234p+2', '0x1.ffffbce41ae44p-1', '92cf5d028066caf3bd69'),
+        (4, '042672195bb3ae685373', '0x1.350515c67480fp+2', '0x1.0c6f4e108bbeep-18', 'a8498eb71d2fbb6714ef'),
+        (7, '899e0e6cb5585df6e7e4', '0x1.350525d534a4cp+2', '0x1.0c6f4e10b7f3cp-18', '6b89112b4cecec06b1ae'),
+    ),
+    (0.999999, 2, 'uniform'): (
+        (4, '6634d14cd892e8af7b11', '0x1.350515c674810p+2', '0x1.0c6f3c79352b4p-17', '76dfb79de68a004d5016'),
+        (11, '0e084031d479dfbb314b', '0x1.350534273e332p+2', '0x1.0c6e747f61f10p-17', '6b2481137e8502aeb39f'),
+        (33, '0637f03805851083bfcc', '0x1.3505b65bb7d5ap+2', '0x1.0c6e20191338bp-17', 'b3c072bdf1ab4bb3fd3c'),
+    ),
+    (0.999999, 2, 'lefthalf'): (
+        (4, '6634d14cd892e8af7b11', '0x1.350515c674810p+2', '0x1.ffffbce4144b4p-1', '915ce892225bf466242a'),
+        (11, '0e084031d479dfbb314b', '0x1.350534273e332p+2', '0x1.0c6e747f61f10p-17', '6b2481137e8502aeb39f'),
+        (33, '0637f03805851083bfcc', '0x1.3505b65bb7d5ap+2', '0x1.0c6e20191338bp-17', 'b3c072bdf1ab4bb3fd3c'),
+    ),
+    (0.999999, 3, 'uniform'): (
+        (7, 'c948567903ad0838cd6b', '0x1.350525d534a4ap+2', '0x1.92a68b8b6651ap-17', '485374e73f754caf0dd2'),
+        (29, '225b6ba949131f5bfc9d', '0x1.3505b150368a6p+2', '0x1.92a56968e3b01p-17', 'bb7194bc3fd6d6f6ebcf'),
+        (88, '55e453dca8f9c3473108', '0x1.3508735736266p+2', '0x1.92a1ceed80ab4p-17', '9f10b6c6bde07e67964b'),
+    ),
+    (0.999999, 3, 'lefthalf'): (
+        (7, '1ca2de79d3923fe2f111', '0x1.350525d534a4ap+2', '0x1.ffffffffee682p-1', '47063e1341d1d79e2bca'),
+        (29, '1ba9a852c6f6cafbe33f', '0x1.3505b150368a6p+2', '0x1.92a56968e3b03p-17', 'fb1e48ad197a38fd1854'),
+        (88, '13c0a43e3526d3d7585b', '0x1.3508735736266p+2', '0x1.92a1ceed80ab4p-17', '5799e5ebf46905fac84a'),
+    ),
+    (0.9999999987175887, 1, 'uniform'): (
+        (2, '8ccd515c1aabf4ab07ab', '0x1.3504f33a9febbp+2', '0x1.6081abf86a6cap-28', 'cc3fd30eb4eb4aeed248'),
+        (3, 'ed150a067d00c9ad0e21', '0x1.3504f33f53741p+2', '0x1.6081abdfc44d8p-28', '5ccad5e120c0f83b80f9'),
+        (4, '07135c7bc5c1957026bc', '0x1.3504f349de8b6p+2', '0x1.6081ab802561ap-28', '6e05e811f9f394a2fb76'),
+    ),
+    (0.9999999987175887, 1, 'lefthalf'): (
+        (2, '8ccd515c1aabf4ab07ab', '0x1.3504f33a9febbp+2', '0x1.ffffffe9f7e54p-1', 'e0b4020b8a0e0f603670'),
+        (3, 'ed150a067d00c9ad0e21', '0x1.3504f33f53741p+2', '0x1.6081abdfc44d8p-28', '5ccad5e120c0f83b80f9'),
+        (4, '07135c7bc5c1957026bc', '0x1.3504f349de8b6p+2', '0x1.6081ab802561ap-28', '6e05e811f9f394a2fb76'),
+    ),
+    (0.9999999987175887, 2, 'uniform'): (
+        (3, '009546b4881bb4986084', '0x1.3504f33f53741p+2', '0x1.6081ab9cec363p-27', '4d29646ba4726c24b313'),
+        (6, '80b6805d4d9ea31b334d', '0x1.3504f347ec066p+2', '0x1.6081ab6719c60p-27', 'b7ffa9cf6686f4da7d00'),
+        (8, '0db7f66b1db14feac86a', '0x1.3504f35370602p+2', '0x1.6081ab4ed5838p-27', '6874ebf90f807fadbdbd'),
+    ),
+    (0.9999999987175887, 2, 'lefthalf'): (
+        (3, '009546b4881bb4986084', '0x1.3504f33f53741p+2', '0x1.ffffffe9f7e54p-1', 'ca8314fde8dfb85381c6'),
+        (6, '80b6805d4d9ea31b334d', '0x1.3504f347ec066p+2', '0x1.6081ab6719c60p-27', 'b7ffa9cf6686f4da7d00'),
+        (8, '0db7f66b1db14feac86a', '0x1.3504f35370602p+2', '0x1.6081ab4ed5838p-27', '6874ebf90f807fadbdbd'),
+    ),
+    (0.9999999987175887, 3, 'uniform'): (
+        (5, '89d1efc30b08cfcb727e', '0x1.3504f340c07c4p+2', '0x1.13654e10d5d34p-26', '33c27a6a523c229abc28'),
+        (13, 'ad9b0909e3c376167530', '0x1.3504f3467fb4dp+2', '0x1.1204cc168c933p-26', '1d774b40e599273c24c9'),
+        (34, '523414e0f258cab28678', '0x1.59c9fcd23fcf7p+2', '0x1.15df67bd6c487p-26', '95b608697d787cb74e9e'),
+    ),
+    (0.9999999987175887, 3, 'lefthalf'): (
+        (5, '00d842001539a4a2739c', '0x1.3504f340c07c6p+2', '0x1.fffffff7bcf5ep-1', '06b9d4c694d93040d39e'),
+        (13, '13a3a7746c5343aa3da0', '0x1.3504f3467fb4fp+2', '0x1.1204cc168c934p-26', 'af047dfadc5c19ecc3f8'),
+        (34, 'f8dee6522c4c5f38429e', '0x1.59c9fcd23fcf8p+2', '0x1.15df677d6c48fp-26', '1528d4455ad5234f8b4b'),
     ),
     (1.0, 1, "uniform"): (
         (1, '57260648d9adc6d7739a', '0x1.3504f333f9de6p+2', '0x0.0p+0', '1fe64313bd614cab8382'),
