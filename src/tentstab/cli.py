@@ -295,7 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
             **kwargs,
         )
 
-    t = _flag(float, 1.0, "tent parameter", "in (0, 1]", lambda v: 0.0 < v <= 1.0)
+    # The map expands only where sqrt(2) t > 1; below, a density or an
+    # exponent would be computed for a map the theory does not cover.
+    t = _flag(
+        float,
+        1.0,
+        "tent parameter",
+        "in (1/sqrt(2), 1], where the map expands (sqrt(2) t > 1)",
+        lambda v: math.sqrt(2.0) * v > 1.0 and v <= 1.0,
+    )
     power = _flag(int, 1, "iterate the map this many times", ">= 1", lambda v: v >= 1)
     tol = _flag(
         float,

@@ -4,7 +4,9 @@ A density is a list of (convex cell, value) pairs tiling a region mod 0.
 The pushforward of such a density under a piecewise-affine map is again
 piecewise constant, and is computed exactly: branch images are overlaid
 into a common convex partition by iterated refinement, with contributions
-summed per overlay cell.  Variation, L^p norms, L1 distances and exact
+summed per overlay cell.  The refinement settles a cell that an
+octilinear tile contains on their octagon boxes, and clips only the cells
+a tile cuts.  Variation, L^p norms, L1 distances and exact
 Cesaro averaging are built on that arrangement.  The Ulam discretization
 and grid projections overlay octagons on a square grid in batched numpy,
 and coarsened Cesaro averaging runs on the Ulam matrix.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -126,6 +129,13 @@ def _refine(
     of the values of the tiles covering it (uncovered parts keep 0).  Cells
     are returned sorted by snapped centroid for deterministic downstream
     output.
+
+    The cells a tile may meet are found on boxes.  Where the tile is
+    octilinear, a cell whose octagon lies inside the tile's, grown by a
+    slack far below EPS_AREA, and whose area is well above EPS_AREA is
+    settled on the boxes alone: it takes the tile's value, as it would
+    after a _split that peels off only slivers.  Every other cell the tile
+    may meet is split.
     """
     # The arrangement is kept as cells, (vertices, area) pairs as _kept
     # returns them, and only the output cells become ConvexPolygons.
@@ -145,13 +155,48 @@ def _refine(
     height = -region_box[5] - region_box[1]
     margin = EPS_AREA / (4.0 * math.hypot(width, height))
     tiles = [(tile, tv) for tile, tv in tiles if not tile.is_empty and tv != 0.0]
-    tile_boxes = _boxes(*_batch([tile.vertices for tile, _ in tiles])) + margin
-    limits = -np.concatenate((tile_boxes[4:], tile_boxes[:4]))  # _meets's test, set up once
+    tile_boxes = _boxes(*_batch([tile.vertices for tile, _ in tiles]))
+    limits = -np.concatenate((tile_boxes[4:], tile_boxes[:4])) - margin  # _meets's test, set up once
+    # A cell C is settled on a tile T, without _split, when T is
+    # octilinear, its area within EPS_AREA / 4 of its octagon O(T)'s, and
+    # _held holds: each bound of C's octagon O(C) is within margin / 8 of
+    # T's (row k of grown holds T's bounds less margin / 8), and area(C)
+    # is above 2 EPS_AREA plus EPS_GEOM times the perimeter of C's box.
+    # Then, up to rounding:
+    # - What lies outside T's float half-planes lies in O(T) \ T, of area
+    #   at most EPS_AREA / 4, or in one of 8 strips O(C) ∩ {b - margin / 8
+    #   <= f < b} along T's bounds b, each at most margin / 8 wide across a
+    #   segment no longer than the region box's diagonal, of area EPS_AREA
+    #   / 4 together.
+    # - So every piece that _split peels off has area below EPS_AREA / 2,
+    #   and _kept drops it.
+    # - What clipping keeps has area above area(C) - EPS_AREA / 2.
+    #   _dedup's merges cut off at most EPS_GEOM times its perimeter, at
+    #   most that of C's box, so the rest has area above 1.5 EPS_AREA: no
+    #   clip comes back empty, and _kept keeps the intersection.
+    # So _split would return (cell ∩ T, ()), on which the cell keeps its
+    # vertices and takes T's value.  A cell T contains has area at most
+    # area(T) + EPS_AREA / 2, so only cells no larger than room are tested
+    # on boxes; room is -inf where T is not octilinear.
+    tile_areas = np.array([tile.area for tile, _ in tiles])
+    octilinear = np.abs(_area(_close(tile_boxes)) - tile_areas) <= EPS_AREA / 4.0
+    rooms = np.where(octilinear, tile_areas + EPS_AREA / 2.0, -math.inf).tolist()
+    grown = (tile_boxes - margin / 8.0).T
     for k, (tile, tv) in enumerate(tiles):
         hits = np.flatnonzero((boxes[:, : len(cells)] < limits[:, k, None]).all(axis=0)).tolist()
-        planes = tuple(tile.edge_halfplanes())
+        room = rooms[k]
+        bounds = planes = None
         for idx in hits:
-            inter, outside = _split(cells[idx], planes)
+            cell = cells[idx]
+            if cell[1] <= room:
+                if bounds is None:
+                    bounds = grown[k].tolist()
+                if _held(cell, boxes[:, idx].tolist(), bounds):
+                    values[idx] += tv
+                    continue
+            if planes is None:
+                planes = tile.edge_halfplanes()
+            inter, outside = _split(cell, planes)
             if inter is None:
                 continue
             values[idx] += tv
@@ -173,6 +218,16 @@ def _refine(
     cx, cy = _centroids(*_batch([verts for verts, _ in cells]), np.array([a for _, a in cells]))
     order = np.lexsort((np.rint(cy / SNAP), np.rint(cx / SNAP))).tolist()  # snap_key, stably
     return tuple((ConvexPolygon._clean(*cells[i]), values[i]) for i in order)
+
+
+def _held(cell, box, bounds) -> bool:
+    """Whether _refine settles a cell, with its _box, on a tile: each entry
+    of the box is at least the matching entry of bounds, the tile's _box
+    less the slack, and the cell's area is above 2 EPS_AREA plus EPS_GEOM
+    times the perimeter of its box."""
+    return all(map(operator.ge, box, bounds)) and (
+        cell[1] > 2.0 * EPS_AREA - 2.0 * EPS_GEOM * (box[0] + box[1] + box[4] + box[5])
+    )
 
 
 def push_forward(m: PiecewiseMap, f: PiecewisePolyDensity) -> PiecewisePolyDensity:
@@ -197,7 +252,7 @@ def push_forward(m: PiecewiseMap, f: PiecewisePolyDensity) -> PiecewisePolyDensi
             raise SingularMatrix(f"affine map with |det| = {abs(det)!r} is not a bijection")
         inv_jac = 1.0 / branch.jacobian_abs
         hits = np.flatnonzero(_meets(boxes, np.array(_box(branch.domain.vertices))[:, None]))
-        nx, ny, off = np.array(list(branch.domain.edge_halfplanes())).T[..., None, None]
+        nx, ny, off = np.array(branch.domain.edge_halfplanes()).T[..., None, None]
         outside = off - (nx * x[hits] + ny * y[hits]) < 0.0
         cut = (outside & corners[hits]).any(axis=(0, 2))
         for idx, clip in zip(live[hits].tolist(), cut.tolist()):

@@ -121,12 +121,15 @@ def _dedup(verts):
 
 
 def _shoelace(verts) -> float:
+    """Half the sum of x0 y1 - x1 y0 over the edges (v0, v1), ..., (vn-1,
+    v0), added in that order."""
     s = 0.0
-    n = len(verts)
-    for i in range(n):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % n]
+    x0, y0 = verts[0]
+    for x1, y1 in verts[1:]:
         s += x0 * y1 - x1 * y0
+        x0, y0 = x1, y1
+    x1, y1 = verts[0]
+    s += x0 * y1 - x1 * y0
     return 0.5 * s
 
 
@@ -214,11 +217,19 @@ class ConvexPolygon:
         for i in range(n):
             yield verts[i], verts[(i + 1) % n]
 
-    def edge_halfplanes(self) -> Iterator[tuple[float, float, float]]:
-        """Unnormalized (nx, ny, offset) with interior = {n . p <= offset}."""
-        for (ax, ay), (bx, by) in self.edges():
+    def edge_halfplanes(self) -> list[tuple[float, float, float]]:
+        """Unnormalized (nx, ny, offset) with interior = {n . p <= offset},
+        one per edge in edges() order."""
+        verts = self.vertices
+        planes = []
+        if not verts:
+            return planes
+        ax, ay = verts[0]
+        for bx, by in verts[1:] + verts[:1]:
             dx, dy = bx - ax, by - ay
-            yield (dy, -dx, dy * ax - dx * ay)
+            planes.append((dy, -dx, dy * ax - dx * ay))
+            ax, ay = bx, by
+        return planes
 
     def contains(self, p, tol: float = EPS_GEOM) -> bool:
         """True if p lies in the polygon, inflated by tol (a distance).
@@ -294,19 +305,19 @@ def _clip_verts(verts, nx: float, ny: float, off: float):
     sides of a complementary pair of half-planes, and the crossing point
     for (n, off) and (-n, -off) is bitwise identical.
     """
-    n = len(verts)
-    if n == 0:
+    if not verts:
         return ()
     out = []
     px, py = verts[-1]
     dprev = off - (nx * px + ny * py)
-    for cx, cy in verts:
+    for vertex in verts:
+        cx, cy = vertex
         d = off - (nx * cx + ny * cy)
         if d >= 0.0:
             if dprev < 0.0:
                 t = dprev / (dprev - d)
                 out.append((px + t * (cx - px), py + t * (cy - py)))
-            out.append((cx, cy))
+            out.append(vertex)
         elif dprev >= 0.0:
             t = dprev / (dprev - d)
             out.append((px + t * (cx - px), py + t * (cy - py)))

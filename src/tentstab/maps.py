@@ -22,8 +22,12 @@ from .geom2d import matrix_norms, _area, _close, _image_plan, _inradii, _measure
 from .geom2d import _octagons, _polygons, _vertices
 from .ioutil import fmt, json_number
 
-# Smallest tent parameter for which the cubed map keeps its full
-# eight-branch smoothness partition: (1/sqrt(2)) * (sqrt(2)+1)^(1/4).
+# Lower end of the tent parameters that the sweeps, the benchmark and the
+# tests work over, (1/sqrt(2)) * (sqrt(2)+1)^(1/4): the interval the
+# two-dimensional tent family is studied on.  It does not bound the cube's
+# branch count: tent_power(t, 3) has eight branches at 60 points of
+# [0.7072, 1], every t with sqrt(2) t > 1 that was checked, and four at
+# t = 0.70 (tests/test_maps.py).
 TENT_T_MIN = math.sqrt(math.sqrt(math.sqrt(2.0) + 1.0)) / math.sqrt(2.0)
 
 MAX_CELLS = 10**6  # hard budget for branches, grid squares and arrangement cells

@@ -1,23 +1,27 @@
-"""The arrangement refinement as it ran with a uniform-bin cell index, and
-the variation sweep as it ran edge by edge: the references the package's
+"""The arrangement refinement as it ran with a uniform-bin cell index and
+as it ran with a box test and a _split for every hit, and the variation
+sweep as it ran edge by edge: the references the package's
 ``density._refine``, ``density._split`` and ``density.variation`` must
 match bit for bit.
 
 ``refine`` finds a tile's candidate cells in a 48 x 48 grid of bins over
 the region's bounding box, keeps those whose bounding box overlaps the
 tile's, and splits each with ``split``, which clips the kept side by every
-tile plane and peels an outside piece off every plane.  ``variation``
-groups the edges by line in a dict and sorts each line's events.  Tests
-compare the package with these loops; nothing in the package imports this
-module.
+tile plane and peels an outside piece off every plane.  ``refine_on_boxes``
+finds them by comparing octagon boxes and splits every one of them with
+``density._split``, also the cells a tile contains.  ``variation`` groups
+the edges by line in a dict and sorts each line's events.  Tests compare
+the package with these loops; nothing in the package imports this module.
 """
 
 import math
 from typing import Iterable
 
+import numpy as np
+
 from tentstab import density, geom2d
 from tentstab.errors import CellExplosion
-from tentstab.geom2d import EMPTY, SNAP, ConvexPolygon, snap_key
+from tentstab.geom2d import EMPTY, EPS_AREA, SNAP, ConvexPolygon, snap_key
 
 
 def split(poly: ConvexPolygon, planes):
@@ -123,6 +127,52 @@ def refine(
                     f"overlay arrangement exceeded {density.MAX_CELLS} cells"
                 )
     cells = sorted(zip(store.polys, store.values), key=lambda cv: snap_key(cv[0].centroid()))
+    return tuple(cells)
+
+
+def refine_on_boxes(
+    region: ConvexPolygon,
+    tiles: Iterable[tuple[ConvexPolygon, float]],
+) -> tuple[tuple[ConvexPolygon, float], ...]:
+    """density._refine with no cell settled on boxes: every cell whose
+    boxes meet a tile's, shrunk by the margin, goes through _split."""
+    cells = [(region.vertices, region.area)]
+    values = [0.0]
+    boxes = np.empty((8, 64))
+    boxes[:, 0] = region_box = geom2d._box(region.vertices)
+    width = -region_box[4] - region_box[0]
+    height = -region_box[5] - region_box[1]
+    margin = EPS_AREA / (4.0 * math.hypot(width, height))
+    tiles = [(tile, tv) for tile, tv in tiles if not tile.is_empty and tv != 0.0]
+    tile_boxes = geom2d._boxes(*geom2d._batch([tile.vertices for tile, _ in tiles])) + margin
+    limits = -np.concatenate((tile_boxes[4:], tile_boxes[:4]))
+    for k, (tile, tv) in enumerate(tiles):
+        hits = np.flatnonzero((boxes[:, : len(cells)] < limits[:, k, None]).all(axis=0)).tolist()
+        planes = tuple(tile.edge_halfplanes())
+        for idx in hits:
+            inter, outside = density._split(cells[idx], planes)
+            if inter is None:
+                continue
+            values[idx] += tv
+            if not outside:
+                continue
+            cells[idx] = inter
+            boxes[:, idx] = geom2d._box(inter[0])
+            value = values[idx] - tv
+            for piece in outside:
+                if len(cells) == boxes.shape[1]:
+                    boxes = np.concatenate([boxes, np.empty_like(boxes)], axis=1)
+                boxes[:, len(cells)] = geom2d._box(piece[0])
+                cells.append(piece)
+                values.append(value)
+            if len(cells) > density.MAX_CELLS:
+                raise CellExplosion(
+                    f"overlay arrangement exceeded {density.MAX_CELLS} cells"
+                )
+    cells = sorted(
+        ((ConvexPolygon._clean(*cell), v) for cell, v in zip(cells, values)),
+        key=lambda cv: snap_key(cv[0].centroid()),
+    )
     return tuple(cells)
 
 

@@ -374,6 +374,32 @@ class TestInputContracts:
     @pytest.mark.parametrize(
         "args",
         [
+            ["verify", "--t", "0.5"],
+            ["density", "--t", "0.7", "--resolution", "16"],
+            ["lycheck", "--t", "0.7071067811865475", "--power", "3"],
+            ["orbit", "--t", "0.5"],
+        ],
+    )
+    def test_t_outside_the_expanding_range_exits_1(self, tmp_path, capsys, args):
+        # These exited 0: verify with three FAIL verdicts, density with a
+        # density peaking at 38.87, orbit with a Lyapunov exponent of
+        # -0.35.  1/sqrt(2) rounds to 0.7071067811865475, and sqrt(2)
+        # times it is not above 1.
+        out = tmp_path / "x.out"
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --t: ") and err.count("\n") == 1
+        assert "(1/sqrt(2), 1]" in err and "sqrt(2) t > 1" in err
+        assert not out.exists()
+
+    def test_t_just_inside_the_expanding_range_runs(self, tmp_path):
+        out = tmp_path / "x.out"
+        assert main(["orbit", "--t", "0.7071067811865476", "--n", "100", "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
             ["density", "--resolution", "100000"],
             ["sweep", "--tmin", "0.95", "--tmax", "0.99", "--resolution", "100000"],
         ],

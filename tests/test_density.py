@@ -1579,8 +1579,12 @@ def test_push_forward_intersects_only_cells_whose_boxes_meet_a_domain(monkeypatc
 def test_lycheck_chain_matches_the_bin_index_oracle(monkeypatch, t, start, cells):
     # lycheck's arrangement at power 3: pushforward iterates 1..5, and the
     # cell count of iterate 5.  Near t = 1 many cells lie inside a tile
-    # only up to rounding, and at 0.999999 taking them for inside changes
-    # bits.
+    # only up to rounding.  _refine takes a cell for inside on boxes only
+    # within margin / 8 of an octilinear tile's bounds: what lies outside
+    # the tile is then below EPS_AREA, and _split would drop it.  A slack
+    # of EPS_GEOM is not safe, since a sliver 9e-10 wide outside the tile
+    # can have area above EPS_AREA (the explicit example of
+    # test_refine_matches_refine_on_boxes).
     m = tent_power(t, 3)
     got = [_start(m, start)]
     for _ in range(5):
@@ -1593,6 +1597,128 @@ def test_lycheck_chain_matches_the_bin_index_oracle(monkeypatch, t, start, cells
     for g, w in zip(got[1:], want[1:]):
         assert _same_arrangement(g.cells, w.cells)
         assert [c.area.hex() for c, _ in g.cells] == [c.area.hex() for c, _ in w.cells]
+
+
+def _hex_cells(cells) -> list:
+    """float.hex of every vertex coordinate, area and value, cell by cell."""
+    return [
+        ([c.hex() for p in poly.vertices for c in p], poly.area.hex(), v.hex())
+        for poly, v in cells
+    ]
+
+
+def _checked(refine, calls: list):
+    """refine, with every call compared with refine_oracle.refine_on_boxes
+    by _hex_cells and its tile count appended to calls."""
+
+    def checked(region, tiles):
+        tiles = list(tiles)
+        got = refine(region, tiles)
+        assert _hex_cells(got) == _hex_cells(refine_oracle.refine_on_boxes(region, tiles))
+        calls.append(len(tiles))
+        return got
+
+    return checked
+
+
+@pytest.mark.parametrize("t", [TENT_T_MIN, 0.9, 0.999999, 0.9999999987175887, 1.0])
+@pytest.mark.parametrize("pw", [1, 2, 3, 4])
+def test_lycheck_chains_match_refine_on_boxes(monkeypatch, t, pw):
+    # Every _refine of lycheck's chains from both starts, iterates 1..5
+    # (1..4 at power 4), and of the signed overlays of consecutive
+    # iterates that lycheck's L1 distances and REFINE_PINS take.
+    calls = []
+    monkeypatch.setattr(D, "_refine", _checked(D._refine, calls))
+    m = tent_power(t, pw)
+    for start in ("uniform", "lefthalf"):
+        f = _start(m, start)
+        for _ in range(5 if pw < 4 else 4):
+            g = D.push_forward(m, f)
+            D.l1_distance(g, f)
+            D.add_scaled(g, 0.75, f, -0.5)
+            f = g
+    assert len(calls) >= 10
+
+
+def _turned(poly, degrees):
+    """poly rotated by degrees about (1, 0.5)."""
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    return ConvexPolygon(
+        [(1.0 + c * (x - 1.0) - s * (y - 0.5), 0.5 + s * (x - 1.0) + c * (y - 0.5)) for x, y in poly.vertices]
+    )
+
+
+@st.composite
+def lattice_octagons(draw):
+    """Octagons on the 1/8 lattice over [0, 2] x [0, 1]: a box with its
+    corners cut along x + y and x - y lines, some cuts of depth 0."""
+    xl, xh = sorted(draw(st.lists(st.integers(0, 16), min_size=2, max_size=2, unique=True)))
+    yl, yh = sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2, unique=True)))
+    c = draw(st.lists(st.integers(0, min(xh - xl, yh - yl) // 2), min_size=4, max_size=4))
+    corners = [
+        (xl + c[0], yl), (xh - c[1], yl), (xh, yl + c[1]), (xh, yh - c[2]),
+        (xh - c[2], yh), (xl + c[3], yh), (xl, yh - c[3]), (xl, yl + c[0]),
+    ]
+    return ConvexPolygon([(i / 8, j / 8) for i, j in corners])
+
+
+@given(
+    tiles=st.lists(
+        st.tuples(
+            st.one_of(lattice_octagons(), lattice_polygons(), st.just(OFF_LATTICE_QUAD)),
+            st.sampled_from([1.0, -0.5, 0.1, 1.0 / 3.0, -2.0, 0.0]),
+            st.sampled_from([0.0, 0.0, 30.0]),
+            st.sampled_from([(0.0, 0.0), (0.0, 0.0), (1e-14, 0.0), (9e-10, 0.0), (0.0, 9e-10), (6e-10, 6e-10)]),
+        ),
+        min_size=1,
+        max_size=7,
+    ),
+    scale=st.sampled_from([1.0, 0.9, TENT_T_MIN]),
+)
+@settings(max_examples=300, deadline=None)
+@example(  # the moved box peels a sliver 9e-10 high and 1.125 long off the first box's cell
+    tiles=[(box(0.0, 0.0, 1.125, 0.25), 1.0, 0.0, (0.0, 0.0)), (box(0.0, 0.0, 1.125, 0.25), 1.0, 0.0, (0.0, 9e-10))],
+    scale=1.0,
+)
+def test_refine_matches_refine_on_boxes(tiles, scale):
+    """_refine against the refinement that splits every hit.  Lattice
+    tiles contain cells exactly (scale 1) and to rounding (the scaled
+    copies); a tile moved by 1e-14 contains them within the slack, and one
+    moved by 9e-10 in x or y, or by 6e-10 in both, cuts off slivers that
+    _kept keeps.  OFF_LATTICE_QUAD, most lattice hulls and the tiles
+    turned by 30 degrees are not octilinear, and every cell they meet is
+    split."""
+    region = _scaled(TRIANGLE_T, scale)
+    tiles = [
+        (_scaled(_turned(ConvexPolygon([(x + dx, y + dy) for x, y in tile.vertices]), turn), scale), v)
+        for tile, v, turn, (dx, dy) in tiles
+    ]
+    got = D._refine(region, tiles)
+    assert _hex_cells(got) == _hex_cells(refine_oracle.refine_on_boxes(region, tiles))
+
+
+@pytest.mark.parametrize("factor", [0.6, 0.999, 1.001, 2.0])
+def test_refine_settles_a_contained_cell_only_above_the_area_floor(monkeypatch, factor):
+    # A cell w wide and h high, then a box that contains it.  _held's
+    # floor for the cell is 2 EPS_AREA + 2 EPS_GEOM (w + h), and at factor
+    # 1 its area w h is on it.  Below it the cell is split.
+    h = 0.01
+    w = factor * (2.0 * EPS_AREA + 2.0 * EPS_GEOM * h) / (h - 2.0 * EPS_GEOM)
+    tiles = [(box(0.7, 0.1, 0.7 + w, 0.1 + h), 1.0), (box(0.5, 0.05, 1.0, 0.2), -0.5)]
+    want = refine_oracle.refine_on_boxes(TRIANGLE_T, tiles)
+    split = D._split
+    small = []
+
+    def recording_split(cell, planes):
+        if cell[1] < 1e-9:
+            small.append(cell)
+        return split(cell, planes)
+
+    monkeypatch.setattr(D, "_split", recording_split)
+    got = D._refine(TRIANGLE_T, tiles)
+    assert _hex_cells(got) == _hex_cells(want)
+    assert [v for poly, v in got if poly.area < 1e-9] == [0.5]
+    assert len(small) == (factor < 1.0)
 
 
 @pytest.mark.xfail(
@@ -1615,9 +1741,11 @@ def test_split_calls_on_the_lycheck_arrangements(monkeypatch):
     # strict box overlap alone _split ran 10,429 times, and 2,854 calls
     # came out Empty: their cell and tile boxes overlapped by at most
     # 6.0e-14, below the margin _refine shrinks tile boxes by.  (7,575
-    # calls on the domains that maps.power built by clipping.)
-    split = D._split
-    calls = empty = 0
+    # calls on the domains that maps.power built by clipping.)  Splitting
+    # every other hit made 7,675 calls; the cells a tile contains are now
+    # settled on boxes instead, each where _held returns True.
+    split, held = D._split, D._held
+    calls = empty = settled = 0
 
     def counting_split(cell, planes):
         nonlocal calls, empty
@@ -1626,13 +1754,21 @@ def test_split_calls_on_the_lycheck_arrangements(monkeypatch):
         empty += inter is None
         return inter, pieces
 
+    def counting_held(cell, box, bounds):
+        nonlocal settled
+        settles = held(cell, box, bounds)
+        settled += settles
+        return settles
+
     monkeypatch.setattr(D, "_split", counting_split)
+    monkeypatch.setattr(D, "_held", counting_held)
     for t, start in ((0.94187, "uniform"), (0.94187, "lefthalf"), (0.9, "uniform"), (0.99, "lefthalf")):
         m = tent_power(t, 3)
         f = _start(m, start)
         for _ in range(4):
             f = D.push_forward(m, f)
-    assert (calls, empty) == (7675, 0)
+    assert (calls, empty) == (1899, 0)
+    assert calls + settled == 7675
 
 
 def test_push_forward_builds_polygons_only_for_its_output(monkeypatch):

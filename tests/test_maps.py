@@ -125,6 +125,14 @@ class TestPower:
         m = make_tent2d(t)
         assert tuple(len(power(m, n).branches) for n in range(1, 9)) == counts
 
+    def test_cube_has_eight_branches_across_the_expanding_range(self):
+        # TENT_T_MIN does not bound the cube's branch count: it has 8
+        # branches at 60 points of [0.7072, 1], all with sqrt(2) t > 1,
+        # and 4 at t = 0.70, below the expanding range.
+        ts = np.linspace(0.7072, 1.0, 60)
+        assert {len(tent_power(float(t), 3).branches) for t in ts} == {8}
+        assert len(tent_power(0.70, 3).branches) == 4
+
     @pytest.mark.parametrize("t", [TAU, 0.9, 0.95, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_partition_closure(self, t, n):
