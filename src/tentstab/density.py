@@ -4,12 +4,13 @@ A density is a list of (convex cell, value) pairs tiling a region mod 0.
 The pushforward of such a density under a piecewise-affine map is again
 piecewise constant, and is computed exactly: branch images are overlaid
 into a common convex partition by iterated refinement, with contributions
-summed per overlay cell.  The refinement settles a cell that an
-octilinear tile contains on their octagon boxes, and clips only the cells
-a tile cuts.  Variation, L^p norms, L1 distances and exact
-Cesaro averaging are built on that arrangement.  The Ulam discretization
-and grid projections overlay octagons on a square grid in batched numpy,
-and coarsened Cesaro averaging runs on the Ulam matrix.
+summed per overlay cell.  The pushforward and the refinement find the
+cells a domain or tile may meet with one box test and clip them on one
+path, geom2d._cut; the refinement settles a cell that an octilinear tile
+contains on their octagon boxes.  Variation, L^p norms, L1 distances and
+exact Cesaro averaging are built on that arrangement.  The Ulam
+discretization and grid projections overlay octagons on a square grid in
+batched numpy, and coarsened Cesaro averaging runs on the Ulam matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import geom2d
 from .errors import CellExplosion, ParameterOutOfRange, RegionMismatch, ResolutionTooLow
 from .errors import SingularMatrix, ZeroVariation
 from .geom2d import EPS_AREA, EPS_GEOM, OVERLAY_CHUNK, SNAP, ConvexPolygon, intersect, ordered_sum
-from .geom2d import _area, _batch, _box, _boxes, _centroids, _close, _image_plan, _kept, _meets
+from .geom2d import _area, _batch, _box, _boxes, _centroids, _close, _cut, _image_plan, _kept
 from .geom2d import _mapped, _octagons, _polygons, _sequential_sum, _vertices, snap_key
 from .maps import MAX_CELLS, PiecewiseMap
 
@@ -78,39 +79,24 @@ def _split(cell, planes):
     a convex clipper given as its edge half-planes: (cell ∩ clipper, the
     convex pieces of cell \\ clipper), as cells.
 
-    Peeling the complement edge by edge keeps every piece convex and makes
-    the piece areas sum to the cell's area to floating-point accuracy,
-    because each step clips against a line and its exact complement.  The
-    kept side is clipped first, and the outside pieces are clipped and
-    merged only once the intersection is known to be nonempty: when it is
-    Empty, the result is (None, ()), since no caller has a use for the
-    pieces.
-
-    Only the planes that cut are clipped: a plane with no vertex of the
-    current vertex list outside it, by the clip's own sign test, would
-    return that list unchanged, and its outside piece would be at most a
-    segment on its line, which _kept empties.  So a cell inside the
-    clipper costs no clip and comes back as (cell, ()), and a cell cut by
-    one plane costs two.
+    geom2d._cut clips the kept side by the planes that cut it.  Then the
+    complement is peeled off edge by edge, one piece per cut, from the
+    vertex list that cut had: each piece is convex, and the pieces' areas
+    sum to the cell's to floating-point accuracy, because each step clips
+    against a line and its exact complement.  A plane that does not cut
+    would peel off at most a segment on its line, which _kept empties.
+    So a cell inside the clipper costs no clip and comes back as (cell,
+    ()), and a cell cut by one plane costs two.  The pieces are made only
+    once the intersection is known to be nonempty: when it is Empty, the
+    result is (None, ()), since no caller has a use for them.
     """
-    clip = geom2d._clip_verts
-    verts = cell[0]
-    cuts = []
-    for nx, ny, off in planes:
-        for x, y in verts:
-            if off - (nx * x + ny * y) < 0.0:
-                break
-        else:
-            continue
-        cuts.append((nx, ny, off, verts))
-        verts = clip(verts, nx, ny, off)
-        if not verts:
-            return None, ()
+    verts, cuts = _cut(cell[0], planes)
     if not cuts:
         return cell, ()
     inter = _kept(verts)
     if inter is None:
         return None, ()
+    clip = geom2d._clip_verts
     pieces = []
     for nx, ny, off, rest in cuts:
         piece = _kept(clip(rest, -nx, -ny, -off))
@@ -141,22 +127,13 @@ def _refine(
     # returns them, and only the output cells become ConvexPolygons.
     cells = [(region.vertices, region.area)]
     values = [0.0]
-    # Column i holds _box(cells[i][0]); a cell that _meets rejects would
-    # have come back from _split as (None, ()).
+    # Column i holds _box(cells[i][0]); a cell that the box test of
+    # _limits rejects would have come back from _split as (None, ()).
     boxes = np.empty((8, 64))
-    boxes[:, 0] = region_box = _box(region.vertices)
-    # Each tile's boxes are shrunk by margin on every side.  Where the x,
-    # y, x + y or x - y ranges of a cell and a tile overlap by less than
-    # margin, cell ∩ tile lies in a strip that narrow across the region's
-    # box, of area below EPS_AREA / 4, and _split returns (None, ()).  A
-    # nonempty cell ∩ tile has area at least EPS_AREA, so each of its
-    # ranges is at least 4 margins wide and it is never skipped.
-    width = -region_box[4] - region_box[0]
-    height = -region_box[5] - region_box[1]
-    margin = EPS_AREA / (4.0 * math.hypot(width, height))
+    boxes[:, 0] = _box(region.vertices)
     tiles = [(tile, tv) for tile, tv in tiles if not tile.is_empty and tv != 0.0]
     tile_boxes = _boxes(*_batch([tile.vertices for tile, _ in tiles]))
-    limits = -np.concatenate((tile_boxes[4:], tile_boxes[:4])) - margin  # _meets's test, set up once
+    margin, limits = _limits(region, tile_boxes)
     # A cell C is settled on a tile T, without _split, when T is
     # octilinear, its area within EPS_AREA / 4 of its octagon O(T)'s, and
     # _held holds: each bound of C's octagon O(C) is within margin / 8 of
@@ -230,34 +207,51 @@ def _held(cell, box, bounds) -> bool:
     )
 
 
+def _limits(region: ConvexPolygon, tile_boxes: np.ndarray) -> tuple[float, np.ndarray]:
+    """(margin, limits) of the box test for the cells of a partition of
+    region that tiles with these _box columns may meet: a cell's column c
+    passes for tile k where c < limits[:, k] in every entry, that is, where
+    its boxes overlap the tile's, shrunk by margin, strictly.
+
+    margin is EPS_AREA / (4 times the diagonal of region's box).  Where an
+    x, y, x + y or x - y range of a cell overlaps the tile's by less,
+    cell ∩ tile lies in a strip that narrow across the region's box, of
+    area below EPS_AREA / 4, which _kept empties.  A nonempty cell ∩ tile
+    has area at least EPS_AREA, so each of its ranges is at least 4
+    margins wide and the test keeps it.
+    """
+    region_box = _box(region.vertices)
+    width = -region_box[4] - region_box[0]
+    height = -region_box[5] - region_box[1]
+    margin = EPS_AREA / (4.0 * math.hypot(width, height))
+    return margin, -np.concatenate((tile_boxes[4:], tile_boxes[:4])) - margin
+
+
 def push_forward(m: PiecewiseMap, f: PiecewisePolyDensity) -> PiecewisePolyDensity:
     """Exact pushforward of f under m.
 
     Each branch maps each cell piece affinely and scales its value by the
     inverse Jacobian; the resulting image tiles are overlaid into a common
     partition of the region with contributions summed where images overlap.
-    A cell whose boxes meet a domain's is intersected with it only when a
-    cell vertex fails a domain edge by _clip_verts' own sign test; else
-    every clip would keep its vertex list, and the cell is its own piece.
+    The cells that may meet a branch domain are found by _refine's box
+    test (_limits), and each is intersected with the domain: intersect
+    clips only by the domain edges that cut it, and returns a cell inside
+    the domain as it is.
     """
     _check_same_region(f.region, m.region)
     live = np.flatnonzero(np.array([v != 0.0 for _, v in f.cells], bool) & (f.batch[2] > 0))
-    x, y, n = (a[live] for a in f.batch)
-    boxes = _boxes(x, y, n)
-    corners = np.arange(x.shape[1]) < n[:, None]
+    boxes = _boxes(*(a[live] for a in f.batch))
+    _, limits = _limits(f.region, np.array([_box(br.domain.vertices) for br in m.branches]).T)
     tiles = []
-    for branch in m.branches:
+    for k, branch in enumerate(m.branches):
         det = branch.map.linear.det()
         if abs(det) <= EPS_GEOM:
             raise SingularMatrix(f"affine map with |det| = {abs(det)!r} is not a bijection")
         inv_jac = 1.0 / branch.jacobian_abs
-        hits = np.flatnonzero(_meets(boxes, np.array(_box(branch.domain.vertices))[:, None]))
-        nx, ny, off = np.array(branch.domain.edge_halfplanes()).T[..., None, None]
-        outside = off - (nx * x[hits] + ny * y[hits]) < 0.0
-        cut = (outside & corners[hits]).any(axis=(0, 2))
-        for idx, clip in zip(live[hits].tolist(), cut.tolist()):
+        hits = np.flatnonzero((boxes < limits[:, k, None]).all(axis=0))
+        for idx in live[hits].tolist():
             poly, v = f.cells[idx]
-            piece = intersect(poly, branch.domain) if clip else poly
+            piece = intersect(poly, branch.domain)
             if piece.is_empty:
                 continue
             kept = _mapped(branch.map, piece.vertices)  # affine_image on vertex tuples
@@ -584,10 +578,12 @@ class DensityVector:
     converged: bool = True
 
 
-def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
+def build_ulam(m: PiecewiseMap, grid: UlamGrid | int) -> UlamOperator:
     """Ulam matrix: entry (i, j) = m(cell_i ∩ map^-1(cell_j)) / m(cell_i).
 
-    Preimage measures are computed on the image side, on octagons:
+    grid is a grid over m.region, or the resolution of the grid to build
+    once the branches have passed the octagon checks.  Preimage measures
+    are computed on the image side, on octagons:
     area(branch_image(cell_i ∩ R_b) ∩ cell_j) / |J_b| for each branch b.
     Every overlap above rounding noise is kept, so as the map sends the
     region into itself, a row sums to the share of its cell that the
@@ -597,12 +593,6 @@ def build_ulam(m: PiecewiseMap, resolution: int) -> UlamOperator:
     NotOctilinear, before the grid is built, where a branch domain or
     linear part leaves the directions x, y, x + y and x - y.
     """
-    return _build_ulam(m, resolution)
-
-
-def _build_ulam(m: PiecewiseMap, grid: UlamGrid | int) -> UlamOperator:
-    """build_ulam on a grid over m.region, or on the grid of that
-    resolution, built once the branches have passed the octagon checks."""
     import scipy.sparse as sp
 
     grid, indptr, cols, data = _ulam_entries(m, grid)
@@ -615,7 +605,7 @@ def _build_ulam(m: PiecewiseMap, grid: UlamGrid | int) -> UlamOperator:
 
 
 def _ulam_entries(m: PiecewiseMap, grid: UlamGrid | int):
-    """(grid, indptr, cols, data): _build_ulam's grid and its matrix as CSR
+    """(grid, indptr, cols, data): build_ulam's grid and its matrix as CSR
     arrays before duplicate (row, column) entries are summed, one entry
     for each overlap of a cell's image under a branch with a cell.  The
     octagon checks, overlays and ResolutionTooLow check; no scipy."""

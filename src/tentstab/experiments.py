@@ -19,7 +19,7 @@ from . import maps as maps_mod
 from .density import (
     PiecewisePolyDensity,
     UlamGrid,
-    _build_ulam,
+    build_ulam,
     lp_norm,
     push_forward,
     stationary_masses,
@@ -112,11 +112,11 @@ def stability_sweep(
             )
     m0 = tent_power(t0, power)
     grid = UlamGrid.build(m0.region, resolution)
-    h0 = ulam_fixed(_build_ulam(m0, grid), tol, max_iter)
+    h0 = ulam_fixed(build_ulam(m0, grid), tol, max_iter)
     moments0 = _density_moments(grid, h0.values)
     rows = []
     for t in sorted(ts):
-        h = ulam_fixed(_build_ulam(tent_power(t, power), grid), tol, max_iter)
+        h = ulam_fixed(build_ulam(tent_power(t, power), grid), tol, max_iter)
         l1 = float(np.abs(h.values - h0.values) @ grid.cell_areas)
         moments = _density_moments(grid, h.values)
         gaps = {name: abs(moments[name] - moments0[name]) for name in TEST_FUNCTIONS}

@@ -10,7 +10,9 @@ every function is pure, so values can be shared freely across threads.
 Clipping predicates use exact floating-point sign tests (no epsilon), which
 makes a polygon and its complement split against the same line bitwise
 consistent; tolerances enter only when merging near-coincident vertices
-(EPS_GEOM) and when normalizing slivers to Empty (EPS_AREA).
+(EPS_GEOM) and when normalizing slivers to Empty (EPS_AREA).  One routine,
+_cut, clips a vertex list by a convex clipper's half-planes for both
+intersect and density._split, skipping the half-planes that do not cut it.
 """
 
 from __future__ import annotations
@@ -154,45 +156,36 @@ class ConvexPolygon:
     ``EMPTY`` singleton.  Vertices are plain (x, y) float pairs.
     """
 
-    # _edge_data stays unset until contains needs it: most polygons are
-    # never asked, and setting it in every constructor cost about 3% of
-    # run_s on the benchmark's exact workload.
-    __slots__ = ("vertices", "_area", "_edge_data")
+    __slots__ = ("vertices", "_area")
 
-    def __init__(self, vertices: Iterable = (), validate: bool = True):
+    def __init__(self, vertices: Iterable = ()):
         kept = _kept([(float(p[0]), float(p[1])) for p in vertices])
         verts, area = kept if kept else ((), 0.0)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "_area", area)
-        if validate and verts:
-            for v in verts:
-                if not (math.isfinite(v[0]) and math.isfinite(v[1])):
-                    raise InvalidPolygon(f"non-finite vertex {v}")
-            n = len(verts)
-            for i in range(n):
-                ax, ay = verts[i]
-                bx, by = verts[(i + 1) % n]
-                cx, cy = verts[(i + 2) % n]
-                cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-                if cross < -EPS_GEOM:
-                    raise InvalidPolygon(
-                        "vertices must be convex in counter-clockwise order "
-                        f"(cross product {cross!r} at vertex {i})"
-                    )
+        for v in verts:
+            if not (math.isfinite(v[0]) and math.isfinite(v[1])):
+                raise InvalidPolygon(f"non-finite vertex {v}")
+        n = len(verts)
+        for i in range(n):
+            ax, ay = verts[i]
+            bx, by = verts[(i + 1) % n]
+            cx, cy = verts[(i + 2) % n]
+            cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            if cross < -EPS_GEOM:
+                raise InvalidPolygon(
+                    "vertices must be convex in counter-clockwise order "
+                    f"(cross product {cross!r} at vertex {i})"
+                )
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexPolygon is immutable")
 
     @staticmethod
-    def _wrap(verts) -> "ConvexPolygon":
-        """Fast constructor for vertices already known convex CCW."""
-        return ConvexPolygon(verts, validate=False)
-
-    @staticmethod
     def _clean(verts: tuple, area: float) -> "ConvexPolygon":
-        """Constructor for vertices that _wrap keeps as they are (merged,
-        convex CCW, above EPS_AREA), given with their area, as _kept
-        returns them."""
+        """Constructor, without checks, for vertices that _kept keeps as
+        they are (merged, convex CCW, above EPS_AREA), given with their
+        area, as _kept returns them."""
         poly = object.__new__(ConvexPolygon)
         object.__setattr__(poly, "vertices", verts)
         object.__setattr__(poly, "_area", area)
@@ -239,17 +232,10 @@ class ConvexPolygon:
         """
         if not self.vertices:
             return False
-        try:
-            edges = self._edge_data
-        except AttributeError:  # first call: (ax, ay, dx, dy, |d|) per edge
-            edges = tuple(
-                (ax, ay, bx - ax, by - ay, math.hypot(bx - ax, by - ay))
-                for (ax, ay), (bx, by) in self.edges()
-            )
-            object.__setattr__(self, "_edge_data", edges)
         px, py = p[0], p[1]
-        for ax, ay, dx, dy, h in edges:
-            if not (dx * (py - ay) - dy * (px - ax) >= -tol * h):
+        for (ax, ay), (bx, by) in self.edges():
+            dx, dy = bx - ax, by - ay
+            if not (dx * (py - ay) - dy * (px - ax) >= -tol * math.hypot(dx, dy)):
                 return False
         return True
 
@@ -325,16 +311,40 @@ def _clip_verts(verts, nx: float, ny: float, off: float):
     return out
 
 
-def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
-    """a ∩ b by clipping a against each edge half-plane of b."""
-    if a.is_empty or b.is_empty:
-        return EMPTY
-    verts = a.vertices
-    for nx, ny, off in b.edge_halfplanes():
+def _cut(verts, planes):
+    """verts clipped by the half-planes (nx, ny, off) in turn, skipping
+    each that no current vertex fails by _clip_verts' own sign test: such
+    a clip would return the vertex list unchanged.  Returns the clipped
+    vertex list and the cuts, (nx, ny, off, the vertex list it cut) for
+    each plane clipped, in order; stops once a clip keeps nothing."""
+    cuts = []
+    for nx, ny, off in planes:
+        for x, y in verts:
+            if off - (nx * x + ny * y) < 0.0:
+                break
+        else:
+            continue
+        cuts.append((nx, ny, off, verts))
         verts = _clip_verts(verts, nx, ny, off)
         if not verts:
-            return EMPTY
-    return ConvexPolygon._wrap(verts)
+            break
+    return verts, cuts
+
+
+def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
+    """a ∩ b, by clipping a against the edge half-planes of b that cut it
+    (_cut), which gives the bits of clipping it against every one.
+
+    When no edge of b cuts a, the result is a itself, with a's own area:
+    for a polygon that _polygons made, its octagon's area rather than the
+    shoelace sum that clipping would leave."""
+    if a.is_empty or b.is_empty:
+        return EMPTY
+    verts, cuts = _cut(a.vertices, b.edge_halfplanes())
+    if not cuts:
+        return a
+    kept = _kept(verts)
+    return ConvexPolygon._clean(*kept) if kept else EMPTY
 
 
 def affine_image(m: AffineMap2, p: ConvexPolygon) -> ConvexPolygon:
@@ -470,8 +480,12 @@ def monomial_integral(p: ConvexPolygon, ax: int, ay: int) -> float:
 
 
 def box(xmin: float, ymin: float, xmax: float, ymax: float) -> ConvexPolygon:
-    """Axis-aligned rectangle as a CCW polygon."""
-    return ConvexPolygon._wrap(((xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)))
+    """Axis-aligned rectangle as a CCW polygon, unchecked: flipped in one
+    axis (xmin > xmax or ymin > ymax, not both), its vertices run
+    clockwise and its area is 0."""
+    xmin, ymin, xmax, ymax = map(float, (xmin, ymin, xmax, ymax))
+    kept = _kept(((xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)))
+    return ConvexPolygon._clean(*kept) if kept else EMPTY
 
 
 # ---------------------------------------------------------------------------
@@ -519,21 +533,6 @@ def _box(verts) -> tuple[float, ...]:
         elif v > vhi:
             vhi = v
     return (xlo, ylo, ulo, vlo, -xhi, -yhi, -uhi, -vhi)
-
-
-def _meets(boxes: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Whether both boxes of each column of boxes overlap both boxes of the
-    matching column of other strictly, for arrays of _box columns that
-    broadcast against each other.
-
-    The other's columns with their halves swapped and negated, (maxima,
-    -minima), exceed a column in every entry exactly when the boxes overlap
-    strictly.  Two polygons whose fl(x), fl(y), fl(x + y) or fl(x - y)
-    ranges at most touch overlap in a strip a few ulp wide along one line:
-    clipping leaves Empty or a sliver far below EPS_AREA, which
-    ConvexPolygon empties, and two octagons meet in a flat one of area 0.
-    """
-    return (boxes < -np.concatenate((other[4:], other[:4]))).all(axis=0)
 
 
 def _tight(x, y, u, v, nx, ny, nu, nv) -> tuple[np.ndarray, ...]:

@@ -1,14 +1,24 @@
 """Affine images, interior angles and inradius as they ran one polygon at
 a time: the references the package's ``geom2d.affine_image`` and batched
 ``geom2d._min_angles`` and ``geom2d._inradii`` (and so
-``maps.estimate_long_branches``) must match bit for bit.  Tests compare
-the package with these loops; nothing in the package imports this module.
+``maps.estimate_long_branches``) must match bit for bit; and
+``kept_polygon``, the unchecked constructor the oracles build their
+polygons with.  Tests compare the package with these loops; nothing in
+the package imports this module.
 """
 
 import math
 from itertools import combinations
 
-from tentstab.geom2d import AffineMap2, ConvexPolygon
+from tentstab.geom2d import EMPTY, AffineMap2, ConvexPolygon, _kept
+
+
+def kept_polygon(verts) -> ConvexPolygon:
+    """The polygon of what ConvexPolygon keeps of a vertex list (merged
+    vertices and their area, or EMPTY), without its convexity and
+    orientation checks."""
+    kept = _kept([(float(x), float(y)) for x, y in verts])
+    return ConvexPolygon._clean(*kept) if kept else EMPTY
 
 
 def affine_image(m: AffineMap2, p: ConvexPolygon) -> ConvexPolygon:
@@ -16,7 +26,7 @@ def affine_image(m: AffineMap2, p: ConvexPolygon) -> ConvexPolygon:
     verts = [m.apply(v) for v in p.vertices]
     if m.linear.det() < 0.0:
         verts.reverse()
-    return ConvexPolygon._wrap(verts)
+    return kept_polygon(verts)
 
 
 def min_interior_angle(p: ConvexPolygon) -> float:

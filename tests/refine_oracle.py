@@ -1,17 +1,23 @@
 """The arrangement refinement as it ran with a uniform-bin cell index and
-as it ran with a box test and a _split for every hit, and the variation
-sweep as it ran edge by edge: the references the package's
-``density._refine``, ``density._split`` and ``density.variation`` must
-match bit for bit.
+as it ran with a box test and a _split for every hit, the pushforward as
+it found its pieces, and the variation sweep as it ran edge by edge: the
+references the package's ``density._refine``, ``density._split``,
+``density.push_forward``, ``geom2d.intersect`` and ``density.variation``
+must match bit for bit.
 
 ``refine`` finds a tile's candidate cells in a 48 x 48 grid of bins over
 the region's bounding box, keeps those whose bounding box overlaps the
 tile's, and splits each with ``split``, which clips the kept side by every
 tile plane and peels an outside piece off every plane.  ``refine_on_boxes``
 finds them by comparing octagon boxes and splits every one of them with
-``density._split``, also the cells a tile contains.  ``variation`` groups
-the edges by line in a dict and sorts each line's events.  Tests compare
-the package with these loops; nothing in the package imports this module.
+``density._split``, also the cells a tile contains.  ``push_forward``
+finds the cells that may meet a branch domain by strict overlap of their
+boxes, ``meets``, tests every vertex of them against the domain's edges
+in one array pass, and clips a cell with a vertex outside by every edge
+of the domain, ``intersect``; it refines with ``density._refine``.
+``variation`` groups the edges by line in a dict and sorts each line's
+events.  Tests compare the package with these loops; nothing in the
+package imports this module.
 """
 
 import math
@@ -19,6 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
+from geometry_oracle import kept_polygon
 from tentstab import density, geom2d
 from tentstab.errors import CellExplosion
 from tentstab.geom2d import EMPTY, EPS_AREA, SNAP, ConvexPolygon, snap_key
@@ -37,14 +44,14 @@ def split(poly: ConvexPolygon, planes):
         rests.append(rest)
     if len(rests[-1]) == len(poly.vertices) and tuple(rests[-1]) == poly.vertices:
         return poly, ()
-    inter = ConvexPolygon._wrap(rests[-1])
+    inter = kept_polygon(rests[-1])
     if inter.is_empty:
         return EMPTY, ()
     pieces = []
     for (nx, ny, off), rest in zip(planes, rests):
         outside = clip(rest, -nx, -ny, -off)
         if outside:
-            piece = ConvexPolygon._wrap(outside)
+            piece = kept_polygon(outside)
             if not piece.is_empty:
                 pieces.append(piece)
     return inter, pieces
@@ -174,6 +181,53 @@ def refine_on_boxes(
         key=lambda cv: snap_key(cv[0].centroid()),
     )
     return tuple(cells)
+
+
+def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
+    """a ∩ b by clipping a against every edge half-plane of b."""
+    if a.is_empty or b.is_empty:
+        return EMPTY
+    verts = a.vertices
+    for nx, ny, off in b.edge_halfplanes():
+        verts = geom2d._clip_verts(verts, nx, ny, off)
+        if not verts:
+            return EMPTY
+    return kept_polygon(verts)
+
+
+def meets(boxes: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Whether both boxes of each _box column of boxes overlap both boxes
+    of the matching column of other strictly."""
+    return (boxes < -np.concatenate((other[4:], other[:4]))).all(axis=0)
+
+
+def push_forward(m, f: density.PiecewisePolyDensity) -> density.PiecewisePolyDensity:
+    """density.push_forward with pieces found by strict box overlap and a
+    vertex sign pass: a cell with a vertex outside a domain's edge, by
+    geom2d._clip_verts' sign test, is clipped by every edge of the domain,
+    and any other cell is its own piece."""
+    density._check_same_region(f.region, m.region)
+    live = np.flatnonzero(np.array([v != 0.0 for _, v in f.cells], bool) & (f.batch[2] > 0))
+    x, y, n = (a[live] for a in f.batch)
+    boxes = geom2d._boxes(x, y, n)
+    corners = np.arange(x.shape[1]) < n[:, None]
+    tiles = []
+    for branch in m.branches:
+        inv_jac = 1.0 / branch.jacobian_abs
+        hits = np.flatnonzero(meets(boxes, np.array(geom2d._box(branch.domain.vertices))[:, None]))
+        nx, ny, off = np.array(branch.domain.edge_halfplanes()).T[..., None, None]
+        outside = off - (nx * x[hits] + ny * y[hits]) < 0.0
+        cut = (outside & corners[hits]).any(axis=(0, 2))
+        for idx, clip in zip(live[hits].tolist(), cut.tolist()):
+            poly, v = f.cells[idx]
+            piece = intersect(poly, branch.domain) if clip else poly
+            if piece.is_empty:
+                continue
+            kept = geom2d._mapped(branch.map, piece.vertices)
+            if kept is not None:
+                tiles.append((ConvexPolygon._clean(*kept), v * inv_jac))
+    cells = density._refine(f.region, tiles)
+    return density.PiecewisePolyDensity(f.region, cells, f.signed)
 
 
 def variation(f: density.PiecewisePolyDensity) -> float:

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import refine_oracle
 import ulam_oracle
+from geometry_oracle import kept_polygon
 from tentstab import density as D, geom2d
 from tentstab.errors import (
     CellExplosion,
@@ -1435,14 +1436,14 @@ def _split_clipping_every_plane(poly, planes):
         if not rest:
             return geom2d.EMPTY, ()
         rests.append(rest)
-    inter = ConvexPolygon._wrap(rests[-1])
+    inter = kept_polygon(rests[-1])
     if inter.is_empty:
         return geom2d.EMPTY, ()
     pieces = []
     for (nx, ny, off), rest in zip(planes, rests):
         outside = geom2d._clip_verts(rest, -nx, -ny, -off)
         if outside:
-            piece = ConvexPolygon._wrap(outside)
+            piece = kept_polygon(outside)
             if not piece.is_empty:
                 pieces.append(piece)
     return inter, pieces
@@ -1813,3 +1814,53 @@ def test_push_forward_builds_polygons_only_for_its_output(monkeypatch):
     # The domain pieces come from intersect; beyond them, one polygon per
     # tile and one per output cell.
     assert builds - in_intersect == tiles + len(out.cells), (builds, in_intersect, tiles)
+
+
+@pytest.mark.parametrize("t", [TENT_T_MIN, 0.9, 0.999999, 1.0 - 1.3e-9, 1.0])
+@pytest.mark.parametrize("pw", [1, 2, 3])
+def test_push_forward_matches_the_vertex_pass_oracle(t, pw):
+    # push_forward finds the cells that may meet a domain with _refine's
+    # margin-shrunk box test and sends every one to intersect, which
+    # clips only by the edges that cut.  The oracle found them by strict
+    # box overlap and a vertex sign pass, and clipped by every edge.
+    # Starts: 2 on LEFT_HALF, its pushforward projected onto the
+    # resolution-16 grid (cells that carry their octagons' areas), a
+    # signed combination, and a three-step chain from the uniform density.
+    m = tent_power(t, pw)
+    uniform, lefthalf = _start(m, "uniform"), _start(m, "lefthalf")
+    signed = D.add_scaled(uniform, 0.75, lefthalf, -1.5)
+    assert signed.signed and min(v for _, v in signed.cells) < 0.0
+    grid = D.project_to_grid(D.push_forward(m, lefthalf), 16)
+
+    def pushed(f):
+        got = D.push_forward(m, f)
+        assert _hex_cells(got.cells) == _hex_cells(refine_oracle.push_forward(m, f).cells)
+        return got
+
+    for f in (lefthalf, grid, signed):
+        pushed(f)
+    pushed(pushed(pushed(uniform)))
+
+
+def _cuts(a, b) -> bool:
+    """Whether a vertex of a fails an edge half-plane of b by
+    geom2d._clip_verts' sign test."""
+    return any(
+        off - (nx * x + ny * y) < 0.0 for nx, ny, off in b.edge_halfplanes() for x, y in a.vertices
+    )
+
+
+@given(
+    a=st.one_of(lattice_octagons(), lattice_polygons(), st.just(OFF_LATTICE_QUAD)),
+    b=st.one_of(lattice_octagons(), lattice_polygons(), st.just(OFF_LATTICE_QUAD)),
+    scale=st.sampled_from([1.0, 0.9, TENT_T_MIN]),
+)
+@settings(max_examples=300, deadline=None)
+def test_intersect_returns_a_unless_an_edge_cuts_it(a, b, scale):
+    """intersect(a, b) is a itself exactly when no edge of b cuts a, and
+    otherwise has the bits of clipping a by every edge of b."""
+    a, b = _scaled(a, scale), _scaled(b, scale)
+    got = geom2d.intersect(a, b)
+    want = refine_oracle.intersect(a, b)
+    assert (got is a) == (not _cuts(a, b))
+    assert _hex_cells([(got, 0.0)]) == _hex_cells([(want, 0.0)])

@@ -58,8 +58,8 @@ class Plane(NamedTuple):
 
 def clip(poly, h):
     """poly ∩ h, built as density._split builds its pieces: one
-    geom2d._clip_verts step, then ConvexPolygon._wrap."""
-    return ConvexPolygon._wrap(geom2d._clip_verts(poly.vertices, *h))
+    geom2d._clip_verts step, then what _kept keeps of it."""
+    return geometry_oracle.kept_polygon(geom2d._clip_verts(poly.vertices, *h))
 
 
 class TestClip:
