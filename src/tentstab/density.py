@@ -673,6 +673,7 @@ def stationary_masses(
     if sparse is not None and sparse.issparse(transition):
         adjoint = transition.T.tocsr()
     else:
+        # A view of a column-major float matrix; a copy of any other.
         adjoint = np.ascontiguousarray(np.asarray(transition, dtype=float).T)
     p = np.asarray(masses0, dtype=float)
     p = p / p.sum()

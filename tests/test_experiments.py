@@ -393,6 +393,78 @@ class TestOrbitOracle:
             assert want.reseeds > 1000
 
 
+def _capture_steps(t, x0, seed, count):
+    """The steps on which the first `count` boundary captures of the orbit
+    happen (the smallest n whose oracle run counts each reseed)."""
+    steps, n = [], 0
+    while len(steps) < count:
+        n += 1
+        if orbit_oracle.orbit_stats(t, x0, n, seed).reseeds > len(steps):
+            steps.append(n)
+    return steps
+
+
+class TestOrbitLanes:
+    """orbit_stats' reseeded segments, run as numpy lanes, against the
+    step-by-step oracle under float.hex."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_orbits_ending_at_the_first_captures(self, seed):
+        x0 = E.seeded_start(1.0, seed)
+        captures = _capture_steps(1.0, x0, seed, 3)
+        for n in sorted({c + d for c in captures for d in (-1, 0, 1)}):
+            want = orbit_oracle.orbit_stats(1.0, x0, n, seed)
+            assert _orbit_hex(E.orbit_stats(1.0, x0, n, seed)) == _orbit_hex(want), n
+
+    def test_start_captured_on_the_first_step_below_one(self):
+        # At t < 1 the boundary captures the start (0.5, 0), and no reseeded
+        # segment is ever captured: every lane outlives the cap.
+        x0 = (0.5, 0.0)
+        assert _capture_steps(0.9, x0, 1, 1) == [1]
+        for n in (1, 2, 3, 200, 20000):
+            want = orbit_oracle.orbit_stats(0.9, x0, n, 1)
+            assert want.reseeds == 1
+            assert _orbit_hex(E.orbit_stats(0.9, x0, n, 1)) == _orbit_hex(want), n
+
+    @pytest.mark.parametrize("cap", [1, 8, 64, 96])
+    def test_lanes_that_outlive_the_cap(self, monkeypatch, cap):
+        # At t = 1 segments last 70 to 104 steps: caps 1, 8 and 64 send
+        # every lane back to the scalar loop, and cap 96 some of them.
+        monkeypatch.setattr(E, "_LANE_STEPS", cap)
+        for seed, n in ((1, 5000), (2, 20000), (7, 333)):
+            x0 = E.seeded_start(1.0, seed)
+            want = orbit_oracle.orbit_stats(1.0, x0, n, seed)
+            assert _orbit_hex(E.orbit_stats(1.0, x0, n, seed)) == _orbit_hex(want)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_batched_reseed_points_match_one_at_a_time(self, seed):
+        rng = np.random.default_rng(seed)
+        want = [E._reseed_point(rng) for _ in range(10000)]
+        rng = np.random.default_rng(seed)
+        xs, ys = [], []
+        for k in (1, 2, 997, 4000, 5000, 100):
+            x, y = E._reseed_points(rng, k)
+            xs += x.tolist()
+            ys += y.tolist()
+        assert len(xs) >= 10000
+        got = list(zip(xs, ys))[:10000]
+        assert [(x.hex(), y.hex()) for x, y in got] == [
+            (x.hex(), y.hex()) for x, y in want
+        ]
+
+    def test_memory_at_t1_does_not_grow_with_n(self):
+        # The lanes hold one batch of segments at a time: below the 2.2 MB
+        # of the 512-cell oracle1d matrix.
+        x0 = E.seeded_start(1.0, 4)
+        tracemalloc.start()
+        try:
+            E.orbit_stats(1.0, x0, 10**6, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+
+
 # x on either side of the branch test's EPS_GEOM tie-break at x = 1:
 # x = 1 + 1e-10 goes to the first branch, x = 1 + 2e-9 to the second.
 TIE_BREAK_X = (1.0 - 2e-9, 1.0 - 1e-10, 1.0 + 1e-10, 1.0 + 2e-9)
@@ -486,16 +558,17 @@ class TestTent1D:
         assert (got.iterations, got.residual.hex()) == (iterations, residual.hex())
 
     def test_banded_matrix_peak(self):
-        # Only the matrix and the stationary solve's transposed copy are
-        # n^2 arrays (2.1 MB each at 512 cells); the dense formula held
-        # about 6.6 MB at its peak.
+        # Only the matrix is an n^2 array (2.1 MB at 512 cells): it is
+        # column-major, so the stationary solve's adjoint is a view of it.
+        # With a transposed copy the peak was 4.3 MB, and the dense
+        # formula held about 6.6 MB.
         tracemalloc.start()
         try:
             E.tent1d_ulam(1.9626081113631917, 512)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5_000_000
+        assert peak < 3_000_000
 
     def test_full_tent_four_cells_exact(self):
         res = E.tent1d_ulam(2.0, 4)
