@@ -428,7 +428,7 @@ class TestOrbitLanes:
 
     @pytest.mark.parametrize("cap", [1, 8, 64, 96])
     def test_lanes_that_outlive_the_cap(self, monkeypatch, cap):
-        # At t = 1 segments last 70 to 104 steps: caps 1, 8 and 64 send
+        # At t = 1 segments last 79 to 104 steps: caps 1, 8 and 64 send
         # every lane back to the scalar loop, and cap 96 some of them.
         monkeypatch.setattr(E, "_LANE_STEPS", cap)
         for seed, n in ((1, 5000), (2, 20000), (7, 333)):
