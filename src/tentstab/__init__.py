@@ -16,11 +16,9 @@ from .geom2d import (
     Matrix2,
     Point2,
     affine_image,
-    area,
     inradius,
     intersect,
     matrix_norms,
-    min_interior_angle,
 )
 from .maps import (
     TENT_T_MIN,
@@ -47,7 +45,6 @@ from .density import (
     l1_distance,
     lp_norm,
     push_forward,
-    sobolev_ratio,
     ulam_fixed,
     uniform_density,
     indicator_density,

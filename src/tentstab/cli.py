@@ -52,13 +52,13 @@ RAMP_LO = (0.13, 0.15, 0.38)
 RAMP_HI = (0.99, 0.97, 0.80)
 
 
-def _ramp_color(frac: float) -> str:
-    frac = min(1.0, max(0.0, frac))
-    channels = [
-        round(255 * (lo + frac * (hi - lo)))
-        for lo, hi in zip(RAMP_LO, RAMP_HI)
-    ]
-    return "#{:02x}{:02x}{:02x}".format(*channels)
+def _ramp(frac: np.ndarray) -> list[np.ndarray]:
+    """The (r, g, b) channels, integers in 0..255, of the ramp at each
+    fraction of frac, clamped to [0, 1]; np.rint rounds half to even, as
+    round does."""
+    frac = np.where(frac > 0.0, frac, 0.0)  # max(0.0, frac)
+    frac = np.where(frac < 1.0, frac, 1.0)  # min(1.0, frac)
+    return [np.rint(255 * (lo + frac * (hi - lo))).astype(np.intp) for lo, hi in zip(RAMP_LO, RAMP_HI)]
 
 
 def render_svg(grid: UlamGrid, values: np.ndarray) -> str:
@@ -83,34 +83,24 @@ def render_svg(grid: UlamGrid, values: np.ndarray) -> str:
         f'height="{CANVAS_H}" viewBox="0 0 {CANVAS_W} {CANVAS_H}">',
         f'<rect width="{CANVAS_W}" height="{CANVAS_H}" fill="#ffffff"/>',
     ]
-    # Every cell's pixel coordinates and _ramp_color channels, by the same
-    # IEEE operations in the same order (np.rint rounds half to even, as
-    # round does), written with one %-template per vertex count: '%.3f'
-    # spells a float as the format spec '.3f' does.
+    # Every cell's pixel coordinates and _ramp channels, written with one
+    # %-template per vertex count: '%.3f' spells a float as the format
+    # spec '.3f' does.
     px = off_x + (x - xmin) * scale
     py = CANVAS_H - (off_y + (y - ymin) * scale)
-    if spread <= 0.0:
-        frac = np.full(len(values), 0.5)
-    else:
-        frac = (values - vmin) / spread
-        frac = np.where(frac > 0.0, frac, 0.0)  # max(0.0, frac)
-        frac = np.where(frac < 1.0, frac, 1.0)  # min(1.0, frac)
-    channels = [
-        np.rint(255 * (lo + frac * (hi - lo))).astype(np.intp)
-        for lo, hi in zip(RAMP_LO, RAMP_HI)
-    ]
+    frac = np.full(len(values), 0.5) if spread <= 0.0 else (values - vmin) / spread
     templates = [
         '<path d="M ' + " L ".join(["%.3f,%.3f"] * k) + ' Z" fill="#%02x%02x%02x"/>'
         for k in range(x.shape[1] + 1)
     ]
-    for count, pxy, r, g, b in _rows(px, py, n, *channels):
+    for count, pxy, r, g, b in _rows(px, py, n, *_ramp(frac)):
         parts.append(templates[count] % (*pxy, r, g, b))
     swatches = 16
     sw = 12.0
     x0 = 12.0
     y0 = CANVAS_H - 24.0
-    for k in range(swatches):
-        color = _ramp_color(k / (swatches - 1))
+    ramp = zip(*(c.tolist() for c in _ramp(np.arange(swatches) / (swatches - 1))))
+    for k, color in enumerate("#%02x%02x%02x" % rgb for rgb in ramp):
         parts.append(
             f'<rect x="{x0 + k * sw:.3f}" y="{y0:.3f}" width="{sw:.3f}" '
             f'height="12.000" fill="{color}"/>'

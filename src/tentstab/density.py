@@ -27,7 +27,7 @@ import numpy as np
 
 from . import geom2d
 from .errors import CellExplosion, ParameterOutOfRange, RegionMismatch, ResolutionTooLow
-from .errors import SingularMatrix, ZeroVariation
+from .errors import SingularMatrix
 from .geom2d import EPS_AREA, EPS_GEOM, OVERLAY_CHUNK, SNAP, ConvexPolygon, intersect, ordered_sum
 from .geom2d import _area, _batch, _box, _boxes, _centroids, _close, _cut, _image_plan, _kept
 from .geom2d import _mapped, _octagons, _polygons, _sequential_sum, _vertices, snap_key
@@ -375,14 +375,6 @@ def variation(f: PiecewisePolyDensity) -> float:
     return float(np.cumsum(terms)[-1])
 
 
-def sobolev_ratio(f: PiecewisePolyDensity) -> float:
-    """||f||_2 / V(f); compare against the sharp planar constant 1/(2*sqrt(pi))."""
-    v = variation(f)
-    if v <= EPS_AREA:
-        raise ZeroVariation("variation is zero; ratio undefined")
-    return lp_norm(f, 2.0) / v
-
-
 # ---------------------------------------------------------------------------
 # Ulam discretization on octagons (geom2d's octagon kernel)
 # ---------------------------------------------------------------------------
@@ -421,7 +413,8 @@ class UlamGrid:
         _check_resolution("resolution", resolution)
         region_box = _octagons([region], "region")
         n = resolution
-        xmin, ymin, xmax, ymax = region.bbox()
+        # the region's bounding box, negated maxima made positive
+        xmin, ymin, xmax, ymax = (region_box[[0, 1, 4, 5], 0] * [1.0, 1.0, -1.0, -1.0]).tolist()
         ix0 = math.floor(xmin * n + SNAP)
         ix1 = math.ceil(xmax * n - SNAP)
         iy0 = math.floor(ymin * n + SNAP)
@@ -466,10 +459,6 @@ class UlamGrid:
         """The cells as ConvexPolygons, built on first read."""
         return _polygons(*self.polys, self.cell_areas)
 
-    def centroids(self) -> tuple[np.ndarray, np.ndarray]:
-        """ConvexPolygon.centroid of every cell, as (x, y) arrays."""
-        return _centroids(*self.polys, self.cell_areas)
-
     @functools.cached_property
     def _fan_moments(self) -> dict[tuple[int, int], np.ndarray]:
         """Per cell, the integral of x^ax * y^ay over the cell for each
@@ -490,20 +479,14 @@ class UlamGrid:
         }
         return {k: _sequential_sum(np.where(fan, v, 0.0)) for k, v in terms.items()}
 
-    def moments(self, values: np.ndarray, powers) -> list[float]:
+    def moments(self, values: np.ndarray) -> dict[tuple[int, int], float]:
         """Integral of x^ax * y^ay against the grid density with these cell
-        values, for each (ax, ay) in powers (total degree <= 2).
+        values, keyed by (ax, ay), for each (ax, ay) of total degree <= 2.
 
         The per-cell integrals are taken once per grid; cells are then
         summed left to right, as Python 3.10/3.11 ``sum`` does.
         """
-        out = []
-        for ax_ay in powers:
-            per_cell = self._fan_moments.get(tuple(ax_ay))
-            if per_cell is None:
-                raise ValueError("moments supports total degree <= 2")
-            out.append(float(np.cumsum(values * per_cell)[-1]))
-        return out
+        return {k: float(np.cumsum(values * per_cell)[-1]) for k, per_cell in self._fan_moments.items()}
 
 
 def _runs(sizes: np.ndarray):
@@ -675,13 +658,17 @@ def stationary_masses(
     else:
         # A view of a column-major float matrix; a copy of any other.
         adjoint = np.ascontiguousarray(np.asarray(transition, dtype=float).T)
+
+    def step(v):  # v @ T with its total mass renormalized to 1
+        w = adjoint @ v
+        return w / w.sum()
+
     p = np.asarray(masses0, dtype=float)
     p = p / p.sum()
     residual = math.inf
     history: list[float] = []
     for k in range(1, max_iter + 1):
-        q = adjoint @ p
-        q = q / q.sum()
+        q = step(p)
         residual = float(np.abs(q - p).sum())
         p = q
         if residual < tol:
@@ -696,18 +683,14 @@ def stationary_masses(
     count = 1
     base = len(history)
     for k in range(base + 1, max_iter + 1):
-        q = adjoint @ p
-        q = q / q.sum()
-        p = q
-        avg = avg + (q - avg) / (count + 1)
+        p = step(p)
+        avg = avg + (p - avg) / (count + 1)
         count += 1
         if count % 20 == 0:
-            shifted = adjoint @ avg
-            residual = float(np.abs(shifted / shifted.sum() - avg).sum())
+            residual = float(np.abs(step(avg) - avg).sum())
             if residual < tol:
                 return avg / avg.sum(), k, residual, True
-    shifted = adjoint @ avg
-    residual = float(np.abs(shifted / shifted.sum() - avg).sum())
+    residual = float(np.abs(step(avg) - avg).sum())
     return avg / avg.sum(), max_iter, residual, False
 
 
@@ -846,7 +829,7 @@ def density_csv(grid: UlamGrid, values: np.ndarray) -> str:
     header = ["cell_id", "area", "centroid_x", "centroid_y", "value", "n_vertices"]
     header += [f"v{k}{axis}" for k in range(max_verts) for axis in "xy"]
     counts = np.array([str(k) for k in range(max_verts + 1)], dtype=object)
-    cx, cy = grid.centroids()
+    cx, cy = _centroids(*grid.polys, grid.cell_areas)
 
     def chunks():  # its temporaries are gone before the final join
         for lo in range(0, len(n), OVERLAY_CHUNK):

@@ -33,10 +33,6 @@ class ResolutionTooLow(Error):
     """Discretization grid fails to capture the map's image."""
 
 
-class ZeroVariation(Error):
-    """Ratio undefined because the function has zero variation."""
-
-
 class CellExplosion(Error):
     """A branch, grid, matrix or arrangement size exceeds MAX_CELLS."""
 

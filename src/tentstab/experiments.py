@@ -82,11 +82,6 @@ class OrbitStats:
     reseeds: int = 0
 
 
-def _density_moments(grid: UlamGrid, values: np.ndarray) -> dict[str, float]:
-    """Exact integrals of the monomial test functions against a grid density."""
-    return dict(zip(TEST_FUNCTIONS, grid.moments(values, TEST_FUNCTIONS.values())))
-
-
 def stability_sweep(
     t0: float,
     ts: Sequence[float],
@@ -113,13 +108,13 @@ def stability_sweep(
     m0 = tent_power(t0, power)
     grid = UlamGrid.build(m0.region, resolution)
     h0 = ulam_fixed(build_ulam(m0, grid), tol, max_iter)
-    moments0 = _density_moments(grid, h0.values)
+    moments0 = grid.moments(h0.values)
     rows = []
     for t in sorted(ts):
         h = ulam_fixed(build_ulam(tent_power(t, power), grid), tol, max_iter)
         l1 = float(np.abs(h.values - h0.values) @ grid.cell_areas)
-        moments = _density_moments(grid, h.values)
-        gaps = {name: abs(moments[name] - moments0[name]) for name in TEST_FUNCTIONS}
+        moments = grid.moments(h.values)
+        gaps = {name: abs(moments[p] - moments0[p]) for name, p in TEST_FUNCTIONS.items()}
         rows.append(
             SweepRow(t, t0, power, resolution, l1, gaps, h.iterations, h.residual)
         )

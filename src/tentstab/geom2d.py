@@ -199,11 +199,6 @@ class ConvexPolygon:
     def area(self) -> float:
         return self._area
 
-    def bbox(self) -> tuple[float, float, float, float]:
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return (min(xs), min(ys), max(xs), max(ys))
-
     def edges(self) -> Iterator[tuple[tuple[float, float], tuple[float, float]]]:
         verts = self.vertices
         n = len(verts)
@@ -239,26 +234,6 @@ class ConvexPolygon:
                 return False
         return True
 
-    def centroid(self) -> Point2:
-        verts = self.vertices
-        if not verts:
-            raise DegeneratePolygon("centroid of empty polygon")
-        # The stored area is the shoelace sum wherever that is >= EPS_AREA.
-        a = self.area
-        if a < EPS_AREA:
-            xs = ordered_sum(v[0] for v in verts) / len(verts)
-            ys = ordered_sum(v[1] for v in verts) / len(verts)
-            return Point2(xs, ys)
-        cx = cy = 0.0
-        n = len(verts)
-        for i in range(n):
-            x0, y0 = verts[i]
-            x1, y1 = verts[(i + 1) % n]
-            w = x0 * y1 - x1 * y0
-            cx += (x0 + x1) * w
-            cy += (y0 + y1) * w
-        return Point2(cx / (6.0 * a), cy / (6.0 * a))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ConvexPolygon) and self.vertices == other.vertices
 
@@ -273,11 +248,6 @@ class ConvexPolygon:
 
 EMPTY = ConvexPolygon(())
 ConvexPolygon.EMPTY = EMPTY
-
-
-def area(p: ConvexPolygon) -> float:
-    """Shoelace area; 0 for Empty or degenerate input."""
-    return p.area
 
 
 def perimeter(p: ConvexPolygon) -> float:
@@ -388,11 +358,6 @@ def _measured(polys, need: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _batch([p.vertices for p in polys])
 
 
-def min_interior_angle(p: ConvexPolygon) -> float:
-    """Minimum interior angle in radians."""
-    return float(_min_angles(*_measured([p], "interior angles need"))[0])
-
-
 def inradius(p: ConvexPolygon) -> float:
     """Radius of the largest inscribed disk (see _inradii)."""
     return float(_inradii(*_measured([p], "inradius needs"))[0])
@@ -477,15 +442,6 @@ def monomial_integral(p: ConvexPolygon, ax: int, ay: int) -> float:
                 (x0 + x1 + x2) * (y0 + y1 + y2) + x0 * y0 + x1 * y1 + x2 * y2
             )
     return total
-
-
-def box(xmin: float, ymin: float, xmax: float, ymax: float) -> ConvexPolygon:
-    """Axis-aligned rectangle as a CCW polygon, unchecked: flipped in one
-    axis (xmin > xmax or ymin > ymax, not both), its vertices run
-    clockwise and its area is 0."""
-    xmin, ymin, xmax, ymax = map(float, (xmin, ymin, xmax, ymax))
-    kept = _kept(((xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)))
-    return ConvexPolygon._clean(*kept) if kept else EMPTY
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +589,9 @@ def _sequential_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def _centroids(x: np.ndarray, y: np.ndarray, n: np.ndarray, area: np.ndarray) -> tuple[np.ndarray, ...]:
-    """ConvexPolygon.centroid of each polygon of a vertex batch, given its
-    area, EPS_AREA or more (centroid's vertex mean for slivers is left out),
-    as (x, y) arrays: the edge sums taken vertex by vertex, over 6 * area."""
+    """The centroid of each polygon of a vertex batch, given its area,
+    EPS_AREA or more, as (x, y) arrays: the edge sums taken vertex by
+    vertex, over 6 * area."""
     x0, y0, x1, y1 = x[:, :-1], y[:, :-1], x[:, 1:], y[:, 1:]
     w = np.where(np.arange(x.shape[1] - 1) < n[:, None], x0 * y1 - x1 * y0, 0.0)
     return _sequential_sum((x0 + x1) * w) / (6.0 * area), _sequential_sum((y0 + y1) * w) / (6.0 * area)

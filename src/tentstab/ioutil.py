@@ -4,17 +4,10 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 
 
 def fmt(x) -> str:
     """Render a number with 17 significant digits (exact float round-trip)."""
-    if type(x) is float:  # most calls; skips the isinstance checks below
-        return format(x, ".17g")
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
     return format(float(x), ".17g")
 
 
@@ -26,9 +19,13 @@ def json_number(x) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file + rename in the same directory."""
+    """Write text to path via a temp file + rename in the same directory.
+
+    The temp file is created as open() creates a file, with mode 0o666
+    less the umask, under a fresh random name that O_EXCL keeps unique."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tentstab-", suffix=".tmp")
+    tmp = os.path.join(directory, f".tentstab-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -50,14 +50,13 @@ class PiecewiseMap:
 
     ``param_t`` and ``power`` carry the tent-family parameter and iteration
     order when known, so certificates can report the family's closed-form
-    expansion value alongside the measured norms.
+    expansion value alongside the measured norms.  Both are keyword-only.
     """
 
     region: ConvexPolygon
     branches: tuple[Branch, ...]
-    label: str
-    param_t: float | None = None
-    power: int = 1
+    param_t: float | None = field(default=None, kw_only=True)
+    power: int = field(default=1, kw_only=True)
 
 
 class NormConvention(enum.Enum):
@@ -183,7 +182,7 @@ def make_tent2d(t: float) -> PiecewiseMap:
         Branch(left, AffineMap2(Matrix2(t, t, t, -t), (0.0, 0.0)), jac),
         Branch(right, AffineMap2(Matrix2(-t, t, -t, -t), (2.0 * t, 2.0 * t)), jac),
     )
-    return PiecewiseMap(TENT_REGION, branches, f"tent2d t={t:g} power=1", t, 1)
+    return PiecewiseMap(TENT_REGION, branches, param_t=t, power=1)
 
 
 def apply(m: PiecewiseMap, p) -> Point2:
@@ -239,12 +238,7 @@ def power(m: PiecewiseMap, n: int) -> PiecewiseMap:
         amaps = [m.branches[j].map.compose(amaps[i]) for i, j in pairs]
     polys = _polygons(*_vertices(bounds), _area(bounds))
     branches = tuple(Branch(p, amap, abs(amap.linear.det())) for p, amap in zip(polys, amaps))
-    total = m.power * n
-    if m.param_t is not None:
-        label = f"tent2d t={m.param_t:g} power={total}"
-    else:
-        label = f"{m.label} power={total}"
-    return PiecewiseMap(m.region, branches, label, m.param_t, total)
+    return PiecewiseMap(m.region, branches, param_t=m.param_t, power=m.power * n)
 
 
 def verify_expansion(m: PiecewiseMap) -> ExpansionReport:
@@ -272,8 +266,8 @@ def estimate_long_branches(m: PiecewiseMap) -> LongBranchReport:
     inradius, which keeps the inward segments of a convex set disjoint.
     Affine branches preserve neither quantity in general, so domains and
     images are both measured and the minima reported: every domain and
-    image in one vertex batch, by geom2d.min_interior_angle's and
-    geom2d.inradius's batched forms.
+    image in one vertex batch, by geom2d._min_angles and geom2d.inradius's
+    batched form, geom2d._inradii.
     """
     polys = [p for b in m.branches for p in (b.domain, affine_image(b.map, b.domain))]
     batch = _measured(polys, "interior angles need")

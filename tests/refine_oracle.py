@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from geometry_oracle import kept_polygon
+from geometry_oracle import bbox, centroid, kept_polygon
 from tentstab import density, geom2d
 from tentstab.errors import CellExplosion
 from tentstab.geom2d import EMPTY, EPS_AREA, SNAP, ConvexPolygon, snap_key
@@ -64,7 +64,7 @@ class CellStore:
     nbins = 48
 
     def __init__(self, region: ConvexPolygon):
-        xmin, ymin, xmax, ymax = region.bbox()
+        xmin, ymin, xmax, ymax = bbox(region)
         self.x0 = xmin
         self.y0 = ymin
         self.sx = max((xmax - xmin) / self.nbins, 1e-300)
@@ -75,16 +75,16 @@ class CellStore:
         self.bins: dict[tuple[int, int], list[int]] = {}
         self.add(region, 0.0)
 
-    def _bin_span(self, bbox):
-        bx0 = min(max(int((bbox[0] - self.x0) / self.sx), 0), self.nbins - 1)
-        by0 = min(max(int((bbox[1] - self.y0) / self.sy), 0), self.nbins - 1)
-        bx1 = min(max(int((bbox[2] - self.x0) / self.sx), 0), self.nbins - 1)
-        by1 = min(max(int((bbox[3] - self.y0) / self.sy), 0), self.nbins - 1)
+    def _bin_span(self, box):
+        bx0 = min(max(int((box[0] - self.x0) / self.sx), 0), self.nbins - 1)
+        by0 = min(max(int((box[1] - self.y0) / self.sy), 0), self.nbins - 1)
+        bx1 = min(max(int((box[2] - self.x0) / self.sx), 0), self.nbins - 1)
+        by1 = min(max(int((box[3] - self.y0) / self.sy), 0), self.nbins - 1)
         return bx0, by0, bx1, by1
 
     def add(self, poly: ConvexPolygon, value: float) -> None:
         idx = len(self.polys)
-        box = poly.bbox()
+        box = bbox(poly)
         self.polys.append(poly)
         self.boxes.append(box)
         self.values.append(value)
@@ -93,8 +93,8 @@ class CellStore:
             for by in range(by0, by1 + 1):
                 self.bins.setdefault((bx, by), []).append(idx)
 
-    def candidates(self, bbox) -> list[int]:
-        bx0, by0, bx1, by1 = self._bin_span(bbox)
+    def candidates(self, box) -> list[int]:
+        bx0, by0, bx1, by1 = self._bin_span(box)
         seen = set()
         for bx in range(bx0, bx1 + 1):
             for by in range(by0, by1 + 1):
@@ -112,7 +112,7 @@ def refine(
     for tile, tv in tiles:
         if tile.is_empty or tv == 0.0:
             continue
-        tb = tile.bbox()
+        tb = bbox(tile)
         planes = tuple(tile.edge_halfplanes())
         for idx in store.candidates(tb):
             pb = store.boxes[idx]
@@ -125,7 +125,7 @@ def refine(
                 store.values[idx] += tv
                 continue
             store.polys[idx] = inter
-            store.boxes[idx] = inter.bbox()
+            store.boxes[idx] = bbox(inter)
             store.values[idx] += tv
             for piece in outside:
                 store.add(piece, store.values[idx] - tv)
@@ -133,7 +133,7 @@ def refine(
                 raise CellExplosion(
                     f"overlay arrangement exceeded {density.MAX_CELLS} cells"
                 )
-    cells = sorted(zip(store.polys, store.values), key=lambda cv: snap_key(cv[0].centroid()))
+    cells = sorted(zip(store.polys, store.values), key=lambda cv: snap_key(centroid(cv[0])))
     return tuple(cells)
 
 
@@ -178,7 +178,7 @@ def refine_on_boxes(
                 )
     cells = sorted(
         ((ConvexPolygon._clean(*cell), v) for cell, v in zip(cells, values)),
-        key=lambda cv: snap_key(cv[0].centroid()),
+        key=lambda cv: snap_key(centroid(cv[0])),
     )
     return tuple(cells)
 

@@ -16,11 +16,9 @@ from tentstab.geom2d import (
     ConvexPolygon,
     Matrix2,
     affine_image,
-    area,
     inradius,
     intersect,
     matrix_norms,
-    min_interior_angle,
     monomial_integral,
     perimeter,
     snap_key,
@@ -29,7 +27,18 @@ from tentstab.maps import TENT_T_MIN, tent_power
 
 from conftest import LEFT_HALF, RIGHT_HALF, TRIANGLE_T, convex_hull, random_convex_polygon
 
-UNIT_SQUARE = geom2d.box(0.0, 0.0, 1.0, 1.0)
+UNIT_SQUARE = geometry_oracle.box(0.0, 0.0, 1.0, 1.0)
+
+
+def area(p: ConvexPolygon) -> float:
+    """p.area.  Hypothesis keys its derandomized examples on a test's
+    source, so the property tests keep the spelling they were written in."""
+    return p.area
+
+
+def min_angle(p: ConvexPolygon) -> float:
+    """The minimum interior angle of one polygon, by the batched geom2d._min_angles."""
+    return float(geom2d._min_angles(*geom2d._measured([p], "interior angles need"))[0])
 
 
 class TestArea:
@@ -86,7 +95,7 @@ class TestIntersect:
         assert intersect(LEFT_HALF, RIGHT_HALF).is_empty
 
     def test_shifted_squares(self):
-        other = geom2d.box(0.5, 0.0, 1.5, 1.0)
+        other = geometry_oracle.box(0.5, 0.0, 1.5, 1.0)
         assert area(intersect(UNIT_SQUARE, other)) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -136,18 +145,18 @@ class TestMatrixNorms:
 
 class TestAngles:
     def test_square(self):
-        assert min_interior_angle(UNIT_SQUARE) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert min_angle(UNIT_SQUARE) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_right_isoceles(self):
-        assert min_interior_angle(LEFT_HALF) == pytest.approx(math.pi / 4, abs=1e-12)
+        assert min_angle(LEFT_HALF) == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_equilateral(self):
         tri = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)))
-        assert min_interior_angle(tri) == pytest.approx(math.pi / 3, abs=1e-12)
+        assert min_angle(tri) == pytest.approx(math.pi / 3, abs=1e-12)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegeneratePolygon):
-            min_interior_angle(ConvexPolygon(()))
+            min_angle(ConvexPolygon(()))
 
 
 class TestInradius:
@@ -160,7 +169,7 @@ class TestInradius:
         assert inradius(tri) == pytest.approx(expected, abs=1e-9)
 
     def test_rectangle(self):
-        assert inradius(geom2d.box(0.0, 0.0, 2.0, 1.0)) == pytest.approx(0.5, abs=1e-9)
+        assert inradius(geometry_oracle.box(0.0, 0.0, 2.0, 1.0)) == pytest.approx(0.5, abs=1e-9)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegeneratePolygon):
@@ -199,10 +208,11 @@ class TestInradius:
 @settings(max_examples=100, deadline=None)
 def test_batched_measures_match_the_per_polygon_loops(seed, npts):
     poly = random_convex_polygon(np.random.default_rng(seed), npts=npts)
-    assert float.hex(min_interior_angle(poly)) == float.hex(geometry_oracle.min_interior_angle(poly))
+    assert float.hex(min_angle(poly)) == float.hex(geometry_oracle.min_interior_angle(poly))
     assert float.hex(inradius(poly)) == float.hex(geometry_oracle.inradius(poly))
     cx, cy = geom2d._centroids(*geom2d._batch([poly.vertices]), np.array([poly.area]))
-    assert (cx[0].hex(), cy[0].hex()) == (poly.centroid().x.hex(), poly.centroid().y.hex())
+    want = geometry_oracle.centroid(poly)
+    assert (cx[0].hex(), cy[0].hex()) == (want.x.hex(), want.y.hex())
 
 
 def _contains_per_edge(poly, p, tol):
@@ -262,7 +272,7 @@ def test_singular_matrix_inverse_rejected():
 class TestCentroid:
     def test_empty_raises(self):
         with pytest.raises(DegeneratePolygon):
-            geom2d.EMPTY.centroid()
+            geometry_oracle.centroid(geom2d.EMPTY)
 
     def test_tiny_clockwise_triangle_takes_vertex_mean(self):
         # Signed area -5e-11: clockwise, but its turns (-1e-10) are within
@@ -271,7 +281,7 @@ class TestCentroid:
         s = 1e-5
         tri = ConvexPolygon(((0.0, 0.0), (0.0, s), (s, 0.0)))
         assert len(tri.vertices) == 3 and tri.area == 0.0
-        assert tri.centroid() == (s / 3.0, s / 3.0)
+        assert geometry_oracle.centroid(tri) == (s / 3.0, s / 3.0)
 
 
 # -- randomized invariants ---------------------------------------------------
@@ -389,7 +399,7 @@ def test_conformal_spectral_norm(s, angle, reflect):
 
 
 def _quadrature(poly, ax, ay, n=600):
-    xmin, ymin, xmax, ymax = poly.bbox()
+    xmin, ymin, xmax, ymax = geometry_oracle.bbox(poly)
     xs = np.linspace(xmin, xmax, n, endpoint=False) + (xmax - xmin) / (2 * n)
     ys = np.linspace(ymin, ymax, n, endpoint=False) + (ymax - ymin) / (2 * n)
     X, Y = np.meshgrid(xs, ys)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import geometry_oracle
+from geometry_oracle import box
 from tentstab import geom2d, maps
 from tentstab.errors import CellExplosion, NotOctilinear, OutsideRegion, ParameterOutOfRange
 from tentstab.experiments import seeded_start
@@ -17,8 +18,6 @@ from tentstab.geom2d import (
     ConvexPolygon,
     Matrix2,
     affine_image,
-    area,
-    box,
     intersect,
     matrix_norms,
     snap_key,
@@ -72,8 +71,8 @@ class TestMakeTent2d:
             m = make_tent2d(t)
             for b in m.branches:
                 img = maps.affine_image(b.map, b.domain)
-                assert area(intersect(img, m.region)) == pytest.approx(
-                    area(img), abs=1e-10
+                assert intersect(img, m.region).area == pytest.approx(
+                    img.area, abs=1e-10
                 )
 
 
@@ -103,7 +102,7 @@ class TestApply:
 
     def test_point_in_no_branch_domain_raises(self):
         m = make_tent2d(0.9)
-        left_only = PiecewiseMap(m.region, m.branches[:1], "left branch")
+        left_only = PiecewiseMap(m.region, m.branches[:1])
         with pytest.raises(OutsideRegion, match="in no branch domain"):
             apply(left_only, (1.5, 0.2))
 
@@ -141,12 +140,12 @@ class TestPower:
         assert abs(total - 1.0) <= 1e-8
         doms = [b.domain for b in mp.branches]
         for i in range(len(doms)):
-            bi = doms[i].bbox()
+            bi = geometry_oracle.bbox(doms[i])
             for j in range(i + 1, len(doms)):
-                bj = doms[j].bbox()
+                bj = geometry_oracle.bbox(doms[j])
                 if bi[0] > bj[2] or bi[2] < bj[0] or bi[1] > bj[3] or bi[3] < bj[1]:
                     continue
-                assert area(intersect(doms[i], doms[j])) <= EPS_AREA
+                assert intersect(doms[i], doms[j]).area <= EPS_AREA
 
     def test_conjugated_application(self, rng):
         m1 = make_tent2d(0.9)
@@ -183,8 +182,11 @@ class TestPower:
         m = make_tent2d(0.9)
         assert power(m, 1) is m
 
-    def test_label_tracks_power(self):
-        assert tent_power(0.9, 3).label == "tent2d t=0.9 power=3"
+    def test_parameter_and_power_are_keyword_only(self):
+        m = tent_power(0.9, 3)
+        assert (m.param_t, m.power) == (0.9, 3)
+        with pytest.raises(TypeError):
+            PiecewiseMap(m.region, m.branches, 0.9)
 
     @pytest.mark.parametrize("n", [20, 40, 10**9])
     def test_branch_budget_checked_before_composing(self, n):
@@ -227,7 +229,7 @@ class TestOctagonPullback:
             Branch(box(0.0, 0.0, 0.5, 1.0), flip_y, 2.0),
             Branch(box(0.5, 0.0, 1.0, 1.0), flip_x, 2.0),
         )
-        m = PiecewiseMap(box(0.0, 0.0, 1.0, 1.0), branches, "fold")
+        m = PiecewiseMap(box(0.0, 0.0, 1.0, 1.0), branches)
 
         def no_compose(self, inner):
             raise AssertionError("composed before the check")
@@ -239,7 +241,7 @@ class TestOctagonPullback:
     def test_a_tilted_domain_is_rejected(self):
         tilted = ConvexPolygon(((0.0, 0.0), (1.0, 0.2), (0.2, 1.0)))
         identity = AffineMap2(Matrix2(1.0, 0.0, 0.0, 1.0), (0.0, 0.0))
-        m = PiecewiseMap(tilted, (Branch(tilted, identity, 1.0),), "tilted")
+        m = PiecewiseMap(tilted, (Branch(tilted, identity, 1.0),))
         with pytest.raises(NotOctilinear, match="branch domain 0"):
             power(m, 2)
 
@@ -312,7 +314,7 @@ class TestLongBranches:
     def test_unit_square_identity_branch(self):
         square = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
         ident = AffineMap2(Matrix2(1.0, 0.0, 0.0, 1.0), (0.0, 0.0))
-        m = PiecewiseMap(square, (Branch(square, ident, 1.0),), "square id")
+        m = PiecewiseMap(square, (Branch(square, ident, 1.0),))
         rep = estimate_long_branches(m)
         assert rep.beta == pytest.approx(math.sin(math.pi / 4.0), abs=1e-12)
         assert rep.rho == pytest.approx(0.25, abs=1e-9)
@@ -360,7 +362,7 @@ class TestCertify:
     def test_map_without_parameter_rejected(self):
         m = tent_power(0.9, 3)
         with pytest.raises(ParameterOutOfRange, match="tent-family parameter"):
-            certify(PiecewiseMap(m.region, m.branches, "no parameter"))
+            certify(PiecewiseMap(m.region, m.branches))
 
     def test_paper_formula_at_tau(self):
         cert = certify(tent_power(TAU, 3), NormConvention.PAPER_FORMULA)

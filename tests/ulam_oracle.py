@@ -9,7 +9,7 @@ bit at t = 1 and the dyadic resolutions), except on the rows where this
 clipping drops slivers, which the octagon kernel keeps.  The writers
 format one ConvexPolygon at a time, as the ``density`` command did before
 it read the grid's vertex batch, and the package matches them bit for
-bit.  Nothing in the package imports this module.  ``cesaro_coarsened``
+bit; ``ramp_color`` is the heatmap's colour ramp one fraction at a time.  Nothing in the package imports this module.  ``cesaro_coarsened``
 is the coarsened Cesaro loop on exact arrangements, which the package's
 Ulam-matrix loop matches to rounding and the mass that clipping drops
 from exact pushforwards; ``cesaro_on_csr`` is that Ulam-matrix loop on
@@ -23,6 +23,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from geometry_oracle import bbox, box, centroid
 from tentstab import cli, geom2d
 from tentstab.density import (
     CesaroResult,
@@ -45,7 +46,7 @@ class Grid:
 
     def __init__(self, region, resolution):
         n = resolution
-        xmin, ymin, xmax, ymax = region.bbox()
+        xmin, ymin, xmax, ymax = bbox(region)
         ix0 = math.floor(xmin * n + SNAP)
         ix1 = math.ceil(xmax * n - SNAP)
         iy0 = math.floor(ymin * n + SNAP)
@@ -55,7 +56,7 @@ class Grid:
         self.index = {}
         for iy in range(iy0, iy1):
             for ix in range(ix0, ix1):
-                square = geom2d.box(ix / n, iy / n, (ix + 1) / n, (iy + 1) / n)
+                square = box(ix / n, iy / n, (ix + 1) / n, (iy + 1) / n)
                 cell = intersect(square, region)
                 if not cell.is_empty:
                     self.index[(ix, iy)] = len(self.cells)
@@ -65,11 +66,11 @@ class Grid:
         """(j, area of poly ∩ cell j) for each cell that poly meets with
         positive area, in row-major order of the grid squares."""
         n = self.resolution
-        bbox = poly.bbox()
-        ix_lo = math.floor(bbox[0] * n - SNAP)
-        ix_hi = math.floor(bbox[2] * n + SNAP)
-        iy_lo = math.floor(bbox[1] * n - SNAP)
-        iy_hi = math.floor(bbox[3] * n + SNAP)
+        xmin, ymin, xmax, ymax = bbox(poly)
+        ix_lo = math.floor(xmin * n - SNAP)
+        ix_hi = math.floor(xmax * n + SNAP)
+        iy_lo = math.floor(ymin * n - SNAP)
+        iy_hi = math.floor(ymax * n + SNAP)
         for iy in range(iy_lo, iy_hi + 1):
             for ix in range(ix_lo, ix_hi + 1):
                 j = self.index.get((ix, iy))
@@ -165,13 +166,23 @@ def density_csv(f):
         header += [f"v{k}x", f"v{k}y"]
     lines = [",".join(header)]
     for i, (poly, v) in enumerate(f.cells):
-        cx, cy = poly.centroid()
+        cx, cy = centroid(poly)
         row = [str(i), fmt(poly.area), fmt(cx), fmt(cy), fmt(v), str(len(poly.vertices))]
         for vx, vy in poly.vertices:
             row += [fmt(vx), fmt(vy)]
         row += [""] * (2 * (max_verts - len(poly.vertices)))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def ramp_color(frac: float) -> str:
+    """The ramp's colour at a fraction, clamped to [0, 1], as #rrggbb."""
+    frac = min(1.0, max(0.0, frac))
+    channels = [
+        round(255 * (lo + frac * (hi - lo)))
+        for lo, hi in zip(cli.RAMP_LO, cli.RAMP_HI)
+    ]
+    return "#{:02x}{:02x}{:02x}".format(*channels)
 
 
 def render_svg(cells):
@@ -204,13 +215,13 @@ def render_svg(cells):
     for poly, value in cells:
         frac = 0.5 if spread <= 0.0 else (value - vmin) / spread
         points = " L ".join(to_px(v) for v in poly.vertices)
-        parts.append(f'<path d="M {points} Z" fill="{cli._ramp_color(frac)}"/>')
+        parts.append(f'<path d="M {points} Z" fill="{ramp_color(frac)}"/>')
     swatches = 16
     sw = 12.0
     x0 = 12.0
     y0 = height - 24.0
     for k in range(swatches):
-        color = cli._ramp_color(k / (swatches - 1))
+        color = ramp_color(k / (swatches - 1))
         parts.append(
             f'<rect x="{x0 + k * sw:.3f}" y="{y0:.3f}" width="{sw:.3f}" '
             f'height="12.000" fill="{color}"/>'
