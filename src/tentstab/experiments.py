@@ -237,8 +237,8 @@ def birkhoff_average(t: float, fname: str, x0, n: int, seed: int = 0) -> float:
     return total / n
 
 
-# Reseeded segments of an orbit run side by side as numpy lanes, at most
-# _LANES at a time and each for at most _LANE_STEPS steps (orbit_stats).
+# Orbit segments run side by side as numpy lanes, at most _LANES at a time
+# and each for at most _LANE_STEPS steps (orbit_stats).
 _LANES = 256
 _LANE_STEPS = 128
 
@@ -257,6 +257,20 @@ def _reseed_points(rng, k: int) -> tuple[np.ndarray, np.ndarray]:
     return x[keep], v[keep]
 
 
+def _lane_step(t: float, x, y, out_x, out_y, a) -> None:
+    """One step of every lane, from (x, y) into (out_x, out_y), a as
+    scratch: orbit_stats' scalar step a = x if x <= 1 else 2 - x, then
+    t * (a + y), t * (a - y), bit for bit.  min(x, 2 - x) is that a
+    (x <= 1 makes fl(2 - x) >= 1 >= x; x > 1 makes fl(2 - x) < 1 < x, as
+    2 - x is exact up to x = 2 and negative beyond)."""
+    np.subtract(2.0, x, out=a)
+    np.minimum(a, x, out=a)
+    np.add(a, y, out=out_x)
+    np.subtract(a, y, out=out_y)
+    out_x *= t
+    out_y *= t
+
+
 def _run_lanes(
     t: float, px: np.ndarray, py: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,11 +279,7 @@ def _run_lanes(
 
     Returns the segments of the lanes before the first one that outlived
     the cap (all lanes if none did), one after another, each as the points
-    its steps start from, and their lengths (steps to capture).  Each step
-    is orbit_stats' scalar step: a = min(x, 2 - x) is where(x > 1, 2 - x,
-    x) bit for bit (x <= 1 makes fl(2 - x) >= 1 >= x; x > 1 makes
-    fl(2 - x) < 1 < x, as 2 - x is exact up to x = 2 and negative beyond),
-    and t * (a + y), t * (a - y) are both branches' float operations.
+    its steps start from, and their lengths (steps to capture).
     """
     cap = _LANE_STEPS
     k = len(px)
@@ -281,12 +291,7 @@ def _run_lanes(
     live = np.ones(k, dtype=bool)
     a = np.empty(k)
     for j in range(cap):
-        np.subtract(2.0, xs[j], out=a)
-        np.minimum(a, xs[j], out=a)
-        np.add(a, ys[j], out=xs[j + 1])
-        np.subtract(a, ys[j], out=ys[j + 1])
-        xs[j + 1] *= t
-        ys[j + 1] *= t
+        _lane_step(t, xs[j], ys[j], xs[j + 1], ys[j + 1], a)
         # The capture test, on eight steps at once; a captured lane runs
         # on until every lane is captured, and its later points are unused.
         if j % 8 == 7 or j == cap - 1:
@@ -308,12 +313,54 @@ def _run_lanes(
     return xs[:steps, :m].T[inside], ys[:steps, :m].T[inside], lengths
 
 
+def _replay(
+    t: float, px: list[float], py: list[float], steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points that the first `steps` steps of an orbit start from,
+    given the start point of every _LANE_STEPS-th step (px, py): each of
+    those runs as a lane up to the next, and the lanes are joined in order."""
+    rows = min(_LANE_STEPS, steps)
+    k = len(px)
+    xs = np.empty((rows, k))
+    ys = np.empty((rows, k))
+    xs[0] = px
+    ys[0] = py
+    a = np.empty(k)
+    for j in range(rows - 1):
+        _lane_step(t, xs[j], ys[j], xs[j + 1], ys[j + 1], a)
+    # Each 2-D array is freed as soon as it is copied out in orbit order.
+    x = xs.T.ravel()[:steps]
+    del xs
+    return x, ys.T.ravel()[:steps]
+
+
+def _scalar_run(
+    t: float, x: float, y: float, limit: int
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float] | None]:
+    """The orbit from (x, y) up to its first capture or `limit` steps: the
+    points its steps start from (_replay), and the point the next step
+    starts from, or None if the boundary captured the last step's result.
+    The loop runs the float recurrence and the capture test alone, and
+    keeps the start of every _LANE_STEPS-th step."""
+    px, py = [], []
+    for k in range(0, limit, _LANE_STEPS):
+        px.append(x)
+        py.append(y)
+        for j in range(min(_LANE_STEPS, limit - k)):
+            a = x if x <= 1.0 else 2.0 - x
+            x, y = t * (a + y), t * (a - y)
+            if y <= 0.0 or x <= y or x + y >= 2.0:
+                return *_replay(t, px, py, k + j + 1), None
+    return *_replay(t, px, py, limit), (x, y)
+
+
 def _fold(total: float, terms: np.ndarray) -> float:
     """total + terms[0] + terms[1] + ... added one term at a time, in order
-    (cumsum accumulates sequentially): the bits of ``total += term`` over
-    terms.  Overwrites terms."""
+    (add.accumulate adds sequentially): the bits of ``total += term`` over
+    terms.  Overwrites terms.  (np.cumsum's Python wrapper leaves small
+    allocations that tracemalloc sees pile up from batch to batch.)"""
     terms[0] += total
-    np.cumsum(terms, out=terms)
+    np.add.accumulate(terms, out=terms)
     return float(terms[-1])
 
 
@@ -341,18 +388,20 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
     the results are bit for bit those of renormalizing on every step,
     however many states an orbit meets.
 
-    A scalar loop runs the orbit from x0 to its first capture, which at
-    t < 1 is all n steps.  At t = 1 the boundary captures double-precision
-    orbits every 79 to 104 steps (mean 101, over 20,000 reseeded segments),
-    and each reseed point depends only on the RNG stream, never on the
-    orbit.  So after the first capture the reseeded segments run as numpy
-    lanes (_run_lanes, with the scalar loop's float operations), and their
-    points are joined in order and cut at n.  Each Birkhoff sum and the
-    Lyapunov sum add those terms one at a time in the same order (_fold),
-    and the tangent states come from the same lazily learned steps, looked
-    up a byte of branches at a time; so every result keeps the bits of the
-    scalar loop.  A lane that outlives _LANE_STEPS goes back to the scalar
-    loop, which runs it from its start point to its capture.
+    Every segment of the orbit runs as numpy lanes with the scalar step's
+    float operations (_lane_step).  From x0, and from a reseeded lane that
+    outlives _LANE_STEPS, a scalar loop runs the float recurrence and the
+    capture test alone, up to _LANES * _LANE_STEPS steps at a time, and
+    replays its checkpoints as lanes (_scalar_run); at t < 1 the boundary
+    never captures such an orbit, so this covers all n steps.  At t = 1 it
+    captures double-precision orbits every 79 to 104 steps (mean 101, over
+    20,000 reseeded segments), and each reseed point depends only on the
+    RNG stream, never on the orbit, so the reseeded segments run as lanes
+    from their start (_run_lanes).  Every batch of points, in orbit order
+    and cut at n, goes through one fold: the tangent states are looked up
+    a byte of branches at a time, and each sum adds its terms one at a
+    time in the same order (_fold), so every result keeps the bits of a
+    loop that sums on every step.
     """
     check_tent_parameter(t)
     if n < 1:
@@ -427,8 +476,9 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
             cur = states[:, i] = steps[cur, branch]
         return states.ravel()[: len(bits)]
 
-    x = float(x0[0])
-    y = float(x0[1])
+    # The start of the scalar loop's next segment, or None while the
+    # reseeded segments run as lanes.
+    start: tuple[float, float] | None = (float(x0[0]), float(x0[1]))
     sx = sy = sxx = sxy = syy = 0.0
     log_total = 0.0
     reseeds = 0
@@ -436,31 +486,12 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
     done = 0
     # Reseed points drawn ahead of use, in draw order.
     qx = qy = np.empty(0)
-    while True:
-        for k in range(n - done):
-            sx += x
-            sy += y
-            sxx += x * x
-            sxy += x * y
-            syy += y * y
-            if x <= 1.0:
-                x, y = t * (x + y), t * (x - y)
-                s = next0[s]
-                if s < 0:
-                    s = learn(~s, next0)
-            else:
-                x, y = t * (2.0 - x + y), t * (2.0 - x - y)
-                s = next1[s]
-                if s < 0:
-                    s = learn(~s, next1)
-            log_total += logs[s]
-            if y <= 0.0 or x <= y or x + y >= 2.0:
-                break
+    while done < n:
+        if start is not None:
+            xs, ys, start = _scalar_run(t, *start, min(n - done, _LANES * _LANE_STEPS))
+            if start is None:
+                reseeds += 1
         else:
-            break
-        done += k + 1
-        reseeds += 1
-        while done < n:
             # t = 1 segments are longer than 64 steps, so these lanes
             # usually cover the rest of the orbit.
             lanes = min(_LANES, (n - done) // 64 + 1)
@@ -470,28 +501,27 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
             xs, ys, lengths = _run_lanes(t, qx[:lanes], qy[:lanes])
             m = len(lengths)
             reseeds += int(np.count_nonzero(np.cumsum(lengths) <= n - done))
-            cut = min(len(xs), n - done)
-            if cut:
-                xs, ys = xs[:cut], ys[:cut]
-                states = walk(s, xs > 1.0)
-                s = int(states[-1])
-                log_total = _fold(log_total, np.array(logs)[states])
-                sxx = _fold(sxx, xs * xs)
-                sxy = _fold(sxy, xs * ys)
-                syy = _fold(syy, ys * ys)
-                sx = _fold(sx, xs)
-                sy = _fold(sy, ys)
-                done += cut
-                # Free this batch before the next one is allocated.
-                del xs, ys, states
-            if m < lanes and done < n:
+            if m < lanes:
                 # Lane m outlived the cap: the scalar loop runs it instead.
-                x, y = float(qx[m]), float(qy[m])
-                qx, qy = qx[m + 1 :], qy[m + 1 :]
-                break
+                start = float(qx[m]), float(qy[m])
+                m += 1
             qx, qy = qx[m:], qy[m:]
-        else:
-            break
+            xs, ys = xs[: n - done], ys[: n - done]
+        if len(xs):
+            done += len(xs)
+            branches = xs > 1.0
+            sxx = _fold(sxx, xs * xs)
+            sxy = _fold(sxy, xs * ys)
+            syy = _fold(syy, ys * ys)
+            sx = _fold(sx, xs)
+            sy = _fold(sy, ys)
+            # Free the points before the tangent states and the next
+            # batch are allocated.
+            del xs, ys
+            states = walk(s, branches)
+            s = int(states[-1])
+            log_total = _fold(log_total, np.array(logs)[states])
+            del branches, states
     sums = {"1": float(n), "x": sx, "y": sy, "x2": sxx, "xy": sxy, "y2": syy}
     birkhoff = {name: sums[name] / n for name in TEST_FUNCTIONS}
     return OrbitStats(
