@@ -543,12 +543,23 @@ def _joined(batches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UlamOperator:
-    """Row-stochastic transition matrix between grid cells."""
+    """Row-stochastic transition matrix between grid cells as canonical CSR
+    arrays, columns ascending within each row; ``matrix``, the scipy CSR
+    matrix over them, is made on first read and loads scipy.sparse."""
 
     grid: UlamGrid
-    matrix: sp.csr_matrix
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
+        n = len(self.indptr) - 1
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -575,23 +586,11 @@ def build_ulam(m: PiecewiseMap, grid: UlamGrid | int) -> UlamOperator:
     the squares under their images' row spans OVERLAY_CHUNK at a time.
     NotOctilinear, before the grid is built, where a branch domain or
     linear part leaves the directions x, y, x + y and x - y.
+
+    Each (row, column)'s entries, one per branch image that meets the
+    column's cell, are summed once, left to right as the overlays store
+    them: a stable sort of the row-major keys, then np.bincount.  No scipy.
     """
-    import scipy.sparse as sp
-
-    grid, indptr, cols, data = _ulam_entries(m, grid)
-    n = len(grid.cell_areas)
-    # Rows come out in order, so the entries are already in the order
-    # coo_matrix.tocsr places them; it then sums duplicates the same way.
-    matrix = sp.csr_matrix((data, cols, indptr), shape=(n, n))
-    matrix.sum_duplicates()
-    return UlamOperator(grid, matrix)
-
-
-def _ulam_entries(m: PiecewiseMap, grid: UlamGrid | int):
-    """(grid, indptr, cols, data): build_ulam's grid and its matrix as CSR
-    arrays before duplicate (row, column) entries are summed, one entry
-    for each overlap of a cell's image under a branch with a cell.  The
-    octagon checks, overlays and ResolutionTooLow check; no scipy."""
     domains = _octagons([br.domain for br in m.branches], "branch domain")
     perm, scale, shift = _image_plan([br.map for br in m.branches])
     jac = np.array([br.jacobian_abs for br in m.branches])
@@ -601,8 +600,7 @@ def _ulam_entries(m: PiecewiseMap, grid: UlamGrid | int):
     branch, cell, _ = _joined(_overlay(grid, domains))
     order = np.lexsort((branch, cell))
     branch, cell = branch[order], cell[order]
-    row_nnz = np.zeros(n, dtype=np.int32)
-    cols, data = [np.zeros(0, np.int32)], [np.zeros(0)]
+    keys, data = [np.zeros(0, np.intp)], [np.zeros(0)]  # row-major (row, column) keys
     for lo in range(0, len(cell), OVERLAY_CHUNK):
         i, b = cell[lo : lo + OVERLAY_CHUNK], branch[lo : lo + OVERLAY_CHUNK]
         piece = _close(np.maximum(grid.bounds[:, i], domains[:, b]))
@@ -610,9 +608,7 @@ def _ulam_entries(m: PiecewiseMap, grid: UlamGrid | int):
         lost = _area(image)
         for src, j, w in _overlay(grid, image):
             lost -= np.bincount(src, weights=w, minlength=len(i))
-            # cell is sorted, so the batch's rows are i[0] .. i[-1]
-            row_nnz[i[0] : i[-1] + 1] += np.bincount(i[src] - i[0], minlength=i[-1] - i[0] + 1)
-            cols.append(j.astype(np.int32))
+            keys.append(i[src] * n + j)
             data.append(w / (jac[b[src]] * grid.cell_areas[i[src]]))
         bad = np.flatnonzero(lost > 1e-9)
         if bad.size:
@@ -620,22 +616,14 @@ def _ulam_entries(m: PiecewiseMap, grid: UlamGrid | int):
                 f"cell {i[bad[0]]} maps outside the gridded region "
                 f"(lost image area {float(lost[bad[0]]):g})"
             )
-    indptr = np.concatenate([np.zeros(1, np.int32), np.cumsum(row_nnz, dtype=np.int32)])
-    return grid, indptr, np.concatenate(cols), np.concatenate(data)
-
-
-def _summed(indptr, cols, data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, data) of the CSR arrays' matrix in row-major order, each
-    (row, column)'s entries summed left to right in the order stored.
-
-    That is the canonical CSR that csr_matrix.sum_duplicates leaves,
-    except that its unstable per-row sort may add three or more entries
-    of one (row, column) in another order."""
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    order = np.lexsort((cols, rows))  # stable
-    rows, cols = rows[order], cols[order]
-    new = np.concatenate(([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])))
-    return rows[new], cols[new], np.bincount(np.cumsum(new) - 1, weights=data[order])
+    keys, data = np.concatenate(keys), np.concatenate(data)
+    order = np.argsort(keys, kind="stable")
+    keys, data = keys[order], data[order]
+    new = np.concatenate(([True], keys[1:] != keys[:-1]))
+    data = np.bincount(np.cumsum(new) - 1, weights=data)
+    keys = keys[new]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    return UlamOperator(grid, indptr, (keys % n).astype(np.int32), data)
 
 
 def stationary_masses(
@@ -751,11 +739,10 @@ def cesaro_fixed_density(
     the grid, up to rounding and the mass that clipping drops from exact
     pushforwards (ROADMAP item 7).
 
-    The coarsened chain reads the matrix entries as arrays and applies M^T
-    with np.bincount, so it leaves scipy.sparse unloaded.  Its sums are
-    those of csr_matvec on build_ulam(m, coarsen).matrix.T.tocsr(), so
-    the result has their bits, except where one (row, column) of M gathers
-    three or more entries (_summed): then within a few ulp.
+    The coarsened chain reads build_ulam's arrays and applies M^T with
+    np.bincount, so it leaves scipy.sparse unloaded.  Its sums are those
+    of csr_matvec on build_ulam(m, coarsen).matrix.T.tocsr(), so the
+    result has their bits.
     """
     if coarsen is not None:
         _check_resolution("coarsen", coarsen)
@@ -768,9 +755,9 @@ def cesaro_fixed_density(
         cur = f0
         push, distance, mix = functools.partial(push_forward, m), l1_distance, add_scaled
     else:
-        grid, indptr, cols, data = _ulam_entries(m, coarsen)
-        rows, cols, data = _summed(indptr, cols, data)
-        areas = grid.cell_areas
+        op = build_ulam(m, coarsen)
+        grid, areas, cols, data = op.grid, op.grid.cell_areas, op.indices, op.data
+        rows = np.repeat(np.arange(len(areas)), np.diff(op.indptr))
         cur = _grid_values(grid, f0)
 
         def push(v):
@@ -847,14 +834,17 @@ def density_csv(grid: UlamGrid, values: np.ndarray) -> str:
 
 
 def ulam_matrix_csv(matrix) -> str:
-    """A transition matrix, scipy sparse or dense, as i,j,weight coordinate
-    triples of its stored entries (a dense matrix stores its nonzeros), in
-    row-major order."""
-    import scipy.sparse as sp
-
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    row, col, data = coo.row[order], coo.col[order], coo.data[order]
+    """A transition matrix as i,j,weight coordinate triples of its stored
+    entries in row-major order: a dense matrix's nonzeros, or a scipy
+    sparse matrix's CSR entries row by row (UlamOperator.matrix is one)."""
+    if hasattr(matrix, "tocsr"):  # scipy sparse; a CSR matrix returns itself
+        matrix = matrix.tocsr()
+        col, data = matrix.indices, matrix.data
+        row = np.repeat(np.arange(len(matrix.indptr) - 1), np.diff(matrix.indptr))
+    else:
+        dense = np.asarray(matrix)
+        row, col = np.nonzero(dense)
+        data = dense[row, col]
     # Entries are formatted and joined OVERLAY_CHUNK at a time, as
     # density_csv writes cells, so that no per-entry list of Python values
     # or strings spans the whole matrix.

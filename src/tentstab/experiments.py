@@ -161,17 +161,21 @@ def lyapunov_exponent(t: float, x0, n: int, seed: int) -> float:
 
 
 def _reseed_point(rng) -> tuple[float, float]:
-    """Uniform interior point of the region at least 1e-9 from its edges,
-    as Python floats, so that the orbit steps after a reseed run on floats
-    rather than numpy scalars (the same IEEE arithmetic, and faster).
-    orbit_stats draws the same points in batches (_reseed_points)."""
+    """The first point _reseed_points(rng, 1) accepts, as Python floats,
+    so that the orbit steps after a reseed run on floats rather than numpy
+    scalars (the same IEEE arithmetic, and faster)."""
     while True:
-        u, v = rng.random(2).tolist()
-        if u + v > 1.0:
-            u, v = 1.0 - u, 1.0 - v
-        x, y = 2.0 * u + v, v
-        if 1e-9 < y < x - 1e-9 and x + y < 2.0 - 1e-9:
-            return x, y
+        x, y = _reseed_points(rng, 1)
+        if len(x):
+            return float(x[0]), float(y[0])
+
+
+def _reseed_stream(rng):
+    """The points of repeated _reseed_point(rng) calls, one per next(), as
+    _reseed_points draws them, 64 draws at a time."""
+    while True:
+        x, y = _reseed_points(rng, 64)
+        yield from zip(x.tolist(), y.tolist())
 
 
 def birkhoff_average(t: float, fname: str, x0, n: int, seed: int = 0) -> float:
@@ -199,7 +203,7 @@ def birkhoff_average(t: float, fname: str, x0, n: int, seed: int = 0) -> float:
         )
     ax, ay = TEST_FUNCTIONS[fname]
     m = make_tent2d(t)
-    rng = np.random.default_rng(seed)
+    reseeds = _reseed_stream(np.random.default_rng(seed))
     x = float(x0[0])
     y = float(x0[1])
     total = 0.0
@@ -225,7 +229,7 @@ def birkhoff_average(t: float, fname: str, x0, n: int, seed: int = 0) -> float:
     nt = -t
     t2 = 2.0 * t
     if y <= 0.0 or x <= y or x + y >= 2.0:
-        x, y = _reseed_point(rng)
+        x, y = next(reseeds)
     for _ in range(n - 1):
         total += x**ax * y**ay
         if -(x - 1.0) >= -EPS_GEOM:
@@ -233,7 +237,7 @@ def birkhoff_average(t: float, fname: str, x0, n: int, seed: int = 0) -> float:
         else:
             x, y = (nt * x + t * y) + t2, (nt * x + nt * y) + t2
         if y <= 0.0 or x <= y or x + y >= 2.0:
-            x, y = _reseed_point(rng)
+            x, y = next(reseeds)
     return total / n
 
 
@@ -244,10 +248,11 @@ _LANE_STEPS = 128
 
 
 def _reseed_points(rng, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The points that repeated _reseed_point(rng) calls return from their
-    first k draws of rng.random(2), in order: the same acceptance rule on
-    rng.random((k, 2)), which holds the same doubles in the same order.
-    A rejected draw gives no point, so fewer than k may come back."""
+    """Uniform interior points of the region at least 1e-9 from its edges,
+    from k draws of rng.random(2), in order: the draws as rng.random((k,
+    2)), which holds the same doubles in the same order.  A rejected draw
+    gives no point, so fewer than k may come back; orbit_stats draws them
+    in batches, and _reseed_point one at a time."""
     u, v = rng.random((k, 2)).T
     flip = u + v > 1.0
     u = np.where(flip, 1.0 - u, u)

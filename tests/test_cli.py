@@ -548,15 +548,17 @@ def test_cli_import_leaves_scipy_optimize_out():
 
 def test_only_ulam_matrix_commands_load_scipy_sparse(tmp_path):
     # a fresh interpreter: this test run has scipy.sparse loaded already.
-    # The coarsened Cesaro average reads the Ulam entries without it.
+    # The coarsened Cesaro average reads build_ulam's arrays without it,
+    # and the 1D matrix export writes a dense matrix's nonzeros.
     src = os.path.dirname(os.path.dirname(os.path.abspath(tentstab.__file__)))
     out = str(tmp_path)
     code = f"""
 import os, sys
 sys.path.insert(0, {src!r})
 from tentstab import cli, density, maps
+matrix = ["--matrix-out", os.path.join({out!r}, "om.csv")]
 for argv in (["verify", "--power", "2"], ["orbit", "--n", "100"],
-             ["lycheck", "--power", "3", "--jmax", "1"], ["oracle1d", "--cells", "16"]):
+             ["lycheck", "--power", "3", "--jmax", "1"], ["oracle1d", "--cells", "16", *matrix]):
     assert cli.main(argv + ["--out", os.path.join({out!r}, argv[0])]) == 0, argv
 m = maps.tent_power(0.95, 1)
 density.cesaro_fixed_density(m, density.uniform_density(m.region), n_max=3, coarsen=4)
@@ -568,7 +570,7 @@ print(before, "scipy.sparse" in sys.modules)
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout.splitlines()[-1] == "False True"
-    assert sorted(os.listdir(tmp_path)) == ["d.csv", "lycheck", "oracle1d", "orbit", "verify"]
+    assert sorted(os.listdir(tmp_path)) == ["d.csv", "lycheck", "om.csv", "oracle1d", "orbit", "verify"]
 
 
 @pytest.mark.parametrize(

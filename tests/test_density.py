@@ -341,54 +341,39 @@ class TestCesaro:
     @pytest.mark.parametrize("pw", [1, 2, 3, 4])
     @pytest.mark.parametrize("t", [TAU, 0.9, 0.995, 1.0])
     def test_coarsened_run_matches_the_csr_matrix_loop(self, t, pw, f0_name):
-        # The same sums as csr_matvec on build_ulam's M.T.tocsr(): the same
-        # bits at powers 1-2.  At powers 3-4 some (row, column) of M gathers
-        # three or more entries, which scipy's unstable sort may add in
-        # another order; the values then drift by a few ulp, and more the
-        # more steps they take (6 ulp after 64 steps at t = 0.9, power 4,
-        # coarsen 2), so there the chain runs 16 steps at most.
+        # The same sums as csr_matvec on build_ulam's M.T.tocsr(), so the
+        # same bits: the chain reads the arrays that the CSR matrix views.
         m = tent_power(t, pw)
         if f0_name == "uniform":
             f0 = D.uniform_density(m.region)
         else:
             f0 = D.indicator_density(m.region, LEFT_HALF, 2.0)
-        n_max = 64 if pw <= 2 else 16
         for coarsen in (2, 3, 4, 16, 24):
-            got = D.cesaro_fixed_density(m, f0, n_max=n_max, coarsen=coarsen)
-            want = ulam_oracle.cesaro_on_csr(m, f0, n_max, 1e-8, coarsen)
+            got = D.cesaro_fixed_density(m, f0, n_max=64, coarsen=coarsen)
+            want = ulam_oracle.cesaro_on_csr(m, f0, 64, 1e-8, coarsen)
             assert (got.iterations, got.converged) == (want.iterations, want.converged)
             assert [c for c, _ in got.density.cells] == [c for c, _ in want.density.cells]
-            values = np.array([v for _, v in got.density.cells])
-            wants = np.array([v for _, v in want.density.cells])
-            if pw <= 2:
-                assert got.residual.hex() == want.residual.hex()
-                assert [v.hex() for v in values.tolist()] == [v.hex() for v in wants.tolist()]
-            else:
-                # the residual compares two mass-1 vectors, each within 4 ulp
-                eps = np.finfo(float).eps
-                assert abs(got.residual - want.residual) <= 8 * eps
-                assert np.abs(values.view(np.int64) - wants.view(np.int64)).max() <= 4
+            assert got.residual.hex() == want.residual.hex()
+            values = [v.hex() for _, v in got.density.cells]
+            assert values == [v.hex() for _, v in want.density.cells]
 
-    def test_summed_entries_add_left_to_right_in_stored_order(self):
-        # At power 4 some (row, column) gathers three or more entries.
-        grid, indptr, cols, data = D._ulam_entries(tent_power(0.9, 4), 16)
+    @pytest.mark.parametrize("pw, resolution", [(4, 16), (8, 32)])
+    def test_summed_entries_add_left_to_right_in_stored_order(self, pw, resolution):
+        # Entry (i, j) sums one overlap for each branch whose image of cell
+        # i meets cell j, stored in branch order.  A one-branch map's matrix
+        # holds that branch's overlaps, with the same bits, one per entry.
+        m = tent_power(0.9, pw)
+        op = D.build_ulam(m, resolution)
         groups = {}
-        for i in range(len(indptr) - 1):
-            for k in range(indptr[i], indptr[i + 1]):
-                groups.setdefault((i, int(cols[k])), []).append(float(data[k]))
+        for branch in m.branches:
+            one = D.build_ulam(PiecewiseMap(m.region, (branch,)), op.grid)
+            for key, v in _stored_entries(one):
+                groups.setdefault(key, []).append(v)
         assert max(map(len, groups.values())) >= 3
-        rows, cols, data = D._summed(indptr, cols, data)
-        assert list(zip(rows.tolist(), cols.tolist())) == sorted(groups)
-        want = [functools.reduce(operator.add, groups[key]) for key in sorted(groups)]
-        assert [v.hex() for v in data.tolist()] == [v.hex() for v in want]
-        # scipy's canonical form holds the same entries, and the same sums
-        # wherever at most two entries meet
-        matrix = D.build_ulam(tent_power(0.9, 4), 16).matrix
-        assert np.array_equal(matrix.indptr, np.searchsorted(rows, np.arange(len(indptr))))
-        assert np.array_equal(matrix.indices, cols)
-        pairs = np.array([len(groups[key]) <= 2 for key in sorted(groups)])
-        assert np.array_equal(matrix.data[pairs], data[pairs])
-        assert np.allclose(matrix.data, data, rtol=4 * np.finfo(float).eps, atol=0.0)
+        got = _stored_entries(op)
+        assert [key for key, _ in got] == sorted(groups)
+        want = [functools.reduce(operator.add, groups[key]) for key, _ in got]
+        assert [v.hex() for _, v in got] == [v.hex() for v in want]
 
     def test_coarsened_run_leaves_scipy_sparse_unloaded(self, monkeypatch, uniform):
         monkeypatch.delitem(sys.modules, "scipy.sparse")
@@ -451,16 +436,12 @@ class TestUlam:
         assert np.abs(op.matrix.T @ masses - masses).max() <= 1e-12
 
     def test_two_cell_doubly_stochastic(self):
-        import scipy.sparse as sp
-
         grid = D.UlamGrid.build(box(0.0, 0.0, 2.0, 1.0), 2)
-        # replace with a hand matrix on equal-area cells
-        m = sp.csr_matrix(np.full((len(grid.cells), len(grid.cells)), 0.0))
-        half = np.full((2, 2), 0.5)
+        # a hand matrix on equal-area cells: every entry 1 / n
         n = len(grid.cells)
-        mat = np.zeros((n, n))
-        mat[:, :] = 1.0 / n
-        op = D.UlamOperator(grid, sp.csr_matrix(mat))
+        indptr = np.arange(0, n * n + 1, n, dtype=np.int32)
+        indices = np.tile(np.arange(n, dtype=np.int32), n)
+        op = D.UlamOperator(grid, indptr, indices, np.full(n * n, 1.0 / n))
         vec = D.ulam_fixed(op, 1e-12)
         assert np.allclose(vec.values, vec.values[0])
 
@@ -503,6 +484,13 @@ class TestExports:
         i, j, w = lines[1].split(",")
         assert float(w) > 0.0
 
+    def test_matrix_csv_same_for_dense_and_every_sparse_format(self):
+        dense = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.25, 0.75]])
+        text = D.ulam_matrix_csv(dense)
+        assert text == "i,j,weight\n0,1,0.5\n0,2,0.5\n1,0,1\n2,1,0.25\n2,2,0.75\n"
+        for form in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+            assert D.ulam_matrix_csv(form(dense)) == text
+
     def test_matrix_csv_bytes_match_golden(self):
         # the matrix of the golden `density --t 0.95 --resolution 16` run
         op, _ = cached_fixed(0.95, 16)
@@ -536,6 +524,12 @@ def test_project_to_grid_preserves_mass(rng):
     f = random_grid_density(rng, TRIANGLE_T, 5)
     g = D.project_to_grid(f, 3)
     assert g.mass() == pytest.approx(f.mass(), abs=1e-12)
+
+
+def _stored_entries(op) -> list:
+    """((row, column), value) of every entry op stores, in stored order."""
+    rows = np.repeat(np.arange(len(op.indptr) - 1), np.diff(op.indptr))
+    return list(zip(zip(rows.tolist(), op.indices.tolist()), op.data.tolist()))
 
 
 def _bits_equal(a, b) -> bool:

@@ -1,5 +1,7 @@
 """Sweeps, variation diagnostics, orbit statistics, and the 1D oracle."""
 
+import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -367,6 +369,27 @@ class TestPinnedOrbits:
         for x, y in points:
             assert type(x) is float and type(y) is float
 
+    def test_seeded_starts_are_pinned(self):
+        # float.hex of seeded_start(0.9, seed) for seeds 0-1999, one line
+        # each, as the scalar acceptance loop drew them
+        digest = hashlib.sha256()
+        for seed in range(2000):
+            x, y = E.seeded_start(0.9, seed)
+            digest.update(f"{x.hex()} {y.hex()}\n".encode())
+        want = "4616bda4629ce1c8f7151ecd51ee9ec2cabd4a01b56af1e8c9a4d09ee544619d"
+        assert digest.hexdigest() == want
+
+    def test_reseed_point_skips_a_rejected_draw(self):
+        class Draws:  # rng.random((1, 2)) from a list of rows
+            def __init__(self, rows):
+                self.rows = iter(rows)
+
+            def random(self, shape):
+                return np.array([next(self.rows)]).reshape(shape)
+
+        # (0, 0) is the region's corner; (0.25, 0.5) maps to (1.0, 0.5)
+        assert E._reseed_point(Draws([(0.0, 0.0), (0.25, 0.5)])) == (1.0, 0.5)
+
 
 def _orbit_hex(st):
     """Every field of an OrbitStats, floats as float.hex (equal means equal bits)."""
@@ -502,6 +525,8 @@ class TestOrbitLanes:
         assert [(x.hex(), y.hex()) for x, y in got] == [
             (x.hex(), y.hex()) for x, y in want
         ]
+        stream = itertools.islice(E._reseed_stream(np.random.default_rng(seed)), 10000)
+        assert [(x.hex(), y.hex()) for x, y in stream] == [(x.hex(), y.hex()) for x, y in want]
 
     def test_memory_at_t1_does_not_grow_with_n(self):
         # The lanes hold one batch of segments at a time: below the 2.2 MB
