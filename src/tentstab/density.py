@@ -589,7 +589,8 @@ def build_ulam(m: PiecewiseMap, grid: UlamGrid | int) -> UlamOperator:
 
     Each (row, column)'s entries, one per branch image that meets the
     column's cell, are summed once, left to right as the overlays store
-    them: a stable sort of the row-major keys, then np.bincount.  No scipy.
+    them: a stable sort of the row-major keys, then np.bincount, unless
+    they arrive strictly increasing (at power 1, where seen).  No scipy.
     """
     domains = _octagons([br.domain for br in m.branches], "branch domain")
     perm, scale, shift = _image_plan([br.map for br in m.branches])
@@ -617,11 +618,12 @@ def build_ulam(m: PiecewiseMap, grid: UlamGrid | int) -> UlamOperator:
                 f"(lost image area {float(lost[bad[0]]):g})"
             )
     keys, data = np.concatenate(keys), np.concatenate(data)
-    order = np.argsort(keys, kind="stable")
-    keys, data = keys[order], data[order]
-    new = np.concatenate(([True], keys[1:] != keys[:-1]))
-    data = np.bincount(np.cumsum(new) - 1, weights=data)
-    keys = keys[new]
+    if not (keys[1:] > keys[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        keys, data = keys[order], data[order]
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))
+        data = np.bincount(np.cumsum(new) - 1, weights=data)
+        keys = keys[new]
     indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
     return UlamOperator(grid, indptr, (keys % n).astype(np.int32), data)
 

@@ -242,9 +242,11 @@ def birkhoff_average(t: float, fname: str, x0, n: int, seed: int = 0) -> float:
 
 
 # Orbit segments run side by side as numpy lanes, at most _LANES at a time
-# and each for at most _LANE_STEPS steps (orbit_stats).
+# and each for at most _LANE_STEPS steps; the scalar loop keeps the start
+# of every _CHECKPOINT_STEPS-th step (orbit_stats).
 _LANES = 256
 _LANE_STEPS = 128
+_CHECKPOINT_STEPS = 32
 
 
 def _reseed_points(rng, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -320,23 +322,28 @@ def _run_lanes(
 
 def _replay(
     t: float, px: list[float], py: list[float], steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The points that the first `steps` steps of an orbit start from,
-    given the start point of every _LANE_STEPS-th step (px, py): each of
-    those runs as a lane up to the next, and the lanes are joined in order."""
-    rows = min(_LANE_STEPS, steps)
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The points that the first `steps` steps of an orbit start from, up
+    to its first capture, and whether there was one, given the start of
+    every _CHECKPOINT_STEPS-th step (px, py): each of those runs as a lane
+    up to the next, and the lanes are joined in order."""
+    rows = min(_CHECKPOINT_STEPS, steps)
     k = len(px)
-    xs = np.empty((rows, k))
-    ys = np.empty((rows, k))
+    xs = np.empty((rows + 1, k))
+    ys = np.empty((rows + 1, k))
     xs[0] = px
     ys[0] = py
     a = np.empty(k)
-    for j in range(rows - 1):
+    for j in range(rows):
         _lane_step(t, xs[j], ys[j], xs[j + 1], ys[j + 1], a)
+    # The capture test on the result of every step, in orbit order.
+    x, y = xs[1:], ys[1:]
+    caught = ((y <= 0.0) | (x <= y) | (x + y >= 2.0)).T.ravel()[:steps]
+    end = int(caught.argmax()) + 1 if caught.any() else steps
     # Each 2-D array is freed as soon as it is copied out in orbit order.
-    x = xs.T.ravel()[:steps]
+    x = xs[:rows].T.ravel()[:end]
     del xs
-    return x, ys.T.ravel()[:steps]
+    return x, ys[:rows].T.ravel()[:end], bool(caught[end - 1])
 
 
 def _scalar_run(
@@ -345,18 +352,20 @@ def _scalar_run(
     """The orbit from (x, y) up to its first capture or `limit` steps: the
     points its steps start from (_replay), and the point the next step
     starts from, or None if the boundary captured the last step's result.
-    The loop runs the float recurrence and the capture test alone, and
-    keeps the start of every _LANE_STEPS-th step."""
+    The loop runs the float recurrence alone, keeps the start of every
+    _CHECKPOINT_STEPS-th step, and stops after the first such interval
+    that ends outside the region; _replay finds the first capture."""
     px, py = [], []
-    for k in range(0, limit, _LANE_STEPS):
+    for k in range(0, limit, _CHECKPOINT_STEPS):
         px.append(x)
         py.append(y)
-        for j in range(min(_LANE_STEPS, limit - k)):
+        for _ in range(min(_CHECKPOINT_STEPS, limit - k)):
             a = x if x <= 1.0 else 2.0 - x
             x, y = t * (a + y), t * (a - y)
-            if y <= 0.0 or x <= y or x + y >= 2.0:
-                return *_replay(t, px, py, k + j + 1), None
-    return *_replay(t, px, py, limit), (x, y)
+        if y <= 0.0 or x <= y or x + y >= 2.0:
+            break
+    xs, ys, caught = _replay(t, px, py, min(k + _CHECKPOINT_STEPS, limit))
+    return xs, ys, None if caught else (x, y)
 
 
 def _fold(total: float, terms: np.ndarray) -> float:
@@ -383,30 +392,33 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
     and a rotation by 225 degrees, which generate the symmetries of the
     regular octagon, so in exact arithmetic the unit vector takes at most
     16 directions, and rounding splits them into a few more float vectors
-    (at most 51 states along 1200 seeded orbits of 1e5 steps, at most 132
-    in the closure under both branches).  A step's result depends only on
-    the float vector and the branch, so the loop numbers these tangent
-    states as it meets them and learns each (state, branch) step lazily:
-    the first time it is taken, it runs the per-step arithmetic once and
-    records the next state and its log.  Every later step is a lookup that
-    adds the very float the arithmetic would add, in the same order, so
-    the results are bit for bit those of renormalizing on every step,
-    however many states an orbit meets.
+    (up to 51 states along 1200 seeded orbits of 1e5 steps; the closure
+    under both branches from θ = 4.263448160177994 held 141 states at
+    t = 0.9970631182953296).  A step's result depends only on the float
+    vector and the branch, so the loop numbers these tangent states as it
+    meets them and learns each (state, branch) step lazily, running the
+    per-step arithmetic once.  Words of eight branches are learned the
+    same way: the first walk of a (state, byte) word records its end state
+    and the logs of its eight steps, 64 bytes a word, 16 KB a state.
+    Every later step adds the very float the arithmetic would add, in the
+    same order, so the results are bit for bit those of renormalizing on
+    every step, however many states an orbit meets.
 
     Every segment of the orbit runs as numpy lanes with the scalar step's
     float operations (_lane_step).  From x0, and from a reseeded lane that
-    outlives _LANE_STEPS, a scalar loop runs the float recurrence and the
-    capture test alone, up to _LANES * _LANE_STEPS steps at a time, and
-    replays its checkpoints as lanes (_scalar_run); at t < 1 the boundary
-    never captures such an orbit, so this covers all n steps.  At t = 1 it
-    captures double-precision orbits every 79 to 104 steps (mean 101, over
-    20,000 reseeded segments), and each reseed point depends only on the
-    RNG stream, never on the orbit, so the reseeded segments run as lanes
-    from their start (_run_lanes).  Every batch of points, in orbit order
-    and cut at n, goes through one fold: the tangent states are looked up
-    a byte of branches at a time, and each sum adds its terms one at a
-    time in the same order (_fold), so every result keeps the bits of a
-    loop that sums on every step.
+    outlives _LANE_STEPS, a scalar loop runs the float recurrence alone,
+    up to _LANES * _LANE_STEPS steps at a time, keeps the start of every
+    _CHECKPOINT_STEPS-th step and tests only the end of each interval;
+    the checkpoints are replayed as lanes, which find the first capture
+    (_scalar_run).  At t < 1 the boundary never captures a seeded orbit,
+    so this covers all n steps.  At t = 1 it captures double-precision
+    orbits every 79 to 104 steps (mean 101, over 20,000 reseeded
+    segments), and each reseed point depends only on the RNG stream, so
+    the reseeded segments run as lanes from their start (_run_lanes).
+    Every batch of points, in orbit order and cut at n, goes through one
+    fold: the step logs are read a byte of branches at a time, and each
+    sum adds its terms one at a time in the same order (_fold), so every
+    result keeps the bits of a loop that sums on every step.
     """
     check_tent_parameter(t)
     if n < 1:
@@ -426,6 +438,12 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
     vxs, vys, logs = [math.cos(theta)], [math.sin(theta)], [0.0]
     next0, next1 = [~0], [~0]
     index: dict[tuple[str, str, str], int] = {}
+    # word_ends[s << 8 | w] is the state that the eight branches of the
+    # byte w (first step in the high bit, 1 for the second branch) take s
+    # to, or -1 until that word is first walked from s; word_logs holds
+    # the logs of its eight steps, and grows in place (it has no views).
+    word_ends = [-1] * 256
+    word_logs = np.empty((256, 8))
 
     def learn(s: int, nexts: list[int]) -> int:
         vx, vy = vxs[s], vys[s]
@@ -448,38 +466,32 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
             logs.append(lg)
             next0.append(~r)
             next1.append(~r)
+            word_ends.extend([-1] * 256)
+            word_logs.resize((len(word_ends), 8), refcheck=False)
         nexts[s] = r
         return r
 
-    # word_ends[s << 8 | w] is the state that the eight branches of the
-    # byte w (first step in the high bit, 1 for the second branch) take s
-    # to, or -1 until that word is first walked from s.
-    word_ends: list[int] = []
-
-    def walk(s: int, bits: np.ndarray) -> np.ndarray:
-        """The tangent states after each step of the branch bits from s."""
-        words = np.packbits(bits)  # the zero padding's steps go unused
-        word_ends.extend([-1] * ((len(logs) << 8) - len(word_ends)))
-        starts = []
-        for w in words.tolist():
-            starts.append(s)
+    def walk(s: int, bits: np.ndarray) -> tuple[np.ndarray, int]:
+        """The log of each step of the branch bits from s, and the state after."""
+        words = []
+        for w in np.packbits(bits).tolist():  # the zero padding's steps go unused
             word = s << 8 | w
+            words.append(word)
             s = word_ends[word]
             if s < 0:
                 s = word >> 8
-                for i in range(7, -1, -1):
-                    nexts = next1 if word >> i & 1 else next0
+                for i in range(8):
+                    nexts = next1 if word >> 7 - i & 1 else next0
                     r = nexts[s]
                     s = learn(~r, nexts) if r < 0 else r
-                word_ends.extend([-1] * ((len(logs) << 8) - len(word_ends)))
+                    word_logs[word, i] = logs[s]
                 word_ends[word] = s
-        # Every step of these words is learned now: replay them per step.
-        steps = np.array([next0, next1]).T
-        cur = np.array(starts)
-        states = np.empty((len(starts), 8), dtype=np.intp)
-        for i, branch in enumerate(np.unpackbits(words).reshape(-1, 8).T):
-            cur = states[:, i] = steps[cur, branch]
-        return states.ravel()[: len(bits)]
+        if len(bits) % 8:  # a partial last byte stops inside its padded word
+            s = words[-1] >> 8
+            for b in bits[len(bits) & ~7 :].tolist():
+                s = (next1 if b else next0)[s]
+        steps = word_logs.take(np.array(words, dtype=np.intp), axis=0)
+        return steps.ravel()[: len(bits)], s
 
     # The start of the scalar loop's next segment, or None while the
     # reseeded segments run as lanes.
@@ -515,18 +527,18 @@ def orbit_stats(t: float, x0, n: int, seed: int) -> OrbitStats:
         if len(xs):
             done += len(xs)
             branches = xs > 1.0
-            sxx = _fold(sxx, xs * xs)
-            sxy = _fold(sxy, xs * ys)
-            syy = _fold(syy, ys * ys)
+            terms = np.empty_like(xs)
+            sxx = _fold(sxx, np.multiply(xs, xs, out=terms))
+            sxy = _fold(sxy, np.multiply(xs, ys, out=terms))
+            syy = _fold(syy, np.multiply(ys, ys, out=terms))
             sx = _fold(sx, xs)
             sy = _fold(sy, ys)
-            # Free the points before the tangent states and the next
-            # batch are allocated.
-            del xs, ys
-            states = walk(s, branches)
-            s = int(states[-1])
-            log_total = _fold(log_total, np.array(logs)[states])
-            del branches, states
+            # Free the points before the step logs and the next batch are
+            # allocated.
+            del xs, ys, terms
+            terms, s = walk(s, branches)
+            log_total = _fold(log_total, terms)
+            del branches, terms
     sums = {"1": float(n), "x": sx, "y": sy, "x2": sxx, "xy": sxy, "y2": syy}
     birkhoff = {name: sums[name] / n for name in TEST_FUNCTIONS}
     return OrbitStats(

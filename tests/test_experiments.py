@@ -251,6 +251,16 @@ def test_orbit_functions_accept_start_on_region_boundary():
         assert math.isfinite(E.birkhoff_average(0.9, "x", x0, 50, 1))
 
 
+def _traced_peak(f, *args) -> int:
+    """The tracemalloc peak, in bytes, of the call f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBirkhoff:
     def test_constant_function_is_exact(self):
         assert E.birkhoff_average(0.93, "1", (0.37, 0.11), 137) == 1.0
@@ -274,20 +284,18 @@ class TestBirkhoff:
                 passes += 1
         assert passes >= 9
 
-    def test_orbit_stats_memory_does_not_grow_with_n(self):
+    def test_orbit_stats_memory_does_not_grow_with_n(self, monkeypatch):
         # The scalar loop keeps checkpoints only, and their lanes hold one
         # batch at a time: below the 2.2 MB of the 512-cell oracle1d
-        # matrix, and no higher for ten times the steps (an array of the
-        # 1e6-step orbit would take 8 MB).
-        peaks = []
-        for n in (10**5, 10**6):
-            tracemalloc.start()
-            try:
-                E.orbit_stats(0.95, E.seeded_start(0.95, 3), n, 3)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] <= 2_000_000
+        # matrix at the shipped batch shape.  At batches of 4 checkpoints
+        # the orbit runs 782 batches for n = 1e5 and 79 for n = 1e4, and
+        # peaks no higher for the longer one (an array of the orbit would
+        # grow by 16 bytes a step).
+        x0 = E.seeded_start(0.95, 3)
+        assert _traced_peak(E.orbit_stats, 0.95, x0, 10**5, 3) <= 2_000_000
+        monkeypatch.setattr(E, "_LANES", 1)
+        monkeypatch.setattr(E, "_LANE_STEPS", 4 * E._CHECKPOINT_STEPS)
+        peaks = [_traced_peak(E.orbit_stats, 0.95, x0, n, 3) for n in (10**4, 10**5)]
         assert peaks[1] <= peaks[0]
 
     def test_reseeds_absent_at_small_t(self):
@@ -411,11 +419,16 @@ ORACLE_CASES = (
     + [(1.0, 2, 200000), (1.0, 1234567, 200000)]
 )
 
-# Orbit lengths at the edges of a lane (_LANE_STEPS steps) and of a batch
-# of checkpointed lanes (_LANES lanes), and over three batches and a bit:
-# at t < 1 the scalar loop's batches cover the whole orbit.
-_L, _K = E._LANE_STEPS, E._LANES
-BATCH_EDGES = [_L - 1, _L, _L + 1, _K * _L - 1, _K * _L, _K * _L + 1, 3 * _K * _L + 5]
+# Orbit lengths at the edges of a checkpoint interval (_CHECKPOINT_STEPS
+# steps), of a lane (_LANE_STEPS steps), of _LANES checkpoint intervals and
+# of a batch (_LANES * _LANE_STEPS steps, replayed as lanes one interval
+# long), and over three batches and a bit: at t < 1 the scalar loop's
+# batches cover the whole orbit.
+_C, _L, _K = E._CHECKPOINT_STEPS, E._LANE_STEPS, E._LANES
+BATCH_EDGES = [
+    _C - 1, _C, _C + 1, _L - 1, _L, _L + 1, _K * _C - 1, _K * _C + 1,
+    _K * _L - 1, _K * _L, _K * _L + 1, 3 * _K * _L + 5,
+]
 
 
 class TestOrbitOracle:
@@ -435,6 +448,41 @@ class TestOrbitOracle:
         x0 = E.seeded_start(t, 1)
         want = orbit_oracle.orbit_stats(t, x0, n, 1)
         assert _orbit_hex(E.orbit_stats(t, x0, n, 1)) == _orbit_hex(want)
+
+    @pytest.mark.parametrize("r", range(1, 8))
+    def test_lengths_that_end_inside_a_byte(self, monkeypatch, r):
+        # The tangent walk looks the states up a byte of branches at a
+        # time.  These orbits end r steps into a byte: in the first batch,
+        # and in a second batch shorter than a byte.  In batches of r and
+        # of 32 + r steps every batch ends inside a byte, and the next one
+        # walks on from the state that its last step reached.  (Two steps
+        # of the first branch map the tangent vector by 2 t^2 times the
+        # identity, so a walk that ran on through the byte's zero padding
+        # would mostly end in a rounding variant of the right state, and
+        # the outputs show it at odd r only, on short orbits, where the
+        # Lyapunov sum is small enough to keep a 1-ulp change of a log.)
+        cases = [(t, n) for t in (0.9, 1.0) for n in (r, 8 * 100 + r, _K * _L + r)]
+        for t, n in cases:
+            x0 = E.seeded_start(t, 4)
+            want = orbit_oracle.orbit_stats(t, x0, n, 4)
+            assert _orbit_hex(E.orbit_stats(t, x0, n, 4)) == _orbit_hex(want), (t, n)
+        monkeypatch.setattr(E, "_LANES", 1)
+        for batch in (r, 32 + r):
+            monkeypatch.setattr(E, "_LANE_STEPS", batch)
+            for seed in (1, 2):
+                x0 = E.seeded_start(0.9, seed)
+                for n in (100, 1000):
+                    want = orbit_oracle.orbit_stats(0.9, x0, n, seed)
+                    assert _orbit_hex(E.orbit_stats(0.9, x0, n, seed)) == _orbit_hex(want)
+
+    def test_orbit_through_the_most_tangent_states(self):
+        # In 1e5 steps at this t, seed 187 meets 37 tangent states, the
+        # most over seeds 0-999 (seeds 298 and 983 meet 37 too), so its
+        # word table holds 37 * 256 rows.
+        t = 0.9970631182953296
+        x0 = E.seeded_start(t, 187)
+        want = orbit_oracle.orbit_stats(t, x0, 10**5, 187)
+        assert _orbit_hex(E.orbit_stats(t, x0, 10**5, 187)) == _orbit_hex(want)
 
 
 def _capture_steps(t, x0, seed, count):
@@ -470,6 +518,19 @@ class TestOrbitLanes:
             assert want.reseeds == 1
             assert _orbit_hex(E.orbit_stats(0.9, x0, n, 1)) == _orbit_hex(want), n
 
+    @pytest.mark.parametrize(
+        "x0, capture", [((0.001, 0.0009999999999999996), 12), ((1e-06, 9.999999999999997e-07), 34)]
+    )
+    def test_start_captured_inside_a_checkpoint_interval_below_one(self, x0, capture):
+        # Starts near the corner (0, 0), a few ulp below the diagonal:
+        # rounding puts these t = 0.9 orbits on the boundary on step 12, in
+        # the middle of the first checkpoint interval, and on step 34, in
+        # the second; the scalar loop tests only the intervals' ends.
+        assert _capture_steps(0.9, x0, 1, 1) == [capture]
+        for n in sorted({capture - 1, capture, capture + 1, _C, _C + 1, 2 * _C, 200, 20000}):
+            want = orbit_oracle.orbit_stats(0.9, x0, n, 1)
+            assert _orbit_hex(E.orbit_stats(0.9, x0, n, 1)) == _orbit_hex(want), n
+
     @pytest.mark.parametrize("cap", [1, 8, 64, 96])
     def test_lanes_that_outlive_the_cap(self, monkeypatch, cap):
         # At t = 1 segments last 79 to 104 steps: caps 1, 8 and 64 send
@@ -500,6 +561,26 @@ class TestOrbitLanes:
         monkeypatch.setattr(E, "_LANES", lanes)
         batch = cap * lanes
         edges = {cap - 1, cap, cap + 1, batch - 1, batch, batch + 1, 3 * batch + 5, 2000}
+        x0 = E.seeded_start(0.9, 2)
+        cases = [(0.9, x0, 2, n) for n in sorted(edges - {0})]
+        cases += [(0.9, (0.5, 0.0), 1, n) for n in (1, 2, 3, 200)]
+        x0 = E.seeded_start(1.0, 1)
+        captures = _capture_steps(1.0, x0, 1, 2)
+        cases += [(1.0, x0, 1, c + d) for c in captures for d in (-1, 0, 1)]
+        for t, x0, seed, n in cases:
+            want = orbit_oracle.orbit_stats(t, x0, n, seed)
+            assert _orbit_hex(E.orbit_stats(t, x0, n, seed)) == _orbit_hex(want), (t, x0, n)
+
+    @pytest.mark.parametrize("spacing", [1, 3, 8, 200, 1000])
+    def test_other_checkpoint_spacings(self, monkeypatch, spacing):
+        # Checkpoints `spacing` steps apart in batches of 256 steps, at and
+        # next to the edges of an interval and of a batch, from a seeded
+        # start and from (0.5, 0) at t = 0.9, and at t = 1 next to the
+        # first two captures.
+        monkeypatch.setattr(E, "_CHECKPOINT_STEPS", spacing)
+        monkeypatch.setattr(E, "_LANES", 2)
+        batch = 2 * E._LANE_STEPS
+        edges = {spacing - 1, spacing, spacing + 1, batch - 1, batch, batch + 1, 3 * batch + 5}
         x0 = E.seeded_start(0.9, 2)
         cases = [(0.9, x0, 2, n) for n in sorted(edges - {0})]
         cases += [(0.9, (0.5, 0.0), 1, n) for n in (1, 2, 3, 200)]

@@ -56,6 +56,7 @@ density --t 0.939 --resolution 128 --out d128.csv
 sweep --tmin 0.95 --tmax 0.99 --steps 2 --resolution 16 --out s.csv
 orbit --t 1.0 --n 200000 --seed 2 --out orb.csv
 orbit --t 0.9 --n 200000 --seed 3 --out orb09.csv
+orbit --t 0.8814119281102443 --n 200003 --seed 5 --out orbmin.csv
 lycheck --t 0.9 --power 3 --jmax 3 --f0 lefthalf --out ly.csv
 lycheck --t 0.99 --power 3 --jmax 5 --f0 uniform --out ly5.csv
 lycheck --t 0.999999 --power 3 --jmax 5 --f0 lefthalf --out ly5near1.csv
